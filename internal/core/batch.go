@@ -436,7 +436,10 @@ func (s *Server) ServeBatch(work func(*Msg), batch int) (served int64) {
 				}
 			default:
 				if m.Op == OpWork && work != nil {
-					work(&m)
+					// In place in buf: work(&m) would move every
+					// request of the loop to the heap.
+					work(&buf[i])
+					m = buf[i]
 				}
 				served++
 				out = append(out, Reply{Client: m.Client, Msg: m})
@@ -494,7 +497,10 @@ func (s *Server) ServeBatchCtx(ctx context.Context, work func(*Msg), batch int) 
 				}
 			default:
 				if m.Op == OpWork && work != nil {
-					work(&m)
+					// In place in buf: work(&m) would move every
+					// request of the loop to the heap.
+					work(&buf[i])
+					m = buf[i]
 				}
 				served++
 				out = append(out, Reply{Client: m.Client, Msg: m})

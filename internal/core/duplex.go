@@ -364,7 +364,9 @@ func (h *DuplexHandler) ServeConn(work func(*Msg)) (served int64) {
 			return served
 		case OpWork:
 			if work != nil {
-				work(&m)
+				w := m // see Server.Serve
+				work(&w)
+				m = w
 			}
 			served++
 			h.Reply(m)
@@ -393,7 +395,9 @@ func (h *DuplexHandler) ServeConnCtx(ctx context.Context, work func(*Msg)) (serv
 			return served, nil
 		case OpWork:
 			if work != nil {
-				work(&m)
+				w := m // see Server.Serve
+				work(&w)
+				m = w
 			}
 			served++
 			h.Reply(m)

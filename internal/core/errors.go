@@ -80,8 +80,8 @@ type CtxActor interface {
 
 	// PCtx is P with cancellation. It returns nil when a semaphore
 	// token was consumed; ctx.Err() when the wait was cancelled WITHOUT
-	// consuming a token (a token granted concurrently with cancellation
-	// must be handed back to the semaphore — see the wake-token
+	// consuming a token (when a grant and the cancellation race, one of
+	// them is decided first and the other loses — see the wake-token
 	// accounting note on consumerWaitCtx); and ErrShutdown when the
 	// semaphore was shut down.
 	PCtx(ctx context.Context, id SemID) error

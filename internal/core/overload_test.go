@@ -63,9 +63,12 @@ func (s *fakeStore) Lease(ref uint32, owner uint32) error {
 	return nil
 }
 
-// Claim is single-winner: only a currently-leased block can be claimed.
-func (s *fakeStore) Claim(ref uint32, owner uint32) bool {
-	if _, ok := s.owners[ref]; !ok {
+// The fake never reclaims by owner, so every block stays at generation 0.
+func (s *fakeStore) Gen(ref uint32) uint8 { return 0 }
+
+// ClaimGen is single-winner: only a currently-leased block can be claimed.
+func (s *fakeStore) ClaimGen(ref uint32, gen uint8, owner uint32) bool {
+	if _, ok := s.owners[ref]; !ok || gen != 0 {
 		return false
 	}
 	s.owners[ref] = owner
@@ -178,7 +181,7 @@ func TestReplyDeliveredKeepsPayloadLease(t *testing.T) {
 		t.Fatalf("delivered reply changed outstanding blocks: %d, want 1", n)
 	}
 	// The receiving client can still claim it.
-	if !store.Claim(ref, 7) {
+	if !store.ClaimGen(ref, 0, 7) {
 		t.Error("lease not claimable by the receiver after delivery")
 	}
 }

@@ -17,10 +17,12 @@ import (
 //
 // Payload bytes never cross a queue — only the 32-bit reference does.
 // The lease tag (shm.BlockPool owner words) tracks the current holder
-// so a sweeper can return a dead endpoint's blocks; Claim (a tag CAS)
+// so a sweeper can return a dead endpoint's blocks; ClaimGen (a tag CAS)
 // resolves the race between a receiver adopting a payload and a sweeper
 // reclaiming its dead sender's leases: exactly one side wins, so a
-// block is never freed twice and never used after reclaim.
+// block is never freed twice and never used after reclaim. The claim
+// names the generation the message was stamped with, so it also loses
+// when the sweeper won long ago and the slot has a new holder by now.
 
 // Typed sentinels for the payload paths.
 var (
@@ -50,8 +52,12 @@ type BlockStore interface {
 	Free(ref uint32) error
 	// Lease tags the block as held by owner.
 	Lease(ref uint32, owner uint32) error
-	// Claim transfers the lease to owner; false if already reclaimed.
-	Claim(ref uint32, owner uint32) bool
+	// Gen returns the block's generation, stamped on messages beside
+	// the reference.
+	Gen(ref uint32) uint8
+	// ClaimGen transfers the lease to owner; false if the block has
+	// been reclaimed since it was at generation gen.
+	ClaimGen(ref uint32, gen uint8, owner uint32) bool
 	// MaxBlock is the largest allocatable payload.
 	MaxBlock() int
 }
@@ -63,6 +69,7 @@ type BlockStore interface {
 type Payload struct {
 	store BlockStore
 	ref   uint32
+	gen   uint8
 	buf   []byte
 	n     int
 }
@@ -103,7 +110,7 @@ func (p *Payload) Release() error {
 // whose reply is the mutated request (Serve/ServeCtx work callbacks):
 // the message carries the reference onward and the view is dead.
 func (m *Msg) AttachPayload(p *Payload) {
-	m.SetBlock(p.ref, p.n)
+	m.setBlock(p.ref, p.gen, p.n)
 	p.store = nil
 }
 
@@ -121,12 +128,13 @@ func allocPayload(store BlockStore, owner uint32, n int) (*Payload, error) {
 		_ = store.Free(ref)
 		return nil, err
 	}
-	return &Payload{store: store, ref: ref, buf: buf, n: n}, nil
+	return &Payload{store: store, ref: ref, gen: store.Gen(ref), buf: buf, n: n}, nil
 }
 
 // resolvePayload claims the lease on a received message's payload and
 // builds the view. A failed claim means a sweeper got there first
-// (the sender died): the payload is lost, not usable.
+// (the sender died): the payload is lost, not usable — and the slot,
+// which may have been reallocated since, is not ours to free.
 func resolvePayload(store BlockStore, owner uint32, m Msg) (*Payload, error) {
 	if store == nil {
 		return nil, ErrNoBlocks
@@ -135,7 +143,8 @@ func resolvePayload(store BlockStore, owner uint32, m Msg) (*Payload, error) {
 		return nil, ErrNoPayload
 	}
 	ref, n := m.Block()
-	if !store.Claim(ref, owner) {
+	gen := m.BlockGen()
+	if !store.ClaimGen(ref, gen, owner) {
 		return nil, ErrPayloadLost
 	}
 	buf, err := store.Get(ref)
@@ -145,7 +154,7 @@ func resolvePayload(store BlockStore, owner uint32, m Msg) (*Payload, error) {
 	if n > len(buf) {
 		n = len(buf)
 	}
-	return &Payload{store: store, ref: ref, buf: buf, n: n}, nil
+	return &Payload{store: store, ref: ref, gen: gen, buf: buf, n: n}, nil
 }
 
 // dropPayload claim-frees a payload whose message was discarded (a
@@ -157,7 +166,7 @@ func dropPayload(store BlockStore, owner uint32, m Msg) {
 		return
 	}
 	ref, _ := m.Block()
-	if store.Claim(ref, owner) {
+	if store.ClaimGen(ref, m.BlockGen(), owner) {
 		_ = store.Free(ref)
 	}
 }
@@ -190,7 +199,7 @@ func (c *Client) Payload(m Msg) (*Payload, error) {
 // Reclaim — accounts for it. Either way the caller must forget p.
 func (c *Client) SendPayload(ctx context.Context, m Msg, p *Payload) (Msg, *Payload, error) {
 	if p != nil {
-		m.SetBlock(p.ref, p.n)
+		m.setBlock(p.ref, p.gen, p.n)
 		p.store = nil // lease leaves this handle with the message
 	}
 	ans, err := c.SendCtx(ctx, m)
@@ -219,7 +228,7 @@ func (c *Client) SendPayload(ctx context.Context, m Msg, p *Payload) (Msg, *Payl
 
 // Payload resolves (claims) the payload of a received request. The
 // server owns the lease: Release it before an empty reply, or re-lease
-// it for the response via ReplyPayload / Msg.SetBlock.
+// it for the response via ReplyPayload / Msg.AttachPayload.
 func (s *Server) Payload(m Msg) (*Payload, error) {
 	return resolvePayload(s.Blocks, s.Owner, m)
 }
@@ -235,7 +244,7 @@ func (s *Server) AllocPayload(n int) (*Payload, error) {
 func (s *Server) ReplyPayload(client int32, m Msg, p *Payload) {
 	if p != nil {
 		s.Obs.Payload(p.n)
-		m.SetBlock(p.ref, p.n)
+		m.setBlock(p.ref, p.gen, p.n)
 		p.store = nil
 	} else {
 		m.ClearBlock()
@@ -248,7 +257,7 @@ func (s *Server) ReplyPayload(client int32, m Msg, p *Payload) {
 // (p remains valid and must still be released or retried).
 func (s *Server) ReplyPayloadCtx(ctx context.Context, client int32, m Msg, p *Payload) error {
 	if p != nil {
-		m.SetBlock(p.ref, p.n)
+		m.setBlock(p.ref, p.gen, p.n)
 	} else {
 		m.ClearBlock()
 	}

@@ -29,7 +29,7 @@ import (
 //     checker finds that deadlock too).
 //
 // Cancellation composes with the same discipline: a worker cancelled
-// while parked consumed no token (PCtx hands a racing grant back), and
+// while parked consumed no token (PCtx decides grant or cancel once), and
 // it withdraws its registration on the way out. If a producer already
 // claimed the registration, the producer's V stays in the semaphore and
 // the next parked sibling absorbs it as a spurious wake — the message
@@ -238,8 +238,8 @@ func (w *PoolWorker) ReceiveCtx(ctx context.Context) (Msg, error) {
 			return Msg{}, ErrNotCancellable
 		}
 		if err := ca.PCtx(ctx, w.Rcv.Sem()); err != nil {
-			// Cancelled without a token (PCtx handed any racing grant
-			// back). Withdraw the registration; if a producer already
+			// Cancelled without a token (a racing grant would have
+			// won). Withdraw the registration; if a producer already
 			// claimed it the V stays pending and a parked sibling absorbs
 			// it as a spurious wake — the message is queued, so no
 			// wake-up is lost.
@@ -357,7 +357,9 @@ func (w *PoolWorker) step(m Msg, work func(*Msg)) (stop bool) {
 		}
 	case OpWork:
 		if work != nil {
-			work(&m)
+			w := m // see Server.Serve
+			work(&w)
+			m = w
 		}
 		w.C.served.Add(1)
 		w.Reply(m.Client, m)

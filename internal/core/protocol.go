@@ -127,9 +127,10 @@ func consumerWait(q Port, a Actor, preWait func()) Msg {
 // the cancel path — the Figure 4 awake-flag race, revisited under
 // cancellation:
 //
-//   - PCtx guarantees that a cancelled wait consumed NO token: a token
-//     granted concurrently with the cancellation is handed back to the
-//     semaphore (re-credited or passed to the next waiter).
+//   - PCtx guarantees that a cancelled wait consumed NO token: grant
+//     and cancellation are decided in one step inside the semaphore, and
+//     a wait granted first returns success even if its context has
+//     since ended (the reply wins).
 //   - The cancelled consumer then re-sets the awake flag with a
 //     test-and-set. If the flag was still clear, no producer has issued
 //     (or will issue) a wake for the current queue state, and setting

@@ -392,7 +392,11 @@ func (s *Server) Serve(work func(*Msg)) (served int64) {
 			}
 		case OpWork:
 			if work != nil {
-				work(&m)
+				// A copy local to this branch: work(&m) would move every
+				// request of the loop to the heap.
+				w := m
+				work(&w)
+				m = w
 			}
 			served++
 			s.Reply(m.Client, m)
@@ -437,7 +441,9 @@ func (s *Server) ServeCtx(ctx context.Context, work func(*Msg)) (served int64, e
 			}
 		case OpWork:
 			if work != nil {
-				work(&m)
+				w := m // see Serve
+				work(&w)
+				m = w
 			}
 			served++
 			s.Reply(m.Client, m)

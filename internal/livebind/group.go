@@ -310,7 +310,9 @@ func (s *System) buildGroup() error {
 // refusing reports whether the group entered shutdown phase 1. A dead
 // shard's channel also refuses (the sweeper closed it), so the probe
 // reads the first live shard — shutdown refuses all of them, a shard
-// death only its own.
+// death only its own. The sweeper marks a shard dead before it closes
+// the shard's channel (recovery.recoverLocked), so a shard that looks
+// live here never refuses because it died.
 func (g *group) refusing() bool {
 	for s := range g.recvs {
 		if !g.dead[s].Load() {

@@ -15,8 +15,9 @@ import (
 )
 
 // Cross-process binding: core.Client/core.Server running over a mapped
-// shm.Seg, with futex-backed semaphores (ProcSem) instead of sync.Cond
-// and a process-granular lifetable instead of the goroutine one.
+// shm.Seg, with futex-backed semaphores (ProcSem) instead of the
+// in-process Semaphore and a process-granular lifetable instead of the
+// goroutine one.
 //
 // Topology. The segment carries one SPSC request lane and one SPSC
 // reply lane per client. The server's receive endpoint round-robins
@@ -280,7 +281,7 @@ func (s *ProcSystem) reclaimMsgBlock(m core.Msg) {
 		return
 	}
 	ref, _ := m.Block()
-	if s.v.Blocks.Claim(ref, uint32(s.self)) {
+	if s.v.Blocks.ClaimGen(ref, m.BlockGen(), uint32(s.self)) {
 		_ = s.v.Blocks.Free(ref)
 		s.orphanBlocks.Add(1)
 		if s.opts.M != nil {

@@ -292,16 +292,23 @@ func (r *recovery) sweep() {
 		}
 	}
 
-	// Lost-wake rescue: a channel that stays non-empty across two
-	// consecutive sweeps while its consumer is parked has plausibly
-	// lost a wake-up (dropped V, or a producer that died owing one);
-	// issue a compensating V. A spurious rescue is harmless — the
+	// Lost-wake rescue: a channel whose consumer stays parked across two
+	// consecutive sweeps while a wake-up is owed has plausibly lost it
+	// (dropped V, or a producer that died owing one); issue a
+	// compensating V. A wake-up is owed while the queue is non-empty, or
+	// while the awake flag is set: a consumer clears the flag before it
+	// parks, so a set flag over a parked consumer means a producer won
+	// the test-and-set and took the duty to V — the case of a consumer
+	// that dequeued the message and parks only to take that V, with its
+	// queue empty. (Worker pools park on registered waiters instead and
+	// leave the flag alone.) A spurious rescue is harmless — the
 	// protocols' token accounting absorbs redundant wake-ups — so the
 	// heuristic errs toward liveness.
 	if !r.opts.NoRescue {
 		for _, cm := range r.chans {
 			ch := cm.ch
-			if ch.closed.Load() || ch.q.Empty() {
+			owed := !ch.q.Empty() || ch.awake.Load() && ch.waiters.Load() == 0
+			if ch.closed.Load() || !owed {
 				cm.stuck = 0
 				continue
 			}
@@ -332,7 +339,7 @@ func (r *recovery) reclaimMsgBlock(m core.Msg) {
 		return
 	}
 	ref, _ := m.Block()
-	if r.s.blocks.Claim(ref, sweepOwner) {
+	if r.s.blocks.ClaimGen(ref, m.BlockGen(), sweepOwner) {
 		_ = r.s.blocks.Free(ref)
 		r.m.OrphanBlocks.Add(1)
 	}
@@ -397,6 +404,14 @@ func (r *recovery) recoverLocked(slot *lifeSlot) {
 		}
 	}
 
+	// Server groups: if the dead actor was serving a shard, mark the
+	// shard dead and bounce parked clients so they observe it (see
+	// System.noteActorDead). This must precede closing the shard's
+	// channel below: a group reads a refusing channel of a shard not yet
+	// marked dead as a system shutdown, and would fail survivors' sends
+	// with ErrShutdown in between.
+	r.s.noteActorDead(slot.id)
+
 	// Side accounting: when a whole side of a channel is gone, the
 	// survivors must stop waiting on it.
 	for _, ch := range slot.produces {
@@ -418,9 +433,4 @@ func (r *recovery) recoverLocked(slot *lifeSlot) {
 			ch.MarkPeerDead()
 		}
 	}
-
-	// Server groups: if the dead actor was serving a shard, mark the
-	// shard dead and bounce parked clients so they observe it (see
-	// System.noteActorDead).
-	r.s.noteActorDead(slot.id)
 }

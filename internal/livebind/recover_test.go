@@ -66,6 +66,79 @@ func TestKillActorDeliversErrPeerDead(t *testing.T) {
 	}
 }
 
+// A dead client's request can outlive its payload: the sweeper's owner
+// walk returns the block while the request still waits in the server's
+// queue, and a survivor may lease the slot before the server gets
+// there. The stale request must then lose its claim — ErrPayloadLost on
+// the server, the survivor's lease untouched — instead of handing the
+// server a block someone else holds, to be freed a second time.
+func TestStaleRequestCannotClaimRecycledBlock(t *testing.T) {
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2, BlockSlots: 4},
+		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown(context.Background())
+	srv := sys.Server() // registered, never run: the request stays queued
+	victim, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor, err := sys.Client(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := victim.AllocPayload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := p.Ref()
+	req := core.Msg{Op: core.OpWork}
+	req.AttachPayload(p)
+	if err := victim.SendAsyncCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	sys.KillActor(victim.A.(*Actor).ID)
+	sys.SweepNow()
+	if _, leased := sys.Blocks().Owner(ref); leased {
+		t.Fatal("owner walk left the dead client's queued block leased")
+	}
+
+	// The survivor takes the arena until it holds the reclaimed slot.
+	var held []*core.Payload
+	var recycled *core.Payload
+	for recycled == nil {
+		q, err := survivor.AllocPayload(64)
+		if err != nil {
+			t.Fatalf("reclaimed block never reallocated: %v", err)
+		}
+		held = append(held, q)
+		if q.Ref() == ref {
+			recycled = q
+		}
+	}
+
+	stale, ok := srv.Rcv.TryDequeue()
+	if !ok {
+		t.Fatal("dead client's request not queued")
+	}
+	if _, err := srv.Payload(stale); !errors.Is(err, core.ErrPayloadLost) {
+		t.Fatalf("claim through the stale request = %v, want ErrPayloadLost", err)
+	}
+	if owner, _ := sys.Blocks().Owner(ref); owner != survivor.Owner {
+		t.Fatalf("recycled block owned by %d after the stale claim, want the survivor %d", owner, survivor.Owner)
+	}
+	for _, q := range held {
+		if err := q.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := sys.Blocks().TotalFree(); free != int64(sys.Blocks().Capacity()) {
+		t.Fatalf("arena free %d / %d after the survivor released everything", free, sys.Blocks().Capacity())
+	}
+}
+
 // TestLeaseExpiryDetectsSilentDeath registers a client that never makes
 // another move and sweeps after its lease expires: the sweeper must
 // declare it dead without any ReportCrash/KillActor, and subsequent
@@ -149,6 +222,62 @@ func TestDroppedWakeupsRescued(t *testing.T) {
 	}
 	if err := sys.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown = %v", err)
+	}
+}
+
+// A consumer can lose a wake-up with its queue empty: it clears its
+// awake flag, a producer enqueues and wins the flag's test-and-set (so
+// the V is its duty), the consumer's re-check dequeues the message and,
+// finding the flag set, parks to take the V it is owed (consumerWait's
+// race-3 fix). If that V is dropped, nothing is queued for the sweeper
+// to notice; the flag set over a parked consumer is what names the
+// owed V.
+func TestDroppedDrainWakeupRescued(t *testing.T) {
+	inj := fault.NewInjector(fault.Plan{Seed: 3, DropWake: 1.0})
+	ms := metrics.NewSet()
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
+		WithFaults(inj),
+		WithRecovery(RecoveryOptions{SweepInterval: 100 * time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown(context.Background())
+	srv := sys.Server()
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reply := srv.Replies[0]
+	cl.Rcv.SetAwake(false) // the consumer, between its two dequeues
+	if !reply.TryEnqueue(core.Msg{Op: core.OpEcho}) {
+		t.Fatal("reply enqueue failed")
+	}
+	if reply.TASAwake() {
+		t.Fatal("awake flag set before the producer's test-and-set")
+	}
+	srv.A.V(reply.Sem()) // the producer's V, dropped
+	if drops := inj.Counts().WakeDrops; drops != 1 {
+		t.Fatalf("WakeDrops = %d, want 1", drops)
+	}
+	if _, ok := cl.Rcv.TryDequeue(); !ok {
+		t.Fatal("the consumer's re-check found no message")
+	}
+	if !cl.Rcv.TASAwake() {
+		t.Fatal("awake flag clear after the producer's test-and-set")
+	}
+	drained := make(chan struct{})
+	go func() {
+		cl.A.P(cl.Rcv.Sem()) // the owed V
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("consumer still parked on a dropped V with an empty queue")
+	}
+	if rescues := ms.Total().WakeRescues; rescues == 0 {
+		t.Fatal("consumer released without a rescue recorded")
 	}
 }
 

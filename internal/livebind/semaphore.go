@@ -11,62 +11,31 @@ import (
 // while the count is zero; V increments the count or wakes one waiter.
 // Like the kernel primitive, V never yields the caller.
 //
-// Two kinds of waiter coexist:
+// It is a waiting array (semarray.go): every waiter, plain or
+// cancellable, parks on its own pooled slot in a FIFO ring, and V hands
+// its token directly to the oldest parked waiter — one channel send, one
+// goroutine made runnable, no barging. Once the semaphore has seen its
+// peak number of concurrent waiters, waiting allocates nothing.
 //
-//   - Plain P parks on a sync.Cond and races for the count — the cheap,
-//     allocation-free path the legacy (error-less) protocols pay on
-//     every blocking round trip.
-//   - PCtx parks on an explicit waiter list so the wait can be
-//     cancelled with exact token accounting: V hands its token DIRECTLY
-//     to the first listed waiter (marking it granted), and a waiter
-//     cancelled after being granted hands the token back — to the next
-//     listed waiter, or to the count (waking a cond sleeper). A
-//     cancelled wait therefore never consumes a token, and a token
-//     destined for a live waiter is never lost to a cancelled one. This
-//     is the property the protocol layer's wake-token accounting
-//     (core.consumerWaitCtx) builds on.
-//
-// A third shape is available as an opt-in mode (NewWaitArraySemaphore):
-// a waiting array where EVERY waiter — plain or cancellable — parks on
-// its own per-waiter slot and V hands the token directly to the oldest
-// live slot. See semarray.go for the mode's invariants.
+// Grant and cancel are both decided under the mutex, on the slot: a
+// parked wait is either granted by V or cancelled in place, never both.
+// A granted waiter returns success even if its context has ended by the
+// time it runs ("the reply wins"), so a cancelled wait never consumed a
+// token and there is nothing to hand back — the property the protocol
+// layer's wake-token accounting (core.consumerWaitCtx) builds on.
 type Semaphore struct {
-	mu       sync.Mutex
-	cond     sync.Cond // plain P sleepers
-	count    int64
-	closed   bool
-	sleeping int64        // plain P calls currently parked in cond.Wait
-	waiters  []*semWaiter // parked PCtx calls, granted in FIFO order
-	wa       *waitArray   // non-nil switches to waiting-array mode
-}
-
-// semWaiter is one parked PCtx call. granted is guarded by the
-// semaphore mutex and is valid once ready is closed.
-type semWaiter struct {
-	ready   chan struct{}
-	granted bool
+	mu     sync.Mutex
+	count  int64
+	closed bool
+	waitArray
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(initial int64) *Semaphore {
-	s := &Semaphore{count: initial}
-	s.cond.L = &s.mu
-	return s
-}
+func NewSemaphore(initial int64) *Semaphore { return &Semaphore{count: initial} }
 
-// NewWaitArraySemaphore creates a semaphore in waiting-array mode:
-// per-waiter hand-off slots instead of the cond/slice pair, giving O(1)
-// V and O(1) cancellation with no wake-up herd. Same external
-// semantics and the same token-conservation guarantees.
-func NewWaitArraySemaphore(initial int64) *Semaphore {
-	s := NewSemaphore(initial)
-	s.wa = newWaitArray()
-	return s
-}
-
-// WaitArray reports whether the semaphore runs in waiting-array mode
-// (diagnostics and tests).
-func (s *Semaphore) WaitArray() bool { return s.wa != nil }
+// NewWaitArraySemaphore is NewSemaphore: every semaphore is a waiting
+// array now.
+func NewWaitArraySemaphore(initial int64) *Semaphore { return NewSemaphore(initial) }
 
 // P (down) decrements the count, blocking while it is zero. On a closed
 // semaphore P returns immediately without consuming a token, so parked
@@ -76,158 +45,145 @@ func (s *Semaphore) WaitArray() bool { return s.wa != nil }
 // the binding can attribute sleep time without extra clock reads on the
 // non-blocking path.
 func (s *Semaphore) P() (slept bool) {
-	if s.wa != nil {
-		return s.pArray()
-	}
-	s.mu.Lock()
-	for s.count == 0 && !s.closed {
-		slept = true
-		s.sleeping++
-		s.cond.Wait()
-		s.sleeping--
-	}
-	if !s.closed {
-		s.count--
-	}
-	s.mu.Unlock()
+	slept, _ = s.wait(nil)
 	return slept
 }
 
 // PCtx is P with cancellation. It returns nil when a token was
 // consumed; ctx.Err() when the wait was cancelled without consuming a
-// token (a token granted concurrently with the cancellation is handed
-// back); and core.ErrShutdown when the semaphore was closed. Like P,
+// token; and core.ErrShutdown when the semaphore was closed. Like P,
 // slept reports whether the call actually parked.
 func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
-	if s.wa != nil {
-		return s.pCtxArray(ctx)
-	}
+	return s.wait(ctx)
+}
+
+// wait is P (ctx == nil) and PCtx. The park rule: a wait parks on a
+// single receive from its slot unless it must also watch a context it
+// has no registration for.
+//
+//   - P, and a context whose Done is nil, have nothing to watch.
+//   - A context the slot's previous wait also used is long-lived: the
+//     slot arms context.AfterFunc on it once and keeps the registration
+//     until the context changes or the semaphore closes (expire cancels
+//     the slot in place).
+//   - Any other context parks in a two-case select on the slot and
+//     ctx.Done(), which costs no registration — a per-call WithTimeout
+//     pays nothing extra.
+//
+// Arming and disarming run under the mutex, which orders them with
+// Close. Neither can re-enter it: AfterFunc runs expire on a goroutine
+// of its own, and a stop function never calls back.
+func (s *Semaphore) wait(ctx context.Context) (slept bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false, core.ErrShutdown
 	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		return false, err
+	var done <-chan struct{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			s.mu.Unlock()
+			return false, err
+		}
+		done = ctx.Done()
 	}
 	if s.count > 0 {
 		s.count--
 		s.mu.Unlock()
 		return false, nil
 	}
-	w := &semWaiter{ready: make(chan struct{})}
-	s.waiters = append(s.waiters, w)
+	w := s.pushLocked(ctx != nil)
+	single := done == nil
+	if !single && (done == w.armed || done == w.seen) {
+		if done != w.armed {
+			w.disarm()
+			w.stop = context.AfterFunc(ctx, func() { s.expire(w, done) })
+			w.armed = done
+		}
+		w.watch, single = done, true
+	}
+	w.seen = done
 	s.mu.Unlock()
 
-	select {
-	case <-w.ready:
-		s.mu.Lock()
-		granted := w.granted
-		s.mu.Unlock()
-		if granted {
-			return true, nil
+	if single {
+		<-w.ch // granted, closed, or expired by the registration
+	} else {
+		select {
+		case <-w.ch:
+		case <-done:
+			s.mu.Lock()
+			if w.state == waWaiting {
+				s.cancelLocked(w)
+			} else {
+				<-w.ch // the grant or close was decided first: it wins
+			}
+			s.mu.Unlock()
 		}
-		return true, core.ErrShutdown // woken by Close
-	case <-ctx.Done():
-		s.mu.Lock()
-		if w.granted {
-			// A V (or Close) won the race and the grant channel is closed
-			// or closing. Hand the token back so it is not lost: to the
-			// next waiter if any, otherwise to the count.
-			s.handBackLocked()
-		} else {
-			s.removeWaiterLocked(w)
-		}
-		s.mu.Unlock()
-		return true, ctx.Err()
-	}
-}
-
-// handBackLocked re-issues a token whose grantee was cancelled; the
-// caller holds s.mu.
-func (s *Semaphore) handBackLocked() {
-	if len(s.waiters) > 0 {
-		next := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		next.granted = true
-		close(next.ready)
-		return
-	}
-	s.count++
-	s.cond.Signal() // a plain P may be sleeping on the count
-}
-
-// removeWaiterLocked unlinks a cancelled waiter; the caller holds s.mu.
-// The waiter may already be gone (Close drained the list).
-func (s *Semaphore) removeWaiterLocked(w *semWaiter) {
-	for i, cand := range s.waiters {
-		if cand == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// V (up) hands a token to the first listed (cancellable) waiter, or
-// increments the count and signals a plain P sleeper. Vs on a closed
-// semaphore are dropped (every waiter has already been released and no
-// new ones arrive). The return value reports whether the V plausibly
-// woke a sleeper — it granted a parked cancellable waiter, or a plain P
-// was asleep when the count was bumped (the paper's "expensive wake-up
-// system call" as opposed to a redundant V).
-func (s *Semaphore) V() (woke bool) {
-	if s.wa != nil {
-		return s.vArray()
 	}
 	s.mu.Lock()
+	state := w.state
+	s.releaseLocked(w)
+	s.mu.Unlock()
+	switch state {
+	case waGranted:
+		return true, nil
+	case waClosed:
+		return true, core.ErrShutdown
+	}
+	return true, ctx.Err()
+}
+
+// expire is the AfterFunc callback of a slot armed on done: if the slot
+// is still parked by a wait relying on that registration, cancel it in
+// place and wake the waiter. A registration that fires for a slot that
+// moved on finds it granted, free or watching another context, and does
+// nothing.
+func (s *Semaphore) expire(w *waSlot, done <-chan struct{}) {
+	s.mu.Lock()
+	if w.state == waWaiting && w.watch == done {
+		s.cancelLocked(w)
+		w.ch <- struct{}{}
+	}
+	s.mu.Unlock()
+}
+
+// V (up) hands a token directly to the oldest parked waiter, or
+// increments the count if none is parked. Vs on a closed semaphore are
+// dropped (every waiter has already been released and no new ones
+// arrive). The return value reports whether the V woke a sleeper (the
+// paper's "expensive wake-up system call" as opposed to a redundant V).
+func (s *Semaphore) V() (woke bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return false
 	}
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.granted = true
-		s.mu.Unlock()
-		close(w.ready)
+	if w := s.popLocked(); w != nil {
+		w.state = waGranted
+		w.ch <- struct{}{}
 		return true
 	}
 	s.count++
-	woke = s.sleeping > 0
-	s.mu.Unlock()
-	s.cond.Signal()
-	return woke
+	return false
 }
 
-// Close releases every parked waiter without granting tokens and makes
-// all subsequent P calls non-blocking (PCtx returns core.ErrShutdown).
-// Idempotent.
+// Close releases every parked waiter without granting tokens, makes all
+// subsequent P calls non-blocking (PCtx returns core.ErrShutdown), and
+// stops every AfterFunc registration its slots hold. Idempotent.
 func (s *Semaphore) Close() {
-	if s.wa != nil {
-		s.closeArray()
-		return
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	ws := s.waiters
-	s.waiters = nil
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, w := range ws {
-		close(w.ready)
+	for w := s.popLocked(); w != nil; w = s.popLocked() {
+		w.state = waClosed
+		w.ch <- struct{}{}
 	}
-}
-
-// Closed reports whether the semaphore has been closed (diagnostics).
-func (s *Semaphore) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	for _, w := range s.slots {
+		w.disarm()
+	}
 }
 
 // Count returns the current count (diagnostics).
@@ -242,10 +198,7 @@ func (s *Semaphore) Count() int64 {
 func (s *Semaphore) Waiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wa != nil {
-		return s.wa.npctx
-	}
-	return len(s.waiters)
+	return s.npctx
 }
 
 // Sleeping returns the number of plain P calls currently parked
@@ -254,8 +207,5 @@ func (s *Semaphore) Waiters() int {
 func (s *Semaphore) Sleeping() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wa != nil {
-		return int64(s.wa.nplain)
-	}
-	return s.sleeping
+	return int64(s.nplain)
 }

@@ -91,9 +91,9 @@ func TestSemaphoreCloseUnblocksWaiters(t *testing.T) {
 		s.P()
 		close(plainDone)
 	}()
-	// Only the PCtx waiter is observable on the list; the plain P parks
-	// on the cond. Close sets closed before broadcasting, so the plain P
-	// is released whether or not it has parked yet.
+	// Only the PCtx waiter is awaited here. Close marks the semaphore
+	// closed before releasing the ring, so the plain P is released
+	// whether or not it has parked yet.
 	for s.Waiters() < 1 {
 		time.Sleep(10 * time.Microsecond)
 	}

@@ -1,103 +1,107 @@
 package livebind
 
-import (
-	"context"
-	"sync"
-
-	"ulipc/internal/core"
-)
-
-// Waiting-array mode for Semaphore.
+// The waiting array behind Semaphore: one FIFO ring of per-waiter
+// slots. Every waiter parks on its own slot's channel; V pops the head
+// slot and hands the token to that waiter directly, absorbing cancelled
+// holes as it walks. Cancel marks the waiter's own slot in place, O(1),
+// leaving a hole for V, Close or the compactor to absorb.
 //
-// The baseline Semaphore parks plain P callers on a single sync.Cond
-// and cancellable PCtx callers on an unbounded slice that cancellation
-// scans in O(n). Under heavy oversubscription both are convoy shapes:
-// cond Broadcast wakes a herd to race for one token, and the slice scan
-// makes cancel cost grow with the number of co-waiters.
-//
-// The waiting array replaces both with one FIFO ring of per-waiter
-// slots. Every waiter — plain or cancellable — parks on its own
-// buffered channel; V pops the head slot and hands the token DIRECTLY
-// to that waiter (one channel send, one goroutine made runnable, no
-// herd), skipping and recycling cancelled holes as it walks. Cancel
-// marks the waiter's own slot in place, O(1), leaving a hole for V or
-// the compactor to absorb. Token conservation is the same invariant the
-// baseline proves the long way around: a token is either in the count
-// or in exactly one granted slot, a cancelled waiter never consumes
-// one, and a waiter cancelled after being granted hands its token back
-// (to the next live slot, else to the count).
-//
-// Slots are pooled: a slot leaves the ring with its channel drained
-// before reuse, so a grant from a previous life can never leak into the
-// next waiter's park.
+// A slot has two owners that release it independently: the ring (while
+// inRing) and its waiter (while held). Whichever lets go last puts the
+// slot on the semaphore's free list, whose slots always have an empty
+// channel — so a grant from a previous life can never reach the next
+// waiter. Every field below is guarded by the owning Semaphore's mutex.
 
-// waSlot states, guarded by the owning Semaphore's mutex.
+// waSlot states.
 const (
 	waWaiting   int8 = iota // parked, in the ring
-	waGranted               // V/hand-back delivered a token
-	waCancelled             // waiter gave up; slot is a hole in the ring
+	waGranted               // V delivered a token
+	waCancelled             // the wait ended without a token; the slot is a hole
 	waClosed                // Close released the waiter without a token
 )
 
-// waSlot is one parked waiter's private hand-off cell. The channel has
-// capacity 1 so granters never block while holding the semaphore lock;
-// state transitions happen under that lock before the send, so a waiter
-// that receives can trust the state it then reads.
+// waSlot is one waiter's private hand-off cell. The channel has capacity
+// 1 so a granter never blocks while holding the semaphore mutex; the
+// state changes under that mutex before the send, so a waiter that
+// receives can trust the state it then reads.
 type waSlot struct {
-	ch    chan struct{}
-	state int8
-	pctx  bool // cancellable (PCtx) waiter, for the diagnostics split
+	ch     chan struct{}
+	state  int8
+	pctx   bool // cancellable (PCtx) waiter, for the diagnostics split
+	inRing bool
+	held   bool
+	next   *waSlot // free-list link
+
+	// The context cache of the park rule (Semaphore.wait). seen is the
+	// Done channel of the slot's previous cancellable wait; armed is the
+	// one an AfterFunc registration (stopped by stop) watches; watch is
+	// the Done channel the current wait relies on that registration for.
+	seen, armed, watch <-chan struct{}
+	stop               func() bool
 }
 
-// waitArray is the ring of parked waiters. ring[head:] is the active
-// FIFO region; holes counts cancelled slots still inside it.
+// disarm stops the slot's AfterFunc registration, if it has one.
+func (w *waSlot) disarm() {
+	if w.stop != nil {
+		w.stop()
+		w.stop, w.armed = nil, nil
+	}
+}
+
+// waitArray is the ring of parked waiters and the slots behind it.
+// ring[head:] is the active FIFO region; holes counts cancelled slots
+// still inside it.
 type waitArray struct {
 	ring   []*waSlot
 	head   int
 	holes  int
 	npctx  int // parked cancellable waiters (Waiters())
 	nplain int // parked plain-P waiters (Sleeping())
-	pool   sync.Pool
+	free   *waSlot
+	slots  []*waSlot // every slot ever made, so Close can disarm them all
 }
 
-func newWaitArray() *waitArray { return &waitArray{} }
-
-// getSlot takes a slot from the pool (or allocates) and resets it for a
-// fresh park. Caller need not hold the lock.
-func (wa *waitArray) getSlot(pctx bool) *waSlot {
-	if v := wa.pool.Get(); v != nil {
-		w := v.(*waSlot)
-		w.state = waWaiting
-		w.pctx = pctx
-		return w
-	}
-	return &waSlot{ch: make(chan struct{}, 1), pctx: pctx}
-}
-
-// putSlot drains any unconsumed grant and returns the slot to the pool.
-// Only call once the slot can no longer be sent to (it has left the
-// ring, or its waiter consumed the send).
-func (wa *waitArray) putSlot(w *waSlot) {
-	select {
-	case <-w.ch:
-	default:
-	}
-	wa.pool.Put(w)
-}
-
-// pushLocked appends a parked waiter; caller holds the semaphore mutex.
-func (wa *waitArray) pushLocked(w *waSlot) {
-	wa.ring = append(wa.ring, w)
-	if w.pctx {
-		wa.npctx++
+// pushLocked parks a new waiter at the tail of the ring, on a recycled
+// slot when one is free.
+func (wa *waitArray) pushLocked(pctx bool) *waSlot {
+	w := wa.free
+	if w != nil {
+		wa.free = w.next
 	} else {
-		wa.nplain++
+		w = &waSlot{ch: make(chan struct{}, 1)}
+		wa.slots = append(wa.slots, w)
+	}
+	w.state, w.pctx, w.inRing, w.held, w.watch = waWaiting, pctx, true, true, nil
+	wa.ring = append(wa.ring, w)
+	wa.tally(w, 1)
+	return w
+}
+
+// tally moves the parked count of w's kind (Waiters or Sleeping) by d.
+func (wa *waitArray) tally(w *waSlot, d int) {
+	if w.pctx {
+		wa.npctx += d
+	} else {
+		wa.nplain += d
 	}
 }
 
-// popLocked removes and returns the oldest live waiter, absorbing (and
-// recycling) cancelled holes on the way. Returns nil if no live waiter
-// is parked. Caller holds the semaphore mutex.
+// releaseLocked is the waiter letting go of its slot.
+func (wa *waitArray) releaseLocked(w *waSlot) {
+	w.held = false
+	wa.recycle(w)
+}
+
+// recycle frees a slot neither the ring nor a waiter holds.
+func (wa *waitArray) recycle(w *waSlot) {
+	if !w.inRing && !w.held {
+		w.next = wa.free
+		wa.free = w
+	}
+}
+
+// popLocked removes and returns the oldest live waiter, absorbing holes
+// on the way; nil if no live waiter is parked.
 func (wa *waitArray) popLocked() *waSlot {
 	for wa.head < len(wa.ring) {
 		w := wa.ring[wa.head]
@@ -107,185 +111,45 @@ func (wa *waitArray) popLocked() *waSlot {
 			wa.ring = wa.ring[:0]
 			wa.head = 0
 		}
+		w.inRing = false
 		if w.state == waCancelled {
 			wa.holes--
-			wa.putSlot(w)
+			wa.recycle(w)
 			continue
 		}
-		if w.pctx {
-			wa.npctx--
-		} else {
-			wa.nplain--
-		}
+		wa.tally(w, -1)
 		return w
 	}
 	return nil
 }
 
-// cancelLocked turns a parked waiter's slot into a hole in place — O(1),
-// versus the baseline's O(n) slice scan. When holes dominate the active
-// region the ring is compacted, keeping the amortized cost constant
-// even under cancel storms with no V traffic to absorb the holes.
-// Caller holds the semaphore mutex.
+// cancelLocked turns a parked waiter's slot into a hole in place. When
+// holes dominate the active region the ring is compacted, keeping the
+// amortized cost constant even under cancel storms with no V traffic to
+// absorb the holes.
 func (wa *waitArray) cancelLocked(w *waSlot) {
 	w.state = waCancelled
 	wa.holes++
-	if w.pctx {
-		wa.npctx--
-	} else {
-		wa.nplain--
-	}
+	wa.tally(w, -1)
 	if wa.holes > 16 && wa.holes*2 > len(wa.ring)-wa.head {
 		wa.compactLocked()
 	}
 }
 
-// compactLocked rewrites the ring with only live waiters, recycling the
-// holes. Caller holds the semaphore mutex. The in-place copy is safe:
-// the write index never overtakes the read index.
+// compactLocked rewrites the ring with only live waiters. The in-place
+// copy is safe: the write index never overtakes the read index.
 func (wa *waitArray) compactLocked() {
 	live := wa.ring[:0]
 	for _, w := range wa.ring[wa.head:] {
 		if w.state == waCancelled {
 			wa.holes--
-			wa.putSlot(w)
+			w.inRing = false
+			wa.recycle(w)
 			continue
 		}
 		live = append(live, w)
 	}
-	for i := len(live); i < len(wa.ring); i++ {
-		wa.ring[i] = nil
-	}
+	clear(wa.ring[len(live):])
 	wa.ring = live
 	wa.head = 0
-}
-
-// pArray is P in waiting-array mode: park on a private slot and wait
-// for a direct hand-off (or Close). No cond race — a granted waiter
-// owns its token outright.
-func (s *Semaphore) pArray() (slept bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	if s.count > 0 {
-		s.count--
-		s.mu.Unlock()
-		return false
-	}
-	w := s.wa.getSlot(false)
-	s.wa.pushLocked(w)
-	s.mu.Unlock()
-
-	<-w.ch // granted (token is ours) or closed (no token; caller sees port state)
-	s.wa.putSlot(w)
-	return true
-}
-
-// pCtxArray is PCtx in waiting-array mode. Cancellation marks the slot
-// a hole in O(1); a grant that raced the cancellation is handed back so
-// the token is never lost.
-func (s *Semaphore) pCtxArray(ctx context.Context) (slept bool, err error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, core.ErrShutdown
-	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	if s.count > 0 {
-		s.count--
-		s.mu.Unlock()
-		return false, nil
-	}
-	w := s.wa.getSlot(true)
-	s.wa.pushLocked(w)
-	s.mu.Unlock()
-
-	select {
-	case <-w.ch:
-		s.mu.Lock()
-		granted := w.state == waGranted
-		s.mu.Unlock()
-		s.wa.putSlot(w)
-		if granted {
-			return true, nil
-		}
-		return true, core.ErrShutdown // woken by Close
-	case <-ctx.Done():
-		s.mu.Lock()
-		switch w.state {
-		case waGranted:
-			// A V (or hand-back) won the race: its token is in our
-			// channel. Re-issue it so it is not lost, then recycle the
-			// slot (putSlot drains the pending send).
-			s.handBackArrayLocked()
-			s.mu.Unlock()
-			s.wa.putSlot(w)
-		case waClosed:
-			// Close won the race and already pulled the slot from the
-			// ring; no token was granted, nothing to hand back.
-			s.mu.Unlock()
-			s.wa.putSlot(w)
-		default:
-			// Still parked: become a hole. The slot stays in the ring
-			// until V, Close or the compactor absorbs it.
-			s.wa.cancelLocked(w)
-			s.mu.Unlock()
-		}
-		return true, ctx.Err()
-	}
-}
-
-// handBackArrayLocked re-issues a token whose grantee was cancelled:
-// to the oldest live waiter, else to the count. Caller holds s.mu.
-func (s *Semaphore) handBackArrayLocked() {
-	if w := s.wa.popLocked(); w != nil {
-		w.state = waGranted
-		w.ch <- struct{}{}
-		return
-	}
-	s.count++
-}
-
-// vArray is V in waiting-array mode: O(1) direct hand-off to the oldest
-// live waiter (holes are absorbed as they are met), else bump the
-// count. Exactly one goroutine is made runnable per delivered token.
-func (s *Semaphore) vArray() (woke bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	if w := s.wa.popLocked(); w != nil {
-		w.state = waGranted
-		w.ch <- struct{}{} // capacity 1: never blocks under the lock
-		s.mu.Unlock()
-		return true
-	}
-	s.count++
-	s.mu.Unlock()
-	return false
-}
-
-// closeArray releases every parked waiter without granting tokens.
-func (s *Semaphore) closeArray() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for {
-		w := s.wa.popLocked()
-		if w == nil {
-			break
-		}
-		w.state = waClosed
-		w.ch <- struct{}{}
-	}
-	s.mu.Unlock()
 }

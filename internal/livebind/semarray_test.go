@@ -10,19 +10,12 @@ import (
 	"ulipc/internal/core"
 )
 
-// The waiting-array variant must pass the same token-conservation
-// gauntlet as the baseline cond/slice semaphore, plus its own shape
-// checks: FIFO direct hand-off, hole recycling under cancel storms,
-// and the cancel-vs-V race resolved exactly once. Run under -race.
+// The waiting array's shape checks: FIFO direct hand-off, hole
+// recycling under cancel storms, and the cancel-vs-V race resolved
+// exactly once. Run under -race.
 
-func TestWaitArrayFlag(t *testing.T) {
-	if NewSemaphore(0).WaitArray() {
-		t.Fatal("baseline semaphore reports waiting-array mode")
-	}
+func TestWaitArrayInitialCredits(t *testing.T) {
 	s := NewWaitArraySemaphore(2)
-	if !s.WaitArray() {
-		t.Fatal("waiting-array semaphore does not report it")
-	}
 	if s.Count() != 2 {
 		t.Fatalf("initial count %d, want 2", s.Count())
 	}
@@ -87,7 +80,7 @@ func TestWaitArrayPCtxCancelVRaceExactlyOnce(t *testing.T) {
 				t.Fatalf("round %d: PCtx = %v, want nil or context.Canceled", i, err)
 			}
 			if count != 1 {
-				t.Fatalf("round %d: cancelled wait left count = %d, want exactly 1 handed back", i, count)
+				t.Fatalf("round %d: cancelled wait left count = %d, want exactly the V's 1", i, count)
 			}
 		}
 		if w := s.Waiters(); w != 0 {
@@ -96,8 +89,9 @@ func TestWaitArrayPCtxCancelVRaceExactlyOnce(t *testing.T) {
 	}
 }
 
-// A cancelled waiter's hand-back must prefer a still-parked waiter over
-// the count: the token moves along the array, not through it.
+// A V racing the first waiter's cancellation must still reach a
+// still-parked waiter rather than the count: the token moves along the
+// array, not through it.
 func TestWaitArrayHandBackGrantsNextWaiter(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s := NewWaitArraySemaphore(0)
@@ -138,19 +132,29 @@ func TestWaitArrayHandBackGrantsNextWaiter(t *testing.T) {
 	}
 }
 
-// FIFO: tokens are granted in park order, not cond-broadcast order.
+// FIFO: tokens are granted in park order, across plain, Background and
+// cancellable waiters alike.
 func TestWaitArrayFIFOGrant(t *testing.T) {
 	s := NewWaitArraySemaphore(0)
-	const n = 6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waits := []func(){
+		func() { s.P() },
+		func() { s.PCtx(context.Background()) },
+		func() { s.PCtx(ctx) },
+		func() { s.P() },
+		func() { s.PCtx(ctx) },
+		func() { s.PCtx(context.Background()) },
+	}
+	n := len(waits)
 	order := make(chan int, n)
-	for i := 0; i < n; i++ {
-		i := i
+	for i, wait := range waits {
 		go func() {
-			s.P()
+			wait()
 			order <- i
 		}()
 		// Park strictly one at a time so array order equals loop order.
-		for s.Sleeping() != int64(i+1) {
+		for int64(s.Waiters())+s.Sleeping() != int64(i+1) {
 			runtime.Gosched()
 		}
 	}
@@ -236,7 +240,7 @@ func TestWaitArrayCloseUnblocks(t *testing.T) {
 }
 
 // Mixed concurrent P/PCtx traffic against V producers with rolling
-// cancellations: every token is either acquired or handed back, so
+// cancellations: every token is either acquired or left on the count, so
 // issued Vs minus successful acquisitions must equal the final count.
 // Run under -race.
 func TestWaitArrayMixedStress(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 // TestSemaphorePCtxCancelVRaceExactlyOnce races a PCtx cancellation
 // against a concurrent V over many rounds and checks the wake token is
 // conserved exactly in every interleaving: either the waiter consumed
-// it (returns nil, count stays 0) or the cancelled waiter handed it
-// back exactly once (returns ctx.Err(), count is exactly 1). A lost
+// it (returns nil, count stays 0) or the cancellation was decided first
+// and the V credited the count (returns ctx.Err(), count is exactly 1). A lost
 // token would strand the next sleeper forever; a doubled one would
 // admit a consumer with no message. Run under -race.
 func TestSemaphorePCtxCancelVRaceExactlyOnce(t *testing.T) {
@@ -42,7 +42,7 @@ func TestSemaphorePCtxCancelVRaceExactlyOnce(t *testing.T) {
 				t.Fatalf("round %d: PCtx = %v, want nil or context.Canceled", i, err)
 			}
 			if count != 1 {
-				t.Fatalf("round %d: cancelled wait left count = %d, want exactly 1 handed back", i, count)
+				t.Fatalf("round %d: cancelled wait left count = %d, want exactly the V's 1", i, count)
 			}
 		}
 		if w := s.Waiters(); w != 0 {

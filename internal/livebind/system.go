@@ -690,11 +690,20 @@ func (b *blockSource) Lease(ref uint32, owner uint32) error {
 	return b.pool.Lease(ref, owner)
 }
 
-func (b *blockSource) Claim(ref uint32, owner uint32) bool {
+// Gen and ClaimGen: heap-overflow blocks are never reclaimed by owner,
+// so they stay at generation 0 and claim on the tag alone.
+func (b *blockSource) Gen(ref uint32) uint8 {
+	if isOverflowRef(ref) {
+		return 0
+	}
+	return b.pool.Gen(ref)
+}
+
+func (b *blockSource) ClaimGen(ref uint32, gen uint8, owner uint32) bool {
 	if isOverflowRef(ref) {
 		return b.over.claim(ref, owner)
 	}
-	return b.pool.Claim(ref, owner)
+	return b.pool.ClaimGen(ref, gen, owner)
 }
 
 func (b *blockSource) MaxBlock() int { return b.pool.MaxBlock() }
@@ -921,12 +930,6 @@ func (s *System) DuplexPair(i int) (*core.DuplexClient, *core.DuplexHandler, err
 }
 
 func (s *System) addSem(c *Channel) {
-	if s.opts.Alg == core.BSA {
-		// BSA channels park on the waiting-array semaphore: per-waiter
-		// hand-off slots, O(1) V and cancellation, no cond convoy. The
-		// swap happens before any endpoint exists, so no waiter is lost.
-		c.sem = NewWaitArraySemaphore(0)
-	}
 	c.id = core.SemID(len(s.sems))
 	s.sems = append(s.sems, c.sem)
 }

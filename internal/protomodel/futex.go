@@ -1,6 +1,6 @@
 // Futex model: exhaustive interleaving checking for livebind's
 // cross-process semaphore (ProcSem) — the futex-word rendezvous that
-// replaces the in-process mutex+cond semaphore when the two sides of a
+// replaces the in-process waiting-array semaphore when the two sides of a
 // binding live in different address spaces.
 //
 // The protocol under test is the classic three-word discipline:

@@ -1,16 +1,32 @@
-// Waiting-array model: exhaustive interleaving checking for the
-// livebind waiting-array semaphore under the cancellable consumer wait
-// (core.consumerWaitCtx) — the BSA parking path.
+// Waiting-array model: exhaustive interleaving checking for
+// livebind.Semaphore (semaphore.go, semarray.go) under the cancellable
+// consumer wait (core.consumerWaitCtx) — the parking path of every
+// in-process protocol.
 //
-// The real semaphore guards every operation with one mutex, so each
-// operation (fast-path P, park, V's hole-skip + direct grant, cancel's
-// hole-mark, the cancel-after-grant hand-back) is a single atomic step
-// here. The consumer runs the Figure 4 shape with the cancel-path
-// token accounting of consumerWaitCtx: a nondeterministic cancel can
-// strike while the consumer is parked, and if the cancel raced a grant
-// the token is handed back inside the semaphore; either way the
-// consumer re-runs the TAS drain before retrying, so a token destined
-// for it is never lost and never double-counted.
+// The semaphore guards every operation with one mutex, so each locked
+// section is a single atomic step here, named after the function it
+// models:
+//
+//   - "C PCtx-fast" / "C park(slot)": Semaphore.wait under the mutex —
+//     the count fast path, else pushLocked parks the consumer on a slot.
+//   - "Pn.V": Semaphore.V — popLocked grants the oldest parked slot
+//     directly (absorbing holes), else the count is credited.
+//   - "X expire": a cancellation deciding the wait — Semaphore.expire,
+//     the AfterFunc callback of an armed slot, or the select arm of
+//     Semaphore.wait; both run cancelLocked on a slot that is still
+//     waiting. It is a nondeterministic locked step, enabled only while
+//     the slot waits: grant and cancel are decided under the same mutex,
+//     so whichever comes first wins and the other finds nothing to do.
+//     There is no hand-back — a granted wait returns success.
+//   - "C granted" / "C cancelled": Semaphore.wait returning after its
+//     receive, with the slot's decided state (releaseLocked).
+//   - "C cxl-P…": the plain Semaphore.P the cancel path of
+//     consumerWaitCtx runs to claim a V it owes.
+//
+// The consumer runs the Figure 4 shape with the cancel-path token
+// accounting of consumerWaitCtx: after a cancelled wait it re-runs the
+// TAS drain before retrying, so a token destined for it is never lost
+// and never double-counted.
 //
 // Verified claims (WArrayCheck):
 //   - no interleaving deadlocks (no lost wake-up, even with cancels
@@ -67,11 +83,14 @@ const (
 
 // Waiting-array slot states for the (single) consumer's slot. A
 // cancelled slot is a hole the next V absorbs in the same locked step
-// that grants a live waiter, so holes need no state of their own here.
+// that grants a live waiter, so V treats it like no slot at all;
+// slotCancelled only records that the consumer has yet to wake and see
+// its wait was cancelled.
 const (
 	slotNone int8 = iota
 	slotWaiting
 	slotGranted
+	slotCancelled
 )
 
 // wstate is the full exploration state (a value type used as a map
@@ -213,9 +232,9 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "C tas(awake)", true
 
 	case wDrainP:
-		// Claim the pending redundant V. In waiting-array mode a count
-		// of zero means the producer has not issued it yet; the claim
-		// would park and be granted directly — same observable step.
+		// Claim the pending redundant V. A count of zero means the
+		// producer has not issued it yet; the claim would park and be
+		// granted directly — same observable step.
 		if s.sem > 0 {
 			s.sem--
 			s.cpc = c.afterConsume(s.consumed)
@@ -224,7 +243,7 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "", false
 
 	case wPark:
-		// pCtxArray: count fast path, else park on a fresh slot.
+		// Semaphore.wait: count fast path, else park on a slot.
 		if s.sem > 0 {
 			s.sem--
 			s.cpc = wWake
@@ -235,14 +254,19 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "C park(slot)", true
 
 	case wParked:
-		if s.slot == slotGranted {
+		switch s.slot {
+		case slotGranted:
 			// The grant hand-off: the token was delivered directly to
 			// this slot, never through the count.
 			s.slot = slotNone
 			s.cpc = wWake
 			return s, "C granted", true
+		case slotCancelled:
+			s.slot = slotNone
+			s.cpc = wCxl
+			return s, "C cancelled", true
 		}
-		return s, "", false // parked until a V grants (or a cancel strikes)
+		return s, "", false // parked until a V grants (or an expiry strikes)
 
 	case wWake:
 		s.awake = true
@@ -262,7 +286,7 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "C cxl-tas", true
 
 	case wCxlP:
-		// Plain P on the waiting array: count fast path, else park.
+		// Semaphore.P: count fast path, else park.
 		if s.sem > 0 {
 			s.sem--
 			s.cpc = wCxlDeq
@@ -294,30 +318,21 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 }
 
 // stepCancel injects a cancellation at a parked PCtx, if the budget
-// allows. Two races are distinguished, exactly as pCtxArray resolves
-// them under its lock:
-//   - slot still waiting: the slot becomes a hole (absorbed for free
-//     by the next V's pop loop — no state needed) and the consumer
-//     takes the cancel path;
-//   - slot already granted: the grant won the race, so the token is
-//     handed back — with no other waiter, to the count.
+// allows: Semaphore.expire (or wait's select arm) running cancelLocked.
+// It is enabled only while the slot still waits — once V has granted
+// it, the grant has won and the cancellation finds nothing to decide.
+// The consumer wakes in a later step ("C cancelled"), so a V may run in
+// between and find only a hole.
 //
 // Only the cancellable park (wParked) cancels; wCxlParked models a
 // plain P, which has no cancel path.
 func (c *wchecker) stepCancel(s wstate) (wstate, string, bool) {
-	if s.cpc != wParked || int(s.cancels) >= c.cfg.MaxCancels {
+	if s.cpc != wParked || s.slot != slotWaiting || int(s.cancels) >= c.cfg.MaxCancels {
 		return s, "", false
 	}
 	s.cancels++
-	if s.slot == slotGranted {
-		s.sem++ // hand-back: the granted token returns to the count
-		s.slot = slotNone
-		s.cpc = wCxl
-		return s, "X cancel-after-grant", true
-	}
-	s.slot = slotNone // the slot is a hole; V absorbs it for free
-	s.cpc = wCxl
-	return s, "X cancel-waiting", true
+	s.slot = slotCancelled
+	return s, "X expire", true
 }
 
 // afterConsume mirrors checker.afterConsume for the waiting-array pcs.
@@ -329,8 +344,8 @@ func (c *wchecker) afterConsume(consumed int8) int8 {
 }
 
 // stepWProducer executes producer i's enabled step: the TAS+V
-// discipline with V replaced by the waiting-array vArray — direct
-// grant to a parked slot, else a count credit.
+// discipline with Semaphore.V — direct grant to a parked slot, else a
+// count credit.
 func (c *wchecker) stepWProducer(s wstate, i int) (wstate, string, bool) {
 	name := func(step string) string { return fmt.Sprintf("P%d.%s", i+1, step) }
 	switch s.ppc[i] {
@@ -351,9 +366,9 @@ func (c *wchecker) stepWProducer(s wstate, i int) (wstate, string, bool) {
 		return s, name("tas(awake)"), true
 
 	case pV:
-		// vArray: pop the oldest live waiter (holes were already
-		// absorbed conceptually — see stepCancel) and grant directly;
-		// with no waiter the token goes to the count.
+		// popLocked: grant the oldest live waiter directly (a hole is
+		// absorbed — see stepCancel); with no waiter the token goes to
+		// the count.
 		if s.slot == slotWaiting {
 			s.slot = slotGranted
 		} else {

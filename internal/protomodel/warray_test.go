@@ -34,10 +34,9 @@ func TestWArrayNoLostWakeup(t *testing.T) {
 	}
 }
 
-// The cancel budget must actually drive both race outcomes: at least
-// one configuration explores enough states that cancel-after-grant
-// (the hand-back path) occurs, visible as a terminal count of exactly
-// one somewhere in the sweep plus more states than the cancel-free run.
+// The cancel budget must actually drive the expiry path: a run with
+// cancels explores cancellations and more states than the cancel-free
+// run, which explores none.
 func TestWArrayCancelExpandsStateSpace(t *testing.T) {
 	base, err := WArrayCheck(WArrayConfig{Producers: 2, Msgs: 2})
 	if err != nil {

@@ -108,7 +108,7 @@ func (c *BlockCache) Free(r BlockRef) (spilled bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	cls.own[slot].Store(0)
+	cls.setTag(slot, 0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.refs[ci] = append(c.refs[ci], r)

@@ -26,6 +26,16 @@ import (
 // (ReclaimOwner), and a receiver resolving a payload reference CASes
 // the tag to itself (Claim), so the reclaim and the resolution race to
 // a single winner instead of a double free.
+//
+// The tag shares its word with the slot's generation, which counts the
+// times the slot was taken back from a holder (ReclaimOwner, ReclaimAll).
+// A message stamps the generation beside the reference (Gen), and its
+// receiver claims with it (ClaimGen): a dead sender's request still
+// queued when the sweeper reclaims its block names the old generation,
+// so once the slot is reallocated the stale request cannot claim — and
+// then free — the new holder's block. A plain free keeps the generation:
+// it needs no fencing, because no message refers to a block its holder
+// frees.
 
 // BlockRef is a position-independent reference to an allocated block:
 // the size class in the high 8 bits, the slot index in the low 24.
@@ -64,11 +74,22 @@ const slotNil = uint32(0xFFFFFFFF)
 // exactly this many geometry words for class sizes.
 const MaxBlockClasses = 4
 
+// MaxBlockSize bounds a class size: a message carries the payload
+// length in 24 bits, beside the reference and its generation.
+const MaxBlockSize = 1<<24 - 1
+
+// A lease word: the generation in the high 32 bits, the tag (owner+1,
+// 0 = unleased) in the low 32.
+const (
+	tagMask uint64 = 1<<32 - 1
+	genUnit uint64 = 1 << 32
+)
+
 // DefaultBlockSizes are the size classes used by NewDefaultBlockPool.
 var DefaultBlockSizes = []int{64, 256, 1024, 4096}
 
 // BlockLayout is the computed region map of a slab arena: per class a
-// control block, a free-list link array, a lease-tag array, and the
+// control block, a free-list link array, a lease-word array, and the
 // slot storage, each 64-byte aligned.
 type BlockLayout struct {
 	Sizes []int
@@ -100,13 +121,16 @@ func BlockLayoutFor(sizes []int, countPerClass int) (BlockLayout, error) {
 		if size%8 != 0 {
 			return BlockLayout{}, fmt.Errorf("shm: block class size %d not a multiple of 8", size)
 		}
+		if size > MaxBlockSize {
+			return BlockLayout{}, fmt.Errorf("shm: block class size %d above %d", size, MaxBlockSize)
+		}
 		prev = size
 		l.ctlOff = append(l.ctlOff, off)
 		off += int(unsafe.Sizeof(blockCtl{}))
 		l.linkOff = append(l.linkOff, off)
 		off += align64(countPerClass * 4)
 		l.ownOff = append(l.ownOff, off)
-		off += align64(countPerClass * 4)
+		off += align64(countPerClass * 8)
 		l.dataOff = append(l.dataOff, off)
 		off += align64(countPerClass * size)
 	}
@@ -120,13 +144,23 @@ type slabClass struct {
 	count int
 	ctl   *blockCtl
 	next  []atomic.Uint32 // free-list links, indexed by slot
-	own   []atomic.Uint32 // lease tags: owner+1, 0 = unleased
+	own   []atomic.Uint64 // lease words: generation<<32 | owner+1 (0 = unleased)
 	data  []byte
 }
 
 func (c *slabClass) block(slot uint32) []byte {
 	off := int(slot) * c.size
 	return c.data[off : off+c.size : off+c.size]
+}
+
+// setTag replaces a slot's lease tag, keeping its generation.
+func (c *slabClass) setTag(slot int, tag uint32) {
+	for {
+		cur := c.own[slot].Load()
+		if c.own[slot].CompareAndSwap(cur, cur&^tagMask|uint64(tag)) {
+			return
+		}
+	}
 }
 
 func (c *slabClass) push(slot uint32) {
@@ -231,7 +265,7 @@ func viewBlockPool(mem []byte, lay BlockLayout) *BlockPool {
 			count: lay.Count,
 			ctl:   (*blockCtl)(unsafe.Pointer(&mem[lay.ctlOff[ci]])),
 			next:  unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&mem[lay.linkOff[ci]])), lay.Count),
-			own:   unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&mem[lay.ownOff[ci]])), lay.Count),
+			own:   unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&mem[lay.ownOff[ci]])), lay.Count),
 			data:  mem[lay.dataOff[ci] : lay.dataOff[ci]+lay.Count*size : lay.dataOff[ci]+lay.Count*size],
 		})
 	}
@@ -363,7 +397,7 @@ func (p *BlockPool) FreeClassN(refs []BlockRef) error {
 		slots[i] = uint32(slot)
 	}
 	for _, s := range slots {
-		c.own[s].Store(0)
+		c.setTag(int(s), 0)
 	}
 	c.pushN(slots)
 	return nil
@@ -396,7 +430,7 @@ func (p *BlockPool) Free(r BlockRef) error {
 	if err != nil {
 		return err
 	}
-	c.own[slot].Store(0)
+	c.setTag(slot, 0)
 	c.push(uint32(slot))
 	return nil
 }
@@ -409,8 +443,19 @@ func (p *BlockPool) Lease(r BlockRef, owner uint32) error {
 	if err != nil {
 		return err
 	}
-	c.own[slot].Store(owner + 1)
+	c.setTag(slot, owner+1)
 	return nil
+}
+
+// Gen returns the block's generation as a message carries it (its low
+// 8 bits). A sender stamps it beside the reference once the block is
+// leased; it stays put until the block is reclaimed from a holder.
+func (p *BlockPool) Gen(r BlockRef) uint8 {
+	c, slot, err := p.class(r)
+	if err != nil {
+		return 0
+	}
+	return uint8(c.own[slot].Load() >> 32)
 }
 
 // Claim transfers a block's lease to owner. It succeeds only while the
@@ -418,16 +463,27 @@ func (p *BlockPool) Lease(r BlockRef, owner uint32) error {
 // reclaimed it (the previous holder died), and the caller must treat
 // the payload as lost rather than use (or free) the recycled slot.
 func (p *BlockPool) Claim(r BlockRef, owner uint32) bool {
+	return p.claim(r, owner, 0, false)
+}
+
+// ClaimGen is Claim for a reference stamped at generation gen (see
+// Gen): it also fails when the block has been reclaimed since, even if
+// the slot is leased again — to a holder the stamp does not name.
+func (p *BlockPool) ClaimGen(r BlockRef, gen uint8, owner uint32) bool {
+	return p.claim(r, owner, gen, true)
+}
+
+func (p *BlockPool) claim(r BlockRef, owner uint32, gen uint8, checkGen bool) bool {
 	c, slot, err := p.class(r)
 	if err != nil {
 		return false
 	}
 	for {
 		cur := c.own[slot].Load()
-		if cur == 0 {
+		if cur&tagMask == 0 || checkGen && uint8(cur>>32) != gen {
 			return false
 		}
-		if c.own[slot].CompareAndSwap(cur, owner+1) {
+		if c.own[slot].CompareAndSwap(cur, cur&^tagMask|uint64(owner+1)) {
 			return true
 		}
 	}
@@ -439,7 +495,7 @@ func (p *BlockPool) Owner(r BlockRef) (uint32, bool) {
 	if err != nil {
 		return 0, false
 	}
-	v := c.own[slot].Load()
+	v := uint32(c.own[slot].Load())
 	if v == 0 {
 		return 0, false
 	}
@@ -447,14 +503,16 @@ func (p *BlockPool) Owner(r BlockRef) (uint32, bool) {
 }
 
 // ReclaimOwner returns every block still leased to owner — the
-// sweeper's dead-peer pass. The tag CAS makes it race-free against a
-// surviving receiver Claiming the same block: exactly one side wins.
+// sweeper's dead-peer pass — and advances each one's generation. The
+// word CAS makes it race-free against a surviving receiver Claiming the
+// same block: exactly one side wins.
 func (p *BlockPool) ReclaimOwner(owner uint32) int {
 	n := 0
 	for ci := range p.classes {
 		c := &p.classes[ci]
 		for slot := range c.own {
-			if c.own[slot].CompareAndSwap(owner+1, 0) {
+			cur := c.own[slot].Load()
+			if uint32(cur) == owner+1 && c.own[slot].CompareAndSwap(cur, cur&^tagMask+genUnit) {
 				c.push(uint32(slot))
 				n++
 			}
@@ -465,8 +523,9 @@ func (p *BlockPool) ReclaimOwner(owner uint32) int {
 
 // ReclaimAll audits and repairs the arena after every peer is gone (the
 // post-mortem doctrine — exclusive access required): each class's free
-// list is walked, every unreachable slot is returned, tags are cleared,
-// and the free counters are restored to exact values. It returns the
+// list is walked, every unreachable slot is returned (its tag cleared,
+// its generation advanced), and the free counters are restored to exact
+// values. It returns the
 // number of orphaned blocks recovered.
 func (p *BlockPool) ReclaimAll() (int, error) {
 	orphans := 0
@@ -482,7 +541,7 @@ func (p *BlockPool) ReclaimAll() (int, error) {
 		}
 		for slot := 0; slot < c.count; slot++ {
 			if !seen[slot] {
-				c.own[slot].Store(0)
+				c.own[slot].Store(c.own[slot].Load()&^tagMask + genUnit)
 				c.push(uint32(slot))
 				orphans++
 			}

@@ -275,6 +275,46 @@ func TestBlockClaimAfterReclaim(t *testing.T) {
 	}
 }
 
+// A reference stamped before a reclaim must not claim the slot's next
+// holder: the dead sender's request is still queued when the sweeper
+// returns its block, the slot is leased again, and only the generation
+// tells the stale reference from the live lease.
+func TestBlockClaimGenAfterRecycle(t *testing.T) {
+	p, _ := NewBlockPool([]int{32}, 2)
+	ref, _, _ := p.Alloc(32)
+	p.Lease(ref, 1)
+	stale := p.Gen(ref)
+	if n := p.ReclaimOwner(1); n != 1 {
+		t.Fatalf("reclaimed %d, want 1", n)
+	}
+	again, _, _ := p.Alloc(32)
+	if again != ref {
+		t.Fatalf("reclaimed slot not reused first: got %#x, want %#x", again, ref)
+	}
+	p.Lease(ref, 2)
+	if p.Gen(ref) == stale {
+		t.Fatal("reclaim did not advance the generation")
+	}
+	if p.ClaimGen(ref, stale, 3) {
+		t.Fatal("stale reference claimed the new holder's block")
+	}
+	if got, _ := p.Owner(ref); got != 2 {
+		t.Fatalf("owner = %d after the refused claim, want 2", got)
+	}
+	// A free keeps the generation: the new holder's own messages still
+	// claim after it recycles the block through a plain Free/Alloc.
+	live := p.Gen(ref)
+	p.Free(ref)
+	p.Alloc(32)
+	p.Lease(ref, 2)
+	if !p.ClaimGen(ref, live, 3) {
+		t.Fatal("current reference refused after a plain free and re-lease")
+	}
+	if got, _ := p.Owner(ref); got != 3 {
+		t.Fatalf("owner = %d after the claim, want 3", got)
+	}
+}
+
 func TestBlockConcurrentStress(t *testing.T) {
 	p, err := NewBlockPool([]int{32}, 64)
 	if err != nil {

@@ -50,7 +50,7 @@ var (
 // checked on every map.
 const (
 	SegMagic   uint64 = 0x756c6970632d7631 // "ulipc-v1"
-	SegVersion uint32 = 2                  // v2: payload slab arena + Msg.Ref
+	SegVersion uint32 = 3                  // v3: 64-bit lease words (generation | tag)
 )
 
 // Segment lifecycle states (SegHeader.State).

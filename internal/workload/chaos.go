@@ -292,7 +292,14 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 	pos := make([]string, cfg.Clients)
 	setPos := func(i int, s string) { mu.Lock(); pos[i] = s; mu.Unlock() }
 
-	var wg sync.WaitGroup
+	// Every client connects before any runs its script, as in the live
+	// runner: the server stops once every connected client has
+	// disconnected, so a client that got through its whole script before
+	// a slow peer's connect arrived would take the server away from that
+	// peer. A client that dies or fails before connecting still arrives
+	// (on exit), so it never holds the others back.
+	var connected, wg sync.WaitGroup
+	connected.Add(cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		cl, err := sys.Client(i)
 		if err != nil {
@@ -301,6 +308,9 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
+			var once sync.Once
+			arrive := func() { once.Do(connected.Done) }
+			defer arrive()
 			fh := cl.A.(*livebind.Actor).FH
 			survive(func() {
 				// An injected crash (panic) deliberately skips closePE so
@@ -321,6 +331,8 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 					endOfRound(fmt.Sprintf("client%d connect", i), err)
 					return
 				}
+				arrive()
+				connected.Wait()
 				for j := 0; j < cfg.Msgs; j++ {
 					fh.Crashpoint(fault.PtBody)
 					setPos(i, fmt.Sprintf("send %d", j))
@@ -416,7 +428,7 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 				if !m.HasBlock() {
 					return
 				}
-				if ref, _ := m.Block(); pool.Claim(ref, auditOwner) {
+				if ref, _ := m.Block(); pool.ClaimGen(ref, m.BlockGen(), auditOwner) {
 					_ = pool.Free(ref)
 				}
 			})

@@ -105,8 +105,8 @@ type OpenLoopConfig struct {
 
 // OpenLoopResult is one open-loop cell's outcome. The load-balance
 // identity is Offered = Admitted + Rejected + AllocFails; admitted
-// messages end as Good, Expired, or Unanswered (shed, or stranded by a
-// tripped watchdog).
+// messages end as Good, Expired, or Unanswered; on a run the watchdog
+// did not trip, Unanswered = All.Sheds + Stranded.
 type OpenLoopResult struct {
 	Label string
 
@@ -118,6 +118,7 @@ type OpenLoopResult struct {
 	Good       int64 // replies collected within their deadline
 	Expired    int64 // replies collected past their deadline
 	Unanswered int64 // Admitted - Completed: shed or stranded
+	Stranded   int64 // requests and replies still queued at teardown, reclaimed uncollected
 
 	OfferedPerSec float64
 	GoodputPerSec float64
@@ -344,33 +345,33 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 	// Teardown reclaim: the run ends on a wall-clock edge, not a drained
 	// system, so arrivals the server never dequeued are still in the
 	// request queue and replies sent after the collector's last drain sit
-	// in the reply queues — all holding live leases. Claim-and-free them
-	// (the shed path's discipline, applied at teardown) so the audit
-	// below measures protocol conservation, not the teardown cut line.
-	if cfg.PaySize > 0 && !tripped && srv0 != nil {
+	// in the reply queues — some holding live leases. Count them as
+	// Stranded and claim-and-free their leases (the shed path's
+	// discipline, applied at teardown) so the audit below measures
+	// protocol conservation, not the teardown cut line.
+	var stranded int64
+	reclaim := func(q core.Port, payload func(core.Msg) (*core.Payload, error)) {
 		for {
-			m, ok := srv0.Rcv.TryDequeue()
+			m, ok := q.TryDequeue()
 			if !ok {
-				break
+				return
+			}
+			if m.Op == core.OpEcho || m.Op == core.OpWork {
+				stranded++
 			}
 			if m.HasBlock() {
-				if p, err := srv0.Payload(m); err == nil {
+				if p, err := payload(m); err == nil {
 					_ = p.Release()
 				}
 			}
 		}
+	}
+	if !tripped {
+		if srv0 != nil {
+			reclaim(srv0.Rcv, srv0.Payload)
+		}
 		for _, cl := range cls {
-			for {
-				m, ok := cl.Rcv.TryDequeue()
-				if !ok {
-					break
-				}
-				if m.HasBlock() {
-					if p, err := cl.Payload(m); err == nil {
-						_ = p.Release()
-					}
-				}
-			}
+			reclaim(cl.Rcv, cl.Payload)
 		}
 	}
 
@@ -401,6 +402,7 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 		hist.merge(&c.hist)
 	}
 	res.Unanswered = res.Admitted - res.Completed
+	res.Stranded = stranded
 	secs := cfg.Duration.Seconds()
 	res.OfferedPerSec = float64(res.Offered) / secs
 	res.GoodputPerSec = float64(res.Good) / secs
@@ -466,6 +468,45 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		}
 	}
 
+	// send is SendAsyncCtx with each attempt bounded by the producer
+	// backoff ceiling (8 scaled "seconds") plus a margin. An attempt cut
+	// short enqueued nothing: drain, so a server napping against our full
+	// reply queue can get back to the request queue, and try the same
+	// message again. The bound is a reusable timer cancelling a
+	// per-client context, both replaced only after the timer fires, so an
+	// unblocked send allocates nothing (a context per send slows this
+	// loop enough to starve the server on one processor).
+	var (
+		sctx    context.Context
+		cancelS context.CancelFunc
+		stall   *time.Timer
+	)
+	rearm := func() {
+		if cancelS != nil {
+			cancelS()
+		}
+		sctx, cancelS = context.WithCancel(ctx)
+		stall = time.AfterFunc(time.Hour, cancelS)
+		stall.Stop()
+	}
+	rearm()
+	defer func() {
+		stall.Stop()
+		cancelS()
+	}()
+	send := func(m core.Msg) error {
+		for {
+			stall.Reset(8*cfg.SleepScale + time.Millisecond)
+			err := cl.SendAsyncCtx(sctx, m)
+			stall.Stop()
+			if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
+				return err
+			}
+			rearm()
+			drain()
+		}
+	}
+
 	rng := cfg.Seed + uint64(id+1)*0x9E3779B97F4A7C15
 	if rng == 0 {
 		rng = 1
@@ -508,9 +549,10 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		// fallen permanently behind: its reply queue fills, the server
 		// naps in Reply against it and stops dequeuing, the request queue
 		// fills, and the next blocking send then waits on queue space only
-		// the napping server could free. Draining here caps the reply
-		// backlog below the window the server can refill while one send
-		// blocks, which breaks the cycle.
+		// the napping server could free. Draining here caps the backlog at
+		// what the server can reply while one send blocks — but that is
+		// every request of ours still queued, which can exceed the reply
+		// queue, so send also bounds how long one attempt may block.
 		drain()
 		c.offered++
 		seq++
@@ -530,7 +572,7 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 			payRef, hasPay = p.Ref(), true
 			m.AttachPayload(p)
 		}
-		switch err := cl.SendAsyncCtx(ctx, m); {
+		switch err := send(m); {
 		case err == nil:
 			c.admitted++
 		case errors.Is(err, core.ErrOverload):

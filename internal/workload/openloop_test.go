@@ -37,17 +37,18 @@ func TestOpenLoopSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunOpenLoop: %v", err)
 		}
-		t.Logf("offered=%d admitted=%d good=%d sheds=%d rejects=%d p99=%.0fns",
-			res.Offered, res.Admitted, res.Good, res.All.Sheds, res.All.Overloads, res.P99Ns)
+		t.Logf("offered=%d admitted=%d good=%d sheds=%d stranded=%d rejects=%d p99=%.0fns",
+			res.Offered, res.Admitted, res.Good, res.All.Sheds, res.Stranded, res.All.Overloads, res.P99Ns)
 		// Per-run invariants: these hold on every interleaving.
 		if res.Offered != res.Admitted+res.Rejected+res.AllocFails {
 			t.Errorf("load-balance identity broken: offered %d != admitted %d + rejected %d + allocFails %d",
 				res.Offered, res.Admitted, res.Rejected, res.AllocFails)
 		}
-		if res.Unanswered != res.All.Sheds {
-			// Every admitted message is either collected or shed; a mismatch
-			// means a reply was lost (or a shed double-counted).
-			t.Errorf("unanswered %d != sheds %d", res.Unanswered, res.All.Sheds)
+		if res.Unanswered != res.All.Sheds+res.Stranded {
+			// Every admitted message is collected, shed, or still queued at
+			// teardown; a mismatch means a reply was lost (or a shed
+			// double-counted).
+			t.Errorf("unanswered %d != sheds %d + stranded %d", res.Unanswered, res.All.Sheds, res.Stranded)
 		}
 		if lim := float64(dl.Nanoseconds()); res.P99Ns > lim {
 			t.Errorf("goodput p99 %v ns exceeds the %v ns deadline", res.P99Ns, lim)

@@ -34,12 +34,21 @@ const (
 	okHighWater = 48                   // request-queue admission mark
 	okRetryCap  = 16                   // client retry budget
 	okDeadline  = 1 * time.Millisecond // per-message deadline
+
+	// okService is the server's minimum time per request. It makes the
+	// server slower than the blast on any host: a queue at the high-water
+	// mark holds 48 × 50µs = 2.4 ms of work, more than twice the
+	// deadline, so the back of every full queue expires and is shed.
+	// Without it an echo costs about a microsecond, the server drains a
+	// full queue well inside the deadline, and the cell sheds only when
+	// the scheduler happens to stall the server for a millisecond.
+	okService = 50 * time.Microsecond
 )
 
 // RunChaosOverloadKill executes one overload-kill cell. cfg.Msgs is the
-// per-client send attempt count (full tilt, no pacing — the offered
-// rate is "as fast as the loop spins", which on any host is past
-// capacity); the victim is client 0, killed after half its script.
+// per-client send attempt count (full tilt, no pacing, against a server
+// held to okService per request, so the offered rate is past capacity
+// on any host); the victim is client 0, killed after half its script.
 func RunChaosOverloadKill(cfg ChaosConfig) (ChaosResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return ChaosResult{}, err
@@ -119,16 +128,17 @@ func RunChaosOverloadKill(cfg ChaosConfig) (ChaosResult, error) {
 		},
 		Now: nowNs,
 	}
-	var work func(*core.Msg)
-	if cfg.PaySize > 0 {
-		work = func(m *core.Msg) {
-			p, err := srv.Payload(*m)
-			if err != nil {
-				m.ClearBlock()
-				return
-			}
-			m.AttachPayload(p)
+	work := func(m *core.Msg) {
+		time.Sleep(okService)
+		if cfg.PaySize == 0 {
+			return
 		}
+		p, err := srv.Payload(*m)
+		if err != nil {
+			m.ClearBlock()
+			return
+		}
+		m.AttachPayload(p)
 	}
 	var swg sync.WaitGroup
 	swg.Add(1)
@@ -331,7 +341,7 @@ func RunChaosOverloadKill(cfg ChaosConfig) (ChaosResult, error) {
 				if !m.HasBlock() {
 					return
 				}
-				if ref, _ := m.Block(); pool.Claim(ref, auditOwner) {
+				if ref, _ := m.Block(); pool.ClaimGen(ref, m.BlockGen(), auditOwner) {
 					_ = pool.Free(ref)
 				}
 			})
