@@ -16,13 +16,21 @@ import (
 // messages the burst carried, and the consumer's TAS-drain on the
 // dequeue success path still retires any redundant token, so batching
 // cannot leak or lose wakes (DESIGN.md §10 walks the accounting).
+// Underneath the wakes the queues batch too: a burst is published with
+// one index store and taken with one lane lock, while the per-message
+// accounting (counts, shedding, the double-reply audit) still runs on
+// every message.
 
-// BatchPort is an optional Port extension: an endpoint that can accept
-// a burst of messages with one routing/locking decision. TryEnqueueBatch
-// appends a prefix of ms and returns how many were taken (0 when full).
-// Ports without the extension fall back to per-message TryEnqueue.
+// BatchPort is an optional Port extension: an endpoint that can move a
+// burst of messages with one routing/locking decision. TryEnqueueBatch
+// appends a prefix of ms and returns how many were taken (0 when full);
+// TryDequeueBatch removes up to len(dst) queued messages into dst and
+// returns how many (0 when empty). An endpoint used in one direction
+// only reports 0 for the other. Ports without the extension fall back
+// to per-message TryEnqueue/TryDequeue.
 type BatchPort interface {
 	TryEnqueueBatch(ms []Msg) int
+	TryDequeueBatch(dst []Msg) int
 }
 
 // tryEnqueueBatch appends a prefix of ms to q, via the port's vectored
@@ -36,6 +44,24 @@ func tryEnqueueBatch(q Port, ms []Msg) int {
 		if !q.TryEnqueue(m) {
 			break
 		}
+		n++
+	}
+	return n
+}
+
+// tryDequeueBatch fills a prefix of dst from q, via the port's vectored
+// path when it has one.
+func tryDequeueBatch(q Port, dst []Msg) int {
+	if bp, ok := q.(BatchPort); ok {
+		return bp.TryDequeueBatch(dst)
+	}
+	n := 0
+	for n < len(dst) {
+		m, ok := q.TryDequeue()
+		if !ok {
+			break
+		}
+		dst[n] = m
 		n++
 	}
 	return n
@@ -55,9 +81,11 @@ func (c *Client) SendBatch(msgs []Msg) []Msg {
 		msgs[i].Client = c.ID
 	}
 	for c.lag > 0 {
-		if stale := c.recvReply(); stale.Op == OpShutdown && stale.Client < 0 {
+		stale := c.recvReply()
+		if stale.Op == OpShutdown && stale.Client < 0 {
 			return nil
 		}
+		dropPayload(c.Blocks, c.Owner, stale) // as in Send
 		c.lag--
 	}
 	obsOn := c.Obs.Enabled()
@@ -85,11 +113,8 @@ func (c *Client) SendBatch(msgs []Msg) []Msg {
 		// progress requires consuming replies while requests are still
 		// being fed in — collect any that are ready before napping, or a
 		// batch of k > cap(request)+cap(reply) would deadlock.
-		if len(out) < sent {
-			if m, ok := c.Rcv.TryDequeue(); ok {
-				out = append(out, m)
-				continue
-			}
+		if c.collect(&out, sent) {
+			continue
 		}
 		if portClosed(c.Srv) {
 			break
@@ -101,6 +126,9 @@ func (c *Client) SendBatch(msgs []Msg) []Msg {
 		}
 	}
 	for len(out) < sent {
+		if c.collect(&out, sent) {
+			continue
+		}
 		m := c.recvReply()
 		if m.Op == OpShutdown && m.Client < 0 {
 			c.lag += sent - len(out)
@@ -136,9 +164,11 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		msgs[i].Client = c.ID
 	}
 	for c.lag > 0 {
-		if _, err := c.recvReplyCtx(ctx); err != nil {
+		stale, err := c.recvReplyCtx(ctx)
+		if err != nil {
 			return nil, err
 		}
+		dropPayload(c.Blocks, c.Owner, stale) // as in SendCtx
 		c.lag--
 	}
 	if err := c.admit(); err != nil {
@@ -179,17 +209,17 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 			}
 			continue
 		}
-		if len(out) < sent {
-			if m, ok := c.Rcv.TryDequeue(); ok {
-				out = append(out, m)
-				continue
-			}
+		if c.collect(&out, sent) {
+			continue
 		}
 		if err := bo.sleep(ctx, ca, c.Budget, c.M); err != nil {
 			return fail(err)
 		}
 	}
 	for len(out) < sent {
+		if c.collect(&out, sent) {
+			continue
+		}
 		m, err := c.recvReplyCtx(ctx)
 		if err != nil {
 			return fail(err)
@@ -206,6 +236,17 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		}
 	}
 	return out, nil
+}
+
+// collect appends to *out, within its capacity and up to sent replies
+// in all, every reply already queued — one vectored dequeue — and
+// reports whether there was any. The blocking receive is left for when
+// nothing is queued.
+func (c *Client) collect(out *[]Msg, sent int) bool {
+	o := *out
+	k := tryDequeueBatch(c.Rcv, o[len(o):sent])
+	*out = o[:len(o)+k]
+	return k > 0
 }
 
 // ReceiveBatch receives up to len(buf) requests: one blocking Receive
@@ -248,21 +289,18 @@ func (s *Server) ReceiveBatchCtx(ctx context.Context, buf []Msg) (int, error) {
 	return n, nil
 }
 
-// drainInto fills buf[from:] with already-queued requests, applying the
-// same per-message accounting as Receive (count, wake retirement,
-// outstanding-request audit, deadline shed), and returns the new
-// length. Shed messages are dropped in place, not stored — the burst
-// just comes up shorter.
+// drainInto fills buf[from:] with already-queued requests — one
+// vectored dequeue — then applies to each the same per-message
+// accounting as Receive (count, wake retirement, outstanding-request
+// audit, deadline shed), and returns the new length. Shed messages are
+// dropped in place, not kept — the burst just comes up shorter.
 func (s *Server) drainInto(buf []Msg, from int) int {
+	got := tryDequeueBatch(s.Rcv, buf[from:])
+	if s.M != nil && got > 0 {
+		s.M.MsgsReceived.Add(int64(got))
+	}
 	n := from
-	for n < len(buf) {
-		m, ok := s.Rcv.TryDequeue()
-		if !ok {
-			break
-		}
-		if s.M != nil {
-			s.M.MsgsReceived.Add(1)
-		}
+	for _, m := range buf[from : from+got] {
 		s.retireWake(m.Client)
 		if s.shed(m) {
 			continue
@@ -285,113 +323,187 @@ type Reply struct {
 
 // ReplyBatch enqueues every reply, then issues at most one wake-up per
 // distinct destination client — the reply-side half of the k-messages-
-// per-V amortisation. Control-path replies (connect/disconnect) keep
-// their immediate, throttle-bypassing wake, as in scalar Reply.
-// Replies to invalid client numbers are dropped, as in scalar Reply.
+// per-V amortisation. Each run of consecutive data replies to one
+// client enters its queue with one vectored enqueue; whatever does not
+// fit goes through the per-message path. Control-path replies
+// (connect/disconnect) keep their immediate, throttle-bypassing wake,
+// as in scalar Reply. Replies to invalid client numbers, and replies
+// refused by a shut-down queue, are dropped with their payload lease,
+// as in scalar Reply.
 func (s *Server) ReplyBatch(batch []Reply) {
 	if len(batch) == 0 {
 		return
 	}
-	touched := s.markClients(batch)
+	s.growReplyScratch(len(batch))
+	for i := 0; i < len(batch); {
+		c, m := batch[i].Client, batch[i].Msg
+		if !s.ValidClient(c) {
+			dropPayload(s.Blocks, s.Owner, m)
+			i++
+			continue
+		}
+		q := s.Replies[c]
+		if isControl(m.Op) {
+			s.noteReplied(c)
+			if s.enqueueReply(q, m) && s.Alg != BSS {
+				wakeConsumer(q, s.A)
+			}
+			i++
+			continue
+		}
+		run := s.run[:0]
+		for ; i < len(batch) && batch[i].Client == c && !isControl(batch[i].Msg.Op); i++ {
+			s.noteReplied(c)
+			run = append(run, batch[i].Msg)
+		}
+		n := 0
+		if !portRefusing(q) {
+			n = tryEnqueueBatch(q, run)
+		}
+		for _, m := range run[n:] {
+			if s.enqueueReply(q, m) {
+				n++
+			}
+		}
+		if n > 0 && s.Alg != BSS {
+			s.oweWake(c)
+		}
+	}
 	if s.Obs.Enabled() {
 		s.Obs.Batch(len(batch))
 	}
-	for _, c := range touched {
-		s.pendWake[c] = false
-		s.wakeClient(c)
-	}
-}
-
-// markClients enqueues the batch and returns the distinct data-path
-// clients still owed a wake. Scratch state lives on the Server so the
-// hot path stays allocation-free.
-func (s *Server) markClients(batch []Reply) []int32 {
-	if len(s.pendWake) < len(s.Replies) {
-		s.pendWake = make([]bool, len(s.Replies))
-	}
-	touched := s.touched[:0]
-	for _, r := range batch {
-		if !s.ValidClient(r.Client) {
-			continue
-		}
-		s.noteReplied(r.Client)
-		q := s.Replies[r.Client]
-		if s.Alg == BSS {
-			busySpinUntil(s.A, q, func() bool { return q.TryEnqueue(r.Msg) })
-			continue
-		}
-		if !enqueueOrSleepObs(q, s.A, r.Msg, s.Obs) {
-			continue // shutdown: the client is being unblocked anyway
-		}
-		if r.Msg.Op == OpConnect || r.Msg.Op == OpDisconnect {
-			wakeConsumer(q, s.A)
-			continue
-		}
-		if !s.pendWake[r.Client] {
-			s.pendWake[r.Client] = true
-			touched = append(touched, r.Client)
-		}
-	}
-	s.touched = touched
-	return touched
+	s.flushWakes()
 }
 
 // ReplyBatchCtx is ReplyBatch with deadline/cancellation support and
 // the ReplyCtx misuse audit. Replies with no outstanding request are
 // skipped and reported as ErrDoubleReply after the rest of the batch
 // has been delivered; an enqueue failure (shutdown, context) stops the
-// batch, flushes the wakes already owed, and returns that error.
+// batch, flushes the wakes already owed, and returns that error. As in
+// ReplyCtx, a reply that failed keeps its payload lease with the
+// server.
 func (s *Server) ReplyBatchCtx(ctx context.Context, batch []Reply) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if len(s.pendWake) < len(s.Replies) {
-		s.pendWake = make([]bool, len(s.Replies))
-	}
-	touched := s.touched[:0]
-	flush := func() {
-		for _, c := range touched {
-			s.pendWake[c] = false
-			s.wakeClient(c)
-		}
-		s.touched = touched[:0]
-	}
+	s.growReplyScratch(len(batch))
 	var firstErr error
-	for _, r := range batch {
-		if !s.ValidClient(r.Client) || s.outstanding == nil || s.outstanding[r.Client] <= 0 {
+	for i := 0; i < len(batch); {
+		c, m := batch[i].Client, batch[i].Msg
+		var owed int32
+		if s.ValidClient(c) && s.outstanding != nil {
+			owed = s.outstanding[c]
+		}
+		if owed <= 0 {
 			if firstErr == nil {
 				firstErr = ErrDoubleReply
 			}
+			i++
 			continue
 		}
-		q := s.Replies[r.Client]
-		if s.Alg == BSS {
-			if err := spinEnqueueCtx(ctx, s.A, q, r.Msg); err != nil {
-				flush()
+		q := s.Replies[c]
+		if isControl(m.Op) {
+			if err := s.enqueueReplyCtx(ctx, q, m); err != nil {
+				s.flushWakes()
 				return err
 			}
-			s.noteReplied(r.Client)
+			s.noteReplied(c)
+			if s.Alg != BSS {
+				wakeConsumer(q, s.A)
+			}
+			i++
 			continue
 		}
-		if err := enqueueOrSleepCtxObs(ctx, q, s.A, r.Msg, s.M, nil, s.Obs); err != nil {
-			flush()
+		// The run takes as many replies as the client has requests
+		// outstanding; any beyond that fail the audit.
+		run := s.run[:0]
+		for ; i < len(batch) && batch[i].Client == c && !isControl(batch[i].Msg.Op); i++ {
+			if int32(len(run)) < owed {
+				run = append(run, batch[i].Msg)
+			} else if firstErr == nil {
+				firstErr = ErrDoubleReply
+			}
+		}
+		n := 0
+		if !portRefusing(q) && ctx.Err() == nil {
+			n = tryEnqueueBatch(q, run)
+		}
+		var err error
+		for _, m := range run[n:] {
+			if err = s.enqueueReplyCtx(ctx, q, m); err != nil {
+				break
+			}
+			n++
+		}
+		s.outstanding[c] -= int32(n) // n <= owed: what noteReplied does n times
+		if n > 0 && s.Alg != BSS {
+			s.oweWake(c)
+		}
+		if err != nil {
+			s.flushWakes()
 			return err
-		}
-		s.noteReplied(r.Client)
-		if r.Msg.Op == OpConnect || r.Msg.Op == OpDisconnect {
-			wakeConsumer(q, s.A)
-			continue
-		}
-		if !s.pendWake[r.Client] {
-			s.pendWake[r.Client] = true
-			touched = append(touched, r.Client)
 		}
 	}
 	if s.Obs.Enabled() {
 		s.Obs.Batch(len(batch))
 	}
-	flush()
+	s.flushWakes()
 	return firstErr
+}
+
+func isControl(op int32) bool { return op == OpConnect || op == OpDisconnect }
+
+// growReplyScratch sizes the Server's batch-reply scratch for a batch
+// of n replies; it allocates only when a batch outgrows every earlier
+// one, so the vectored reply path stays allocation-free.
+func (s *Server) growReplyScratch(n int) {
+	if len(s.pendWake) < len(s.Replies) {
+		s.pendWake = make([]bool, len(s.Replies))
+	}
+	if cap(s.run) < n {
+		s.run = make([]Msg, 0, n)
+	}
+}
+
+// enqueueReply is scalar Reply's enqueue leg: spin (BSS) or nap while
+// the queue is full. A reply the queue refuses (shutdown, dead client)
+// is dropped with its payload lease, and false is returned.
+func (s *Server) enqueueReply(q Port, m Msg) bool {
+	var ok bool
+	if s.Alg == BSS {
+		ok = busySpinUntil(s.A, q, func() bool { return q.TryEnqueue(m) })
+	} else {
+		ok = enqueueOrSleepObs(q, s.A, m, s.Obs)
+	}
+	if !ok {
+		dropPayload(s.Blocks, s.Owner, m)
+	}
+	return ok
+}
+
+// enqueueReplyCtx is ReplyCtx's enqueue leg.
+func (s *Server) enqueueReplyCtx(ctx context.Context, q Port, m Msg) error {
+	if s.Alg == BSS {
+		return spinEnqueueCtx(ctx, s.A, q, m)
+	}
+	return enqueueOrSleepCtxObs(ctx, q, s.A, m, s.M, nil, s.Obs)
+}
+
+// oweWake marks client c as owed one wake when the batch is flushed.
+func (s *Server) oweWake(c int32) {
+	if !s.pendWake[c] {
+		s.pendWake[c] = true
+		s.touched = append(s.touched, c)
+	}
+}
+
+// flushWakes issues the wakes owed, one per distinct client.
+func (s *Server) flushWakes() {
+	for _, c := range s.touched {
+		s.pendWake[c] = false
+		s.wakeClient(c)
+	}
+	s.touched = s.touched[:0]
 }
 
 // ServeBatch is the vectored Serve loop: ReceiveBatch up to batch

@@ -59,11 +59,13 @@ type Server struct {
 	// server handle is single-goroutine, so plain ints suffice.
 	outstanding []int32
 
-	// Batch-reply scratch (ReplyBatch/ReplyBatchCtx): pending-wake marks
-	// and the distinct-client list, reused across calls so the vectored
-	// reply path stays allocation-free.
+	// Batch-reply scratch (ReplyBatch/ReplyBatchCtx): pending-wake marks,
+	// the distinct-client list and the current same-client reply run,
+	// reused across calls so the vectored reply path stays
+	// allocation-free.
 	pendWake []bool
 	touched  []int32
+	run      []Msg
 }
 
 // SetConnected tells the throttle how many clients are currently
@@ -252,20 +254,13 @@ func (s *Server) Reply(client int32, m Msg) {
 	}
 	s.noteReplied(client)
 	q := s.Replies[client]
-	if s.Alg == BSS {
-		if !busySpinUntil(s.A, q, func() bool { return q.TryEnqueue(m) }) {
-			dropPayload(s.Blocks, s.Owner, m)
-		}
+	// A refused reply (shutdown, a dead client's closed channel) is
+	// dropped with its payload lease, which would otherwise be stranded
+	// with a live owner no sweeper walks.
+	if !s.enqueueReply(q, m) || s.Alg == BSS {
 		return
 	}
-	if !enqueueOrSleepObs(q, s.A, m, s.Obs) {
-		// Shutdown or a dead client's closed channel: the reply is
-		// dropped, so any payload lease riding it would be stranded with
-		// a live owner no sweeper walks — return it here.
-		dropPayload(s.Blocks, s.Owner, m)
-		return
-	}
-	if m.Op == OpDisconnect || m.Op == OpConnect {
+	if isControl(m.Op) {
 		// Control-path replies bypass the throttle: a departing client
 		// sends no further requests (its slot would never retire) and a
 		// connecting client may synchronise with other clients before
@@ -288,18 +283,14 @@ func (s *Server) ReplyCtx(ctx context.Context, client int32, m Msg) error {
 		return ErrDoubleReply
 	}
 	q := s.Replies[client]
-	if s.Alg == BSS {
-		if err := spinEnqueueCtx(ctx, s.A, q, m); err != nil {
-			return err
-		}
-		s.noteReplied(client)
-		return nil
-	}
-	if err := enqueueOrSleepCtxObs(ctx, q, s.A, m, s.M, nil, s.Obs); err != nil {
+	if err := s.enqueueReplyCtx(ctx, q, m); err != nil {
 		return err
 	}
 	s.noteReplied(client)
-	if m.Op == OpDisconnect || m.Op == OpConnect {
+	if s.Alg == BSS {
+		return nil
+	}
+	if isControl(m.Op) {
 		wakeConsumer(q, s.A)
 		return nil
 	}

@@ -74,14 +74,20 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 	}
 }
 
+// The vectored path: a steady-state SendBatchCtx/ServeBatchCtx pair pays
+// for the returned reply slice and nothing else — the burst dequeues
+// and the server's reply-run scratch add no allocation. The second case
+// interleaves four clients' requests on two shards, so each served
+// batch holds several same-client runs and the scratch is reused
+// across them.
 func TestBatchAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const batch = 16
+	const batch, clients = 16, 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: 1})
+	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +102,52 @@ func TestBatchAllocsPerMessage(t *testing.T) {
 			served <- struct{}{}
 		}()
 	}
-	cl, err := sys.Client(0)
-	if err != nil {
-		t.Fatal(err)
+	cls := make([]*core.Client, clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	msgs := make([]core.Msg, batch)
-	call := func() {
+	sendBatch := func() {
 		for i := range msgs {
 			msgs[i] = core.Msg{Op: core.OpEcho, Seq: int32(i)}
 		}
-		out, err := cl.SendBatchCtx(ctx, msgs)
+		out, err := cls[0].SendBatchCtx(ctx, msgs)
 		if err != nil || len(out) != batch {
 			t.Fatalf("batch: %d replies, %v", len(out), err)
 		}
 	}
-	for i := 0; i < 100; i++ {
-		call()
+	interleaved := func() {
+		for j := 0; j < batch/clients; j++ {
+			for _, cl := range cls {
+				if err := cl.SendAsyncCtx(ctx, core.Msg{Op: core.OpEcho, Seq: int32(j)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, cl := range cls {
+			for j := 0; j < batch/clients; j++ {
+				if _, err := cl.RecvReplyCtx(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	if n := testing.AllocsPerRun(1000, call); n > 1 {
-		t.Errorf("%v allocations per batch of %d, want at most 1 (1/%d per message)", n, batch, batch)
+	for _, tc := range []struct {
+		name string
+		call func()
+		max  float64
+	}{
+		{"SendBatchCtx", sendBatch, 1},
+		{"interleaved", interleaved, 0},
+	} {
+		for i := 0; i < 100; i++ {
+			tc.call()
+		}
+		if n := testing.AllocsPerRun(1000, tc.call); n > tc.max {
+			t.Errorf("%s: %v allocations per %d messages, want at most %v", tc.name, n, batch, tc.max)
+		}
 	}
 	if err := sys.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -469,7 +469,7 @@ func (s *System) groupClient(i int) (*core.Client, error) {
 		MaxSpin:   s.opts.MaxSpin,
 		Tuner:     s.newTuner(fmt.Sprintf("client%d", i), a),
 		Srv:       &pickPort{g: g, id: int32(i), home: home, sticky: g.picker.Sticky(), bind: bind, m: a.M},
-		Rcv:       &clientRcvPort{g: g, ch: s.replies[i], bind: bind},
+		Rcv:       &clientRcvPort{g: g, ch: s.replies[i], lanes: g.repLanes[i], bind: bind},
 		A:         a,
 		M:         a.M,
 		Obs:       a.Obs,
@@ -540,21 +540,14 @@ func (p *pickPort) TryEnqueue(m core.Msg) bool {
 }
 
 // TryEnqueueBatch implements core.BatchPort: one shard decision per
-// burst, then a straight run of lane enqueues — the "one routing
-// decision, k messages" half of the batching contract.
+// burst, then one lane EnqueueN — the "one routing decision, one index
+// publish, k messages" half of the batching contract.
 func (p *pickPort) TryEnqueueBatch(ms []core.Msg) int {
 	if len(ms) == 0 {
 		return 0
 	}
 	sh := p.pick(ms[0])
-	lane := p.g.reqLanes[sh].Lane(int(p.id))
-	n := 0
-	for n < len(ms) {
-		if !lane.Enqueue(ms[n]) {
-			break
-		}
-		n++
-	}
+	n := p.g.reqLanes[sh].Lane(int(p.id)).EnqueueN(ms)
 	if n > 0 {
 		p.bind.cur = sh
 	}
@@ -564,6 +557,9 @@ func (p *pickPort) TryEnqueueBatch(ms []core.Msg) int {
 // TryDequeue implements core.Port (request endpoints are never
 // dequeued by clients).
 func (p *pickPort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
+
+// TryDequeueBatch implements core.BatchPort (never dequeued, as above).
+func (p *pickPort) TryDequeueBatch([]core.Msg) int { return 0 }
 
 // Empty implements core.Port.
 func (p *pickPort) Empty() bool { return p.g.reqLanes[p.bind.cur].Empty() }
@@ -651,20 +647,28 @@ func (p *pickPort) PeerDead() bool {
 // exactly that shard — when the sweeper declares it dead, the parked
 // wait must end in ErrPeerDead instead of sleeping forever.
 type clientRcvPort struct {
-	g    *group
-	ch   *Channel
-	bind *clientBind
+	g     *group
+	ch    *Channel
+	lanes *queue.Lanes // ch.q: the client's fan-in over its reply lanes
+	bind  *clientBind
 }
 
 // TryEnqueue implements core.Port (reply endpoints are never enqueued
 // by clients).
 func (p *clientRcvPort) TryEnqueue(core.Msg) bool { return false }
 
+// TryEnqueueBatch implements core.BatchPort (never enqueued, as above).
+func (p *clientRcvPort) TryEnqueueBatch([]core.Msg) int { return 0 }
+
 // TryDequeue implements core.Port.
-func (p *clientRcvPort) TryDequeue() (core.Msg, bool) { return p.ch.q.Dequeue() }
+func (p *clientRcvPort) TryDequeue() (core.Msg, bool) { return p.lanes.Dequeue() }
+
+// TryDequeueBatch implements core.BatchPort: one lane lock and one
+// index publish per shard with replies queued.
+func (p *clientRcvPort) TryDequeueBatch(dst []core.Msg) int { return p.lanes.DequeueN(dst) }
 
 // Empty implements core.Port.
-func (p *clientRcvPort) Empty() bool { return p.ch.q.Empty() }
+func (p *clientRcvPort) Empty() bool { return p.lanes.Empty() }
 
 // SetAwake implements core.Port.
 func (p *clientRcvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
@@ -701,19 +705,13 @@ type lanePort struct {
 func (p *lanePort) TryEnqueue(m core.Msg) bool { return p.lane.Enqueue(m) }
 
 // TryEnqueueBatch implements core.BatchPort.
-func (p *lanePort) TryEnqueueBatch(ms []core.Msg) int {
-	n := 0
-	for n < len(ms) {
-		if !p.lane.Enqueue(ms[n]) {
-			break
-		}
-		n++
-	}
-	return n
-}
+func (p *lanePort) TryEnqueueBatch(ms []core.Msg) int { return p.lane.EnqueueN(ms) }
 
 // TryDequeue implements core.Port (producer-only endpoint).
 func (p *lanePort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
+
+// TryDequeueBatch implements core.BatchPort (producer-only endpoint).
+func (p *lanePort) TryDequeueBatch([]core.Msg) int { return 0 }
 
 // Empty implements core.Port.
 func (p *lanePort) Empty() bool { return p.lane.Empty() }
@@ -739,8 +737,9 @@ func (p *lanePort) PeerDead() bool { return p.c.dead.Load() }
 // shardRecvPort is a shard server's receive endpoint: its own lane
 // fan-in first, then — when the shard runs dry and stealing is on — a
 // bounded batch from the deepest live sibling. Stolen messages are
-// stashed and handed out one at a time so the Server's per-message
-// accounting (wake retirement, outstanding audit) applies unchanged.
+// stashed and handed out from there, first, by both dequeue forms, so
+// the Server's per-message accounting (wake retirement, outstanding
+// audit) applies to them unchanged.
 type shardRecvPort struct {
 	g     *group
 	sh    int
@@ -768,6 +767,28 @@ func (p *shardRecvPort) TryDequeue() (core.Msg, bool) {
 	}
 	return core.Msg{}, false
 }
+
+// TryDequeueBatch implements core.BatchPort in TryDequeue's order: the
+// stash, then the shard's own lanes as one Lanes.DequeueN, and a steal
+// only when both came up dry.
+func (p *shardRecvPort) TryDequeueBatch(dst []core.Msg) int {
+	n := 0
+	if p.si < len(p.stash) { // a steal that came up empty leaves si past the end
+		n = copy(dst, p.stash[p.si:])
+		p.si += n
+	}
+	if n < len(dst) {
+		n += p.lanes.DequeueN(dst[n:])
+	}
+	if n == 0 && len(dst) > 0 && p.steal() > 0 {
+		n = copy(dst, p.stash)
+		p.si = n
+	}
+	return n
+}
+
+// TryEnqueueBatch implements core.BatchPort (consumer-only endpoint).
+func (p *shardRecvPort) TryEnqueueBatch([]core.Msg) int { return 0 }
 
 // steal takes a bounded batch from the deepest live sibling shard into
 // the stash and re-wakes the victim if its lanes still hold messages —
@@ -843,6 +864,7 @@ var (
 	_ core.Port       = (*clientRcvPort)(nil)
 	_ core.PortState  = (*clientRcvPort)(nil)
 	_ core.PortHealth = (*clientRcvPort)(nil)
+	_ core.BatchPort  = (*clientRcvPort)(nil)
 	_ core.Port       = (*lanePort)(nil)
 	_ core.PortState  = (*lanePort)(nil)
 	_ core.PortHealth = (*lanePort)(nil)
@@ -850,4 +872,5 @@ var (
 	_ core.Port       = (*shardRecvPort)(nil)
 	_ core.PortState  = (*shardRecvPort)(nil)
 	_ core.PortHealth = (*shardRecvPort)(nil)
+	_ core.BatchPort  = (*shardRecvPort)(nil)
 )

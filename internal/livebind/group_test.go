@@ -669,3 +669,61 @@ func TestBatchOversizedDeadlockFree(t *testing.T) {
 		t.Fatalf("Shutdown = %v", err)
 	}
 }
+
+// TestReplyBatchCtxRunAudit: ReplyBatchCtx moves each run of replies to
+// one client with a single vectored enqueue, yet still audits every
+// message — a run longer than the client's outstanding requests
+// delivers exactly the replies owed and reports ErrDoubleReply for the
+// rest, and a later run to another client is still delivered.
+func TestReplyBatchCtxRunAudit(t *testing.T) {
+	ctx := context.Background()
+	sys, err := NewSystemGroup(1, Options{Alg: core.BSW, Clients: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown(ctx)
+	srv, err := sys.ShardServer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := make([]*core.Client, 2)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, owed := range []int{2, 1} {
+		for j := 0; j < owed; j++ {
+			if err := cls[i].SendAsyncCtx(ctx, core.Msg{Op: core.OpEcho, Seq: int32(j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	buf := make([]core.Msg, 8)
+	if n, err := srv.ReceiveBatchCtx(ctx, buf); err != nil || n != 3 {
+		t.Fatalf("ReceiveBatchCtx = %d, %v; want the 3 queued requests", n, err)
+	}
+	batch := []core.Reply{
+		{Client: 0, Msg: core.Msg{Seq: 0}},
+		{Client: 0, Msg: core.Msg{Seq: 1}},
+		{Client: 0, Msg: core.Msg{Seq: 2}}, // client 0 is owed only two
+		{Client: 1, Msg: core.Msg{Seq: 0}},
+	}
+	if err := srv.ReplyBatchCtx(ctx, batch); !errors.Is(err, core.ErrDoubleReply) {
+		t.Fatalf("ReplyBatchCtx with a surplus reply = %v, want ErrDoubleReply", err)
+	}
+	for i, want := range []int{2, 1} {
+		for j := 0; j < want; j++ {
+			m, err := cls[i].RecvReplyCtx(ctx)
+			if err != nil || m.Seq != int32(j) {
+				t.Fatalf("client %d reply %d = %+v, %v", i, j, m, err)
+			}
+		}
+		if !cls[i].Rcv.Empty() {
+			t.Fatalf("client %d got more replies than it was owed", i)
+		}
+	}
+	if err := srv.ReplyCtx(ctx, 0, core.Msg{}); !errors.Is(err, core.ErrDoubleReply) {
+		t.Fatalf("ReplyCtx after every request was answered = %v, want ErrDoubleReply", err)
+	}
+}

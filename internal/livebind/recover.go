@@ -319,9 +319,11 @@ func (r *recovery) sweep() {
 			cm.stuck++
 			if cm.stuck >= 2 {
 				cm.stuck = 0
-				ch.sem.V()
+				// Recorded before the V, so a consumer the rescue wakes
+				// already finds it counted.
 				r.m.WakeRescues.Add(1)
 				r.s.obs.Recorder().Note(obs.EvRescue, -1, int64(ch.id))
+				ch.sem.V()
 			}
 		}
 	}

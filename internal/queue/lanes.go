@@ -70,16 +70,30 @@ func (l *Lanes) NumLanes() int { return len(l.lanes) }
 // keep each ring single-producer. Present only to satisfy Queue.
 func (l *Lanes) Enqueue(core.Msg) bool { return false }
 
-// Dequeue removes one message, scanning the lanes round-robin from
-// just past the last served lane. Lanes that look empty are skipped
-// without touching their lock; a lane whose lock is held (a thief or
-// drainer is on it) is also skipped — the holder is responsible for
-// re-waking this consumer if it leaves messages behind (see the steal
-// protocol in DESIGN.md §10).
+// Dequeue removes one message: DequeueN with room for one.
 func (l *Lanes) Dequeue() (core.Msg, bool) {
+	var b [1]core.Msg
+	if l.DequeueN(b[:]) == 0 {
+		return core.Msg{}, false
+	}
+	return b[0], true
+}
+
+// DequeueN fills dst from the lanes in round-robin order, starting just
+// past the last lane served, and returns how many messages it stored.
+// Each non-empty lane costs one try-lock and one SPSC.DequeueN, and the
+// cursor moves once, past the last lane served, so round-robin holds
+// per burst: a lane left non-empty because dst filled up is the first
+// one the next burst visits, and no lane starves. Lanes that look empty
+// are skipped without touching their lock; a lane whose lock is held (a
+// thief or drainer is on it) is also skipped — the holder is
+// responsible for re-waking this consumer if it leaves messages behind
+// (see the steal protocol in DESIGN.md §10).
+func (l *Lanes) DequeueN(dst []core.Msg) int {
 	n := uint32(len(l.lanes))
 	start := l.next.Load()
-	for k := uint32(0); k < n; k++ {
+	got, last := 0, -1
+	for k := uint32(0); k < n && got < len(dst); k++ {
 		i := (start + k) % n
 		ln := l.lanes[i]
 		if ln.Empty() {
@@ -88,14 +102,17 @@ func (l *Lanes) Dequeue() (core.Msg, bool) {
 		if !l.locks[i].held.CompareAndSwap(false, true) {
 			continue
 		}
-		m, ok := ln.Dequeue()
+		m := ln.DequeueN(dst[got:])
 		l.locks[i].held.Store(false)
-		if ok {
-			l.next.Store((i + 1) % n)
-			return m, true
+		if m > 0 {
+			got += m
+			last = int(i)
 		}
 	}
-	return core.Msg{}, false
+	if last >= 0 {
+		l.next.Store((uint32(last) + 1) % n)
+	}
+	return got
 }
 
 // Steal drains up to len(dst) messages from the single deepest lane,
@@ -125,15 +142,7 @@ func (l *Lanes) Steal(dst []core.Msg, min int) int {
 	if !l.locks[best].held.CompareAndSwap(false, true) {
 		return 0
 	}
-	n := 0
-	for n < len(dst) {
-		m, ok := l.lanes[best].Dequeue()
-		if !ok {
-			break
-		}
-		dst[n] = m
-		n++
-	}
+	n := l.lanes[best].DequeueN(dst)
 	l.locks[best].held.Store(false)
 	return n
 }

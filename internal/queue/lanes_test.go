@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -125,11 +127,106 @@ func TestLanesSteal(t *testing.T) {
 	}
 }
 
+// TestLanesDequeueNFIFO drains three lanes with bursts of every size
+// from 1 to 7: every message comes out exactly once, and each lane's
+// messages in the order they were enqueued, however the bursts split
+// them.
+func TestLanesDequeueNFIFO(t *testing.T) {
+	const lanes, per = 3, 10
+	l := mkLanes(t, lanes, 16)
+	for i := 0; i < lanes; i++ {
+		for j := 0; j < per; j++ {
+			l.Lane(i).Enqueue(core.Msg{Seq: int32(j), MsgMeta: core.MsgMeta{Client: int32(i)}})
+		}
+	}
+	next := make([]int32, lanes)
+	buf := make([]core.Msg, 7)
+	total := 0
+	for k := 0; total < lanes*per; k++ {
+		n := l.DequeueN(buf[:k%7+1])
+		if n == 0 {
+			t.Fatalf("DequeueN came up empty with %d messages left", lanes*per-total)
+		}
+		for _, m := range buf[:n] {
+			if m.Seq != next[m.Client] {
+				t.Fatalf("lane %d out of order: seq %d, want %d", m.Client, m.Seq, next[m.Client])
+			}
+			next[m.Client]++
+		}
+		total += n
+	}
+	if n := l.DequeueN(buf); n != 0 || !l.Empty() {
+		t.Fatalf("DequeueN on drained lanes = %d, Empty = %v", n, l.Empty())
+	}
+	if n := l.DequeueN(nil); n != 0 {
+		t.Fatalf("DequeueN(nil) = %d", n)
+	}
+}
+
+// TestLanesDequeueNRoundRobin is TestLanesRoundRobin per burst: with
+// every lane non-empty and bursts no larger than a lane's depth, n
+// successive bursts must serve all n lanes — the cursor moves past the
+// lane each burst ended on, so no lane is served twice before every
+// other has been served once.
+func TestLanesDequeueNRoundRobin(t *testing.T) {
+	const lanes, depth = 4, 3
+	for burst := 1; burst <= depth; burst++ {
+		l := mkLanes(t, lanes, 8)
+		for i := 0; i < lanes; i++ {
+			for j := 0; j < depth; j++ {
+				l.Lane(i).Enqueue(core.Msg{MsgMeta: core.MsgMeta{Client: int32(i)}})
+			}
+		}
+		buf := make([]core.Msg, burst)
+		seen := make(map[int32]bool)
+		for k := 0; k < lanes; k++ {
+			if n := l.DequeueN(buf); n != burst {
+				t.Fatalf("burst %d: DequeueN = %d", burst, n)
+			}
+			c := buf[0].Client
+			for _, m := range buf {
+				if m.Client != c {
+					t.Fatalf("burst %d: one burst spans lanes %d and %d although lane %d held enough", burst, c, m.Client, c)
+				}
+			}
+			if seen[c] {
+				t.Fatalf("burst %d: lane %d served twice in one rotation: a non-empty lane was starved", burst, c)
+			}
+			seen[c] = true
+		}
+	}
+}
+
 // TestLanesConcurrent runs producers on their own lanes, the owning
 // consumer on the fan-in, and a thief stealing in a loop — the -race
 // check that the per-lane consumer locks actually serialise the
 // consumer-local ring state between owner and thief.
 func TestLanesConcurrent(t *testing.T) {
+	runLanesWithThief(t, func(l *Lanes, buf []core.Msg) int {
+		m, ok := l.Dequeue()
+		if !ok {
+			return 0
+		}
+		buf[0] = m
+		return 1
+	})
+}
+
+// TestLanesDequeueNConcurrentSteal is TestLanesConcurrent with the
+// owner taking random-sized bursts: a burst and a steal on the same
+// lane must serialise on the lane lock, so every message is delivered
+// exactly once.
+func TestLanesDequeueNConcurrentSteal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	runLanesWithThief(t, func(l *Lanes, buf []core.Msg) int {
+		return l.DequeueN(buf[:1+rng.Intn(len(buf))])
+	})
+}
+
+// runLanesWithThief drives four producers, an owning consumer taking
+// messages with take (into a buffer of 16), and a thief, and checks
+// every message arrives exactly once.
+func runLanesWithThief(t *testing.T, take func(l *Lanes, buf []core.Msg) int) {
 	const lanes, per = 4, 2000
 	l := mkLanes(t, lanes, 64)
 	total := lanes * per
@@ -152,15 +249,19 @@ func TestLanesConcurrent(t *testing.T) {
 	cg.Add(2)
 	go func() { // owning consumer
 		defer cg.Done()
+		buf := make([]core.Msg, 16)
 		for {
-			if m, ok := l.Dequeue(); ok {
-				results <- m
+			if n := take(l, buf); n > 0 {
+				for _, m := range buf[:n] {
+					results <- m
+				}
 				continue
 			}
 			select {
 			case <-done:
 				return
 			default:
+				runtime.Gosched()
 			}
 		}
 	}()

@@ -94,6 +94,48 @@ func (q *SPSC) Dequeue() (core.Msg, bool) {
 	return m, true
 }
 
+// EnqueueN appends the longest prefix of ms that fits and returns its
+// length. Producer side only. The whole burst costs what one Enqueue
+// does: one load of the own index, at most one refresh of the cached
+// consumer index, and one publishing store — Torquati's "touch the
+// shared index once per burst, not once per slot".
+func (q *SPSC) EnqueueN(ms []core.Msg) int {
+	t := q.tail.Load()
+	size := uint64(len(q.slots))
+	if size-(t-q.cachedHead) < uint64(len(ms)) {
+		q.cachedHead = q.head.Load()
+	}
+	n := min(uint64(len(ms)), size-(t-q.cachedHead))
+	if n == 0 {
+		return 0
+	}
+	i := t & q.mask
+	k := uint64(copy(q.slots[i:], ms[:n]))
+	copy(q.slots, ms[k:n]) // the part that wraps past the end
+	q.tail.Store(t + n)    // release: publishes every slot write above
+	return int(n)
+}
+
+// DequeueN removes up to len(dst) messages into dst, FIFO, and returns
+// how many. Consumer side only; the mirror of EnqueueN — one load of
+// the own index, at most one refresh of the cached producer index, one
+// store returning every slot to the producer.
+func (q *SPSC) DequeueN(dst []core.Msg) int {
+	h := q.head.Load()
+	if q.cachedTail-h < uint64(len(dst)) {
+		q.cachedTail = q.tail.Load()
+	}
+	n := min(uint64(len(dst)), q.cachedTail-h)
+	if n == 0 {
+		return 0
+	}
+	i := h & q.mask
+	k := uint64(copy(dst[:n], q.slots[i:]))
+	copy(dst[k:n], q.slots)
+	q.head.Store(h + n) // release: returns the slots to the producer
+	return int(n)
+}
+
 // Empty implements Queue. Unlike Enqueue/Dequeue it is safe from any
 // goroutine (it reads only the atomic indices and mutates no cache), so
 // the BSLS spin loop can poll it freely.

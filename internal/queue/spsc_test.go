@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -130,6 +131,133 @@ func TestSPSCStress(t *testing.T) {
 		}
 		if m.Val != float64(i) || m.Seq != int32(i%1024) {
 			t.Fatalf("out of order at %d: %+v", i, m)
+		}
+	}
+	wg.Wait()
+	if !q.Empty() {
+		t.Fatal("ring not empty after drain")
+	}
+}
+
+// TestSPSCBurstWrap moves bursts of every size from 1 to 8 through a
+// capacity-8 ring for 1000 rounds, enqueueing and dequeueing in bursts
+// of different sizes so the ring holds a shifting residue: the copies
+// split across the wrap point at every offset, and FIFO order and the
+// moved counts must hold throughout.
+func TestSPSCBurstWrap(t *testing.T) {
+	q := mustNewSPSC(t, 8)
+	var in, out [8]core.Msg
+	var sent, recv int32
+	for r := 0; r < 1000; r++ {
+		k := r%8 + 1
+		for i := 0; i < k; i++ {
+			in[i] = core.Msg{Seq: sent + int32(i)}
+		}
+		n := q.EnqueueN(in[:k])
+		if want := min(k, 8-int(sent-recv)); n != want {
+			t.Fatalf("round %d: EnqueueN(%d) = %d with %d queued, want %d", r, k, n, sent-recv, want)
+		}
+		sent += int32(n)
+		j := (r*5)%8 + 1
+		got := q.DequeueN(out[:j])
+		if want := min(j, int(sent-recv)); got != want {
+			t.Fatalf("round %d: DequeueN(%d) = %d with %d queued, want %d", r, j, got, sent-recv, want)
+		}
+		for i := 0; i < got; i++ {
+			if out[i].Seq != recv+int32(i) {
+				t.Fatalf("round %d: out of order: slot %d holds seq %d, want %d", r, i, out[i].Seq, recv+int32(i))
+			}
+		}
+		recv += int32(got)
+		if q.Len() != int(sent-recv) {
+			t.Fatalf("round %d: Len = %d, want %d", r, q.Len(), sent-recv)
+		}
+	}
+}
+
+// TestSPSCBurstPartial checks the burst forms at the boundaries: an
+// empty ring gives nothing, a full one takes nothing, a burst larger
+// than the room moves exactly the prefix that fits, and a zero-length
+// burst is a no-op on either side.
+func TestSPSCBurstPartial(t *testing.T) {
+	q := mustNewSPSC(t, 4)
+	in := make([]core.Msg, 6)
+	for i := range in {
+		in[i].Seq = int32(i)
+	}
+	out := make([]core.Msg, 6)
+	if n := q.DequeueN(out); n != 0 {
+		t.Fatalf("DequeueN on an empty ring = %d", n)
+	}
+	if n := q.EnqueueN(nil); n != 0 || !q.Empty() {
+		t.Fatalf("EnqueueN(nil) = %d, Empty = %v", n, q.Empty())
+	}
+	if n := q.EnqueueN(in); n != 4 {
+		t.Fatalf("EnqueueN(6) into 4 free slots = %d, want 4", n)
+	}
+	if n := q.EnqueueN(in[4:]); n != 0 {
+		t.Fatalf("EnqueueN into a full ring = %d", n)
+	}
+	if n := q.DequeueN(out[:0]); n != 0 || q.Len() != 4 {
+		t.Fatalf("DequeueN of length 0 = %d, Len = %d", n, q.Len())
+	}
+	if n := q.DequeueN(out[:1]); n != 1 || out[0].Seq != 0 {
+		t.Fatalf("DequeueN(1) = %d, seq %d", n, out[0].Seq)
+	}
+	if n := q.EnqueueN(in[4:]); n != 1 {
+		t.Fatalf("EnqueueN(2) with 1 free slot = %d, want 1", n)
+	}
+	n := q.DequeueN(out)
+	if n != 4 {
+		t.Fatalf("DequeueN(6) of 4 queued = %d", n)
+	}
+	for i, want := range []int32{1, 2, 3, 4} {
+		if out[i].Seq != want {
+			t.Fatalf("drain slot %d: seq %d, want %d", i, out[i].Seq, want)
+		}
+	}
+	if !q.Empty() {
+		t.Fatal("drained ring not empty")
+	}
+}
+
+// TestSPSCBurstStress is TestSPSCStress with random burst sizes (zero
+// included) on both sides, so every enqueue/dequeue split and the
+// partial-burst paths race the peer; run under -race it certifies that
+// the one publishing store per burst orders every slot it covers.
+func TestSPSCBurstStress(t *testing.T) {
+	const total, maxBurst = 100_000, 20
+	q := mustNewSPSC(t, 16)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		var buf [maxBurst]core.Msg
+		for sent := 0; sent < total; {
+			k := min(rng.Intn(maxBurst+1), total-sent)
+			for i := 0; i < k; i++ {
+				buf[i] = core.Msg{Seq: int32(sent + i), Val: float64(sent + i)}
+			}
+			n := q.EnqueueN(buf[:k])
+			sent += n
+			if n < k || k == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(2))
+	var buf [maxBurst]core.Msg
+	for recv := 0; recv < total; {
+		n := q.DequeueN(buf[:rng.Intn(maxBurst+1)])
+		for i := 0; i < n; i++ {
+			if buf[i].Seq != int32(recv) || buf[i].Val != float64(recv) {
+				t.Fatalf("out of order at %d: %+v", recv, buf[i])
+			}
+			recv++
+		}
+		if n == 0 {
+			runtime.Gosched()
 		}
 	}
 	wg.Wait()
