@@ -17,9 +17,11 @@ import (
 // dequeue success path still retires any redundant token, so batching
 // cannot leak or lose wakes (DESIGN.md §10 walks the accounting).
 // Underneath the wakes the queues batch too: a burst is published with
-// one index store and taken with one lane lock, while the per-message
-// accounting (counts, shedding, the double-reply audit) still runs on
-// every message.
+// one index store and taken with one lane lock, and the batch serve
+// loops reply straight out of their receive buffer, one vectored
+// enqueue per same-client run. What is configured per message
+// (shedding, throttle pacing) and what checks each message (validity,
+// the double-reply audit count) still runs on every message.
 
 // BatchPort is an optional Port extension: an endpoint that can move a
 // burst of messages with one routing/locking decision. TryEnqueueBatch
@@ -196,7 +198,7 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		if portRefusing(c.Srv) {
 			return fail(shutdownErr(c.Srv))
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return fail(err)
 		}
 		n := tryEnqueueBatch(c.Srv, msgs[sent:])
@@ -293,11 +295,22 @@ func (s *Server) ReceiveBatchCtx(ctx context.Context, buf []Msg) (int, error) {
 // vectored dequeue — then applies to each the same per-message
 // accounting as Receive (count, wake retirement, outstanding-request
 // audit, deadline shed), and returns the new length. Shed messages are
-// dropped in place, not kept — the burst just comes up shorter.
+// dropped in place, not kept — the burst just comes up shorter. Without
+// a throttle or a shed policy, wake retirement and shedding are no-ops,
+// so the audit count is all that runs per message.
 func (s *Server) drainInto(buf []Msg, from int) int {
 	got := tryDequeueBatch(s.Rcv, buf[from:])
 	if s.M != nil && got > 0 {
 		s.M.MsgsReceived.Add(int64(got))
+	}
+	if s.Throttle <= 0 && (s.Shed == nil || s.Shed.Deadline == nil) {
+		o := s.audit()
+		for _, m := range buf[from : from+got] {
+			if uint32(m.Client) < uint32(len(o)) { // ValidClient, then noteReceived
+				o[m.Client]++
+			}
+		}
+		return from + got
 	}
 	n := from
 	for _, m := range buf[from : from+got] {
@@ -324,12 +337,11 @@ type Reply struct {
 // ReplyBatch enqueues every reply, then issues at most one wake-up per
 // distinct destination client — the reply-side half of the k-messages-
 // per-V amortisation. Each run of consecutive data replies to one
-// client enters its queue with one vectored enqueue; whatever does not
-// fit goes through the per-message path. Control-path replies
+// client is copied into scratch and sent by replyRun, the helper the
+// batch serve loops use on their receive buffer. Control-path replies
 // (connect/disconnect) keep their immediate, throttle-bypassing wake,
-// as in scalar Reply. Replies to invalid client numbers, and replies
-// refused by a shut-down queue, are dropped with their payload lease,
-// as in scalar Reply.
+// and replies to invalid client numbers are dropped with their payload
+// lease: both go through scalar Reply.
 func (s *Server) ReplyBatch(batch []Reply) {
 	if len(batch) == 0 {
 		return
@@ -337,42 +349,46 @@ func (s *Server) ReplyBatch(batch []Reply) {
 	s.growReplyScratch(len(batch))
 	for i := 0; i < len(batch); {
 		c, m := batch[i].Client, batch[i].Msg
-		if !s.ValidClient(c) {
-			dropPayload(s.Blocks, s.Owner, m)
-			i++
-			continue
-		}
-		q := s.Replies[c]
-		if isControl(m.Op) {
-			s.noteReplied(c)
-			if s.enqueueReply(q, m) && s.Alg != BSS {
-				wakeConsumer(q, s.A)
-			}
+		if !s.ValidClient(c) || isControl(m.Op) {
+			s.Reply(c, m)
 			i++
 			continue
 		}
 		run := s.run[:0]
 		for ; i < len(batch) && batch[i].Client == c && !isControl(batch[i].Msg.Op); i++ {
-			s.noteReplied(c)
 			run = append(run, batch[i].Msg)
 		}
-		n := 0
-		if !portRefusing(q) {
-			n = tryEnqueueBatch(q, run)
-		}
-		for _, m := range run[n:] {
-			if s.enqueueReply(q, m) {
-				n++
-			}
-		}
-		if n > 0 && s.Alg != BSS {
-			s.oweWake(c)
-		}
+		s.replyRun(c, run)
 	}
 	if s.Obs.Enabled() {
 		s.Obs.Batch(len(batch))
 	}
 	s.flushWakes()
+}
+
+// replyRun sends run, consecutive data replies to valid client c, with
+// one vectored enqueue; whatever does not fit goes through the
+// per-message path, and replies refused by a shut-down queue are
+// dropped with their payload lease, as in scalar Reply. The run settles
+// c's outstanding-request audit in one step and owes c one wake, which
+// the caller flushes.
+func (s *Server) replyRun(c int32, run []Msg) {
+	q := s.Replies[c]
+	n := 0
+	if !portRefusing(q) {
+		n = tryEnqueueBatch(q, run)
+	}
+	for _, m := range run[n:] {
+		if s.enqueueReply(q, m) {
+			n++
+		}
+	}
+	if s.outstanding != nil {
+		s.outstanding[c] = max(s.outstanding[c]-int32(len(run)), 0) // noteReplied, len(run) times
+	}
+	if n > 0 && s.Alg != BSS {
+		s.oweWake(c)
+	}
 }
 
 // ReplyBatchCtx is ReplyBatch with deadline/cancellation support and
@@ -425,7 +441,7 @@ func (s *Server) ReplyBatchCtx(ctx context.Context, batch []Reply) error {
 			}
 		}
 		n := 0
-		if !portRefusing(q) && ctx.Err() == nil {
+		if !portRefusing(q) && ctxErr(ctx) == nil {
 			n = tryEnqueueBatch(q, run)
 		}
 		var err error
@@ -507,59 +523,18 @@ func (s *Server) flushWakes() {
 }
 
 // ServeBatch is the vectored Serve loop: ReceiveBatch up to batch
-// requests per wake-up, process them, ReplyBatch the responses with
-// one wake per client. Exit conditions match Serve: the shutdown
-// marker, or every connected client having disconnected. Requests
-// already drained when a disconnect empties the connection count are
-// still answered before the loop exits.
+// requests per wake-up, process them, and reply to them straight out of
+// the receive buffer with one wake per client. Exit conditions match
+// Serve: the shutdown marker, or every connected client having
+// disconnected. Requests already drained when a disconnect empties the
+// connection count are still answered before the loop exits.
 func (s *Server) ServeBatch(work func(*Msg), batch int) (served int64) {
-	if batch < 1 {
-		batch = 1
-	}
-	buf := make([]Msg, batch)
-	out := make([]Reply, 0, batch)
-	connected := 0
-	everConnected := false
+	buf := make([]Msg, max(batch, 1))
+	var st serveState
 	for {
 		n := s.ReceiveBatch(buf)
-		out = out[:0]
-		stop := false
-		for i := 0; i < n; i++ {
-			m := buf[i]
-			if m.Op == OpShutdown && m.Client < 0 && portClosed(s.Rcv) {
-				stop = true
-				break
-			}
-			if !s.ValidClient(m.Client) {
-				continue
-			}
-			switch m.Op {
-			case OpConnect:
-				connected++
-				everConnected = true
-				s.connected = connected
-				s.Reply(m.Client, m)
-			case OpDisconnect:
-				connected--
-				s.connected = connected
-				s.Reply(m.Client, m)
-				if everConnected && connected == 0 {
-					stop = true
-				}
-			default:
-				if m.Op == OpWork && work != nil {
-					// In place in buf: work(&m) would move every
-					// request of the loop to the heap.
-					work(&buf[i])
-					m = buf[i]
-				}
-				served++
-				out = append(out, Reply{Client: m.Client, Msg: m})
-			}
-		}
-		s.ReplyBatch(out)
-		if stop {
-			return served
+		if s.serveBurst(buf[:n], work, &st) {
+			return st.served
 		}
 	}
 }
@@ -568,59 +543,83 @@ func (s *Server) ServeBatch(work func(*Msg), batch int) (served int64) {
 // graceful shutdown ends the loop with a nil error (matching ServeCtx),
 // a context end returns ctx.Err().
 func (s *Server) ServeBatchCtx(ctx context.Context, work func(*Msg), batch int) (served int64, err error) {
-	if batch < 1 {
-		batch = 1
-	}
-	buf := make([]Msg, batch)
-	out := make([]Reply, 0, batch)
-	connected := 0
-	everConnected := false
+	buf := make([]Msg, max(batch, 1))
+	var st serveState
 	for {
 		n, rerr := s.ReceiveBatchCtx(ctx, buf)
-		if rerr != nil {
-			if rerr == ErrShutdown {
-				return served, nil
-			}
-			return served, rerr
+		if rerr == ErrShutdown {
+			return st.served, nil
 		}
-		out = out[:0]
-		stop := false
-		for i := 0; i < n; i++ {
-			m := buf[i]
-			if m.Op == OpShutdown && m.Client < 0 && portClosed(s.Rcv) {
-				stop = true
-				break
-			}
-			if !s.ValidClient(m.Client) {
-				continue
-			}
-			switch m.Op {
-			case OpConnect:
-				connected++
-				everConnected = true
-				s.connected = connected
-				s.Reply(m.Client, m)
-			case OpDisconnect:
-				connected--
-				s.connected = connected
-				s.Reply(m.Client, m)
-				if everConnected && connected == 0 {
-					stop = true
-				}
-			default:
-				if m.Op == OpWork && work != nil {
-					// In place in buf: work(&m) would move every
-					// request of the loop to the heap.
-					work(&buf[i])
-					m = buf[i]
-				}
-				served++
-				out = append(out, Reply{Client: m.Client, Msg: m})
-			}
-		}
-		s.ReplyBatch(out)
-		if stop {
-			return served, nil
+		if rerr != nil || s.serveBurst(buf[:n], work, &st) {
+			return st.served, rerr
 		}
 	}
+}
+
+// serveState is what the batch serve loops carry from burst to burst.
+type serveState struct {
+	served        int64
+	connected     int
+	everConnected bool
+}
+
+// serveBurst serves one received burst and reports whether the loop
+// must stop. Per message it honours the shutdown marker, drops a request
+// with no usable reply channel together with its payload lease (as
+// Serve does), answers connect/disconnect at once, and runs work on data
+// requests in place; the data requests are compacted to the front of
+// buf and replied to from there, one vectored enqueue per same-client
+// run, with the owed wakes flushed once for the burst.
+func (s *Server) serveBurst(buf []Msg, work func(*Msg), st *serveState) (stop bool) {
+	d := 0
+	for i := range buf {
+		m := &buf[i]
+		if m.Op == OpShutdown && m.Client < 0 && portClosed(s.Rcv) {
+			stop = true
+			break
+		}
+		if !s.ValidClient(m.Client) {
+			dropPayload(s.Blocks, s.Owner, *m)
+			continue
+		}
+		switch m.Op {
+		case OpConnect:
+			st.connected++
+			st.everConnected = true
+			s.connected = st.connected
+			s.Reply(m.Client, *m)
+		case OpDisconnect:
+			st.connected--
+			s.connected = st.connected
+			s.Reply(m.Client, *m)
+			stop = stop || st.everConnected && st.connected == 0
+		default:
+			if m.Op == OpWork && work != nil {
+				work(m)
+			}
+			if d != i {
+				buf[d] = *m
+			}
+			d++
+		}
+	}
+	st.served += int64(d)
+	s.growReplyScratch(0) // the wake marks: runs reply from buf itself
+	for ms := buf[:d]; len(ms) > 0; {
+		c, k := ms[0].Client, 1
+		if !s.ValidClient(c) || isControl(ms[0].Op) {
+			s.Reply(c, ms[0]) // work re-addressed or re-typed it
+		} else {
+			for k < len(ms) && ms[k].Client == c && !isControl(ms[k].Op) {
+				k++
+			}
+			s.replyRun(c, ms[:k])
+		}
+		ms = ms[k:]
+	}
+	if d > 0 && s.Obs.Enabled() {
+		s.Obs.Batch(d)
+	}
+	s.flushWakes()
+	return stop
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"ulipc/internal/metrics"
 )
@@ -230,5 +231,32 @@ func TestSendCtxPreCancelled(t *testing.T) {
 	cancel()
 	if _, err := c.SendCtx(ctx, Msg{Op: OpEcho}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// ctxErr answers exactly what ctx.Err() answers, for contexts that never
+// end, before and after a cancel, past a deadline, and through a value
+// layer over a cancelled parent.
+func TestCtxErrMatchesErr(t *testing.T) {
+	type key struct{}
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	check := func(name string, ctx context.Context) {
+		t.Helper()
+		if got, want := ctxErr(ctx), ctx.Err(); got != want {
+			t.Errorf("%s: ctxErr = %v, ctx.Err() = %v", name, got, want)
+		}
+	}
+	check("Background", context.Background())
+	check("WithCancel before cancel", cancellable)
+	check("WithValue over a live parent", context.WithValue(cancellable, key{}, 1))
+	cancel()
+	check("WithCancel after cancel", cancellable)
+	check("WithDeadline passed", expired)
+	check("WithValue over a cancelled parent", context.WithValue(cancellable, key{}, 1))
+	if ctxErr(cancellable) == nil || ctxErr(expired) == nil {
+		t.Error("ended contexts report no error")
 	}
 }

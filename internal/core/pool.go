@@ -202,7 +202,7 @@ func (w *PoolWorker) ReceiveCtx(ctx context.Context) (Msg, error) {
 		if w.C.Stopped() {
 			return Msg{}, ErrShutdown
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return Msg{}, err
 		}
 		if m, ok := w.Rcv.TryDequeue(); ok {

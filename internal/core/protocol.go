@@ -45,7 +45,7 @@ func enqueueOrSleepCtx(ctx context.Context, q interface{ TryEnqueue(Msg) bool },
 		if portRefusing(q) {
 			return shutdownErr(q)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
 		if q.TryEnqueue(m) {
@@ -55,6 +55,19 @@ func enqueueOrSleepCtx(ctx context.Context, q interface{ TryEnqueue(Msg) bool },
 		if err := bo.sleep(ctx, ca, budget, pm); err != nil {
 			return err
 		}
+	}
+}
+
+// ctxErr is ctx.Err() for the hot-path polls: a non-blocking receive on
+// ctx.Done() — an atomic load once the channel exists — where a
+// cancelCtx's Err takes its mutex. A nil Done never ends; once Done is
+// closed the answer comes from ctx.Err().
+func ctxErr(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
 	}
 }
 
@@ -151,7 +164,7 @@ func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg,
 		if portClosed(q) {
 			return Msg{}, shutdownErr(q)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return Msg{}, err
 		}
 		if preWait != nil {
@@ -200,7 +213,7 @@ func spinEnqueueCtx(ctx context.Context, a Actor, q interface {
 		if q.TryEnqueue(m) {
 			return nil
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
 		a.BusyWait()
@@ -289,7 +302,7 @@ func enqueueOrSleepCtxObs(ctx context.Context, q interface{ TryEnqueue(Msg) bool
 	if portRefusing(q) {
 		return shutdownErr(q)
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	if q.TryEnqueue(m) {
@@ -332,7 +345,7 @@ func spinDequeueCtx(ctx context.Context, a Actor, q interface {
 		if portClosed(q) {
 			return Msg{}, shutdownErr(q)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return Msg{}, err
 		}
 		a.BusyWait()

@@ -59,10 +59,11 @@ type Server struct {
 	// server handle is single-goroutine, so plain ints suffice.
 	outstanding []int32
 
-	// Batch-reply scratch (ReplyBatch/ReplyBatchCtx): pending-wake marks,
-	// the distinct-client list and the current same-client reply run,
-	// reused across calls so the vectored reply path stays
-	// allocation-free.
+	// Batch-reply scratch: pending-wake marks and the distinct-client
+	// list (every vectored reply path), and the current same-client
+	// reply run (ReplyBatch/ReplyBatchCtx; the batch serve loops reply
+	// from their receive buffer), reused across calls so the vectored
+	// reply path stays allocation-free.
 	pendWake []bool
 	touched  []int32
 	run      []Msg
@@ -110,12 +111,15 @@ func (s *Server) letClientsRun() {
 }
 
 // noteReceived/noteReplied maintain the per-client outstanding-request
-// counts behind the ErrDoubleReply audit.
-func (s *Server) noteReceived(client int32) {
+// counts behind the ErrDoubleReply audit; audit returns those counts,
+// allocated on first use.
+func (s *Server) noteReceived(client int32) { s.audit()[client]++ }
+
+func (s *Server) audit() []int32 {
 	if s.outstanding == nil {
 		s.outstanding = make([]int32, len(s.Replies))
 	}
-	s.outstanding[client]++
+	return s.outstanding
 }
 
 func (s *Server) noteReplied(client int32) {

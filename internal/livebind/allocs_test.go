@@ -76,10 +76,12 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 
 // The vectored path: a steady-state SendBatchCtx/ServeBatchCtx pair pays
 // for the returned reply slice and nothing else — the burst dequeues
-// and the server's reply-run scratch add no allocation. The second case
-// interleaves four clients' requests on two shards, so each served
-// batch holds several same-client runs and the scratch is reused
-// across them.
+// and the replies, sent straight out of the server's receive buffer,
+// add no allocation. The other two cases leave the client side nothing
+// to allocate, so their zero is the steady-state ServeBatchCtx's own:
+// one client's queued requests, served as one same-client run, and four
+// clients' requests interleaved on two shards, so each served burst
+// holds several runs.
 func TestBatchAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -118,6 +120,18 @@ func TestBatchAllocsPerMessage(t *testing.T) {
 			t.Fatalf("batch: %d replies, %v", len(out), err)
 		}
 	}
+	oneRun := func() {
+		for j := 0; j < batch; j++ {
+			if err := cls[0].SendAsyncCtx(ctx, core.Msg{Op: core.OpEcho, Seq: int32(j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < batch; j++ {
+			if _, err := cls[0].RecvReplyCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	interleaved := func() {
 		for j := 0; j < batch/clients; j++ {
 			for _, cl := range cls {
@@ -140,7 +154,8 @@ func TestBatchAllocsPerMessage(t *testing.T) {
 		max  float64
 	}{
 		{"SendBatchCtx", sendBatch, 1},
-		{"interleaved", interleaved, 0},
+		{"ServeBatchCtx/one run", oneRun, 0},
+		{"ServeBatchCtx/interleaved", interleaved, 0},
 	} {
 		for i := 0; i < 100; i++ {
 			tc.call()

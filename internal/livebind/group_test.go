@@ -727,3 +727,65 @@ func TestReplyBatchCtxRunAudit(t *testing.T) {
 		t.Fatalf("ReplyCtx after every request was answered = %v, want ErrDoubleReply", err)
 	}
 }
+
+// BenchmarkGroupBatchRoundTrip prices the vectored serve path without
+// the repository benchmark: two shards serve with ServeBatchCtx while
+// four clients, each on its own goroutine, send batches of 16 with
+// SendBatchCtx. One op is one batch; ns/msg divides the elapsed time by
+// the messages carried. Run it on one core with
+// `go test -run '^$' -bench GroupBatch -cpu 1 ./internal/livebind`.
+func BenchmarkGroupBatchRoundTrip(b *testing.B) {
+	const shards, clients, batch = 2, 4, 16
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srvs, err := sys.ShardServers()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var served sync.WaitGroup
+	for _, srv := range srvs {
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			srv.ServeBatchCtx(ctx, nil, batch)
+		}()
+	}
+	cls := make([]*core.Client, clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var left atomic.Int64
+	left.Store(int64(b.N))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, cl := range cls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			msgs := make([]core.Msg, batch)
+			for left.Add(-1) >= 0 {
+				for i := range msgs {
+					msgs[i] = core.Msg{Op: core.OpEcho, Seq: int32(i)}
+				}
+				if out, err := cl.SendBatchCtx(ctx, msgs); err != nil || len(out) != batch {
+					b.Errorf("batch: %d replies, %v", len(out), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/msg")
+	if err := sys.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	served.Wait()
+}

@@ -81,11 +81,13 @@ func (s *Semaphore) wait(ctx context.Context) (slept bool, err error) {
 	}
 	var done <-chan struct{}
 	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
 		done = ctx.Done()
+		select {
+		case <-done: // polled on Done, an atomic load; a cancelCtx's Err locks
+			s.mu.Unlock()
+			return false, ctx.Err()
+		default:
+		}
 	}
 	if s.count > 0 {
 		s.count--

@@ -88,29 +88,31 @@ func (l *Lanes) Dequeue() (core.Msg, bool) {
 // are skipped without touching their lock; a lane whose lock is held (a
 // thief or drainer is on it) is also skipped — the holder is
 // responsible for re-waking this consumer if it leaves messages behind
-// (see the steal protocol in DESIGN.md §10).
+// (see the steal protocol in DESIGN.md §10). The scan wraps the lane
+// index with a compare, not a divide, and the cursor is stored only when
+// it moves.
 func (l *Lanes) DequeueN(dst []core.Msg) int {
 	n := uint32(len(l.lanes))
 	start := l.next.Load()
-	got, last := 0, -1
-	for k := uint32(0); k < n && got < len(dst); k++ {
-		i := (start + k) % n
-		ln := l.lanes[i]
-		if ln.Empty() {
-			continue
+	got, next := 0, start
+	for k, i := uint32(0), start; k < n && got < len(dst); k++ {
+		if ln := l.lanes[i]; !ln.Empty() && l.locks[i].held.CompareAndSwap(false, true) {
+			m := ln.DequeueN(dst[got:])
+			l.locks[i].held.Store(false)
+			if m > 0 {
+				got += m
+				next = i + 1
+			}
 		}
-		if !l.locks[i].held.CompareAndSwap(false, true) {
-			continue
-		}
-		m := ln.DequeueN(dst[got:])
-		l.locks[i].held.Store(false)
-		if m > 0 {
-			got += m
-			last = int(i)
+		if i++; i == n {
+			i = 0
 		}
 	}
-	if last >= 0 {
-		l.next.Store((uint32(last) + 1) % n)
+	if next == n {
+		next = 0
+	}
+	if next != start {
+		l.next.Store(next)
 	}
 	return got
 }

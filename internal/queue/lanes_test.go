@@ -197,6 +197,61 @@ func TestLanesDequeueNRoundRobin(t *testing.T) {
 	}
 }
 
+// TestLanesDequeueNWrap drives DequeueN over 3 and 5 lanes of uneven
+// depth with bursts of 1 to 4: each lane's messages come out in FIFO
+// order, a lane holding messages when a burst starts is served within n
+// bursts, and the cursor always rests just past the last lane a burst
+// served — wrapping from the last lane to lane 0.
+func TestLanesDequeueNWrap(t *testing.T) {
+	for _, lanes := range []int{3, 5} {
+		for burst := 1; burst <= 4; burst++ {
+			l := mkLanes(t, lanes, 16)
+			for i := 0; i < lanes; i++ {
+				for j := 0; j < 2+2*i; j++ {
+					l.Lane(i).Enqueue(core.Msg{Seq: int32(j), MsgMeta: core.MsgMeta{Client: int32(i)}})
+				}
+			}
+			next := make([]int32, lanes)
+			waited := make([]int, lanes) // bursts a non-empty lane went unserved
+			buf := make([]core.Msg, burst)
+			wrapped := false
+			for !l.Empty() {
+				held := make([]bool, lanes)
+				for i := range held {
+					held[i] = !l.Lane(i).Empty()
+				}
+				n := l.DequeueN(buf)
+				if n == 0 {
+					t.Fatalf("%d lanes, burst %d: DequeueN came up empty", lanes, burst)
+				}
+				served := make([]bool, lanes)
+				for _, m := range buf[:n] {
+					if m.Seq != next[m.Client] {
+						t.Fatalf("%d lanes, burst %d: lane %d out of order: seq %d, want %d", lanes, burst, m.Client, m.Seq, next[m.Client])
+					}
+					next[m.Client]++
+					served[m.Client] = true
+				}
+				last := int(buf[n-1].Client)
+				if got, want := l.next.Load(), uint32((last+1)%lanes); got != want {
+					t.Fatalf("%d lanes, burst %d: cursor %d after serving lane %d, want %d", lanes, burst, got, last, want)
+				}
+				wrapped = wrapped || last == lanes-1
+				for i := range waited {
+					if !held[i] || served[i] {
+						waited[i] = 0
+					} else if waited[i]++; waited[i] >= lanes {
+						t.Fatalf("%d lanes, burst %d: lane %d unserved for %d bursts", lanes, burst, i, waited[i])
+					}
+				}
+			}
+			if !wrapped {
+				t.Errorf("%d lanes, burst %d: no burst ended on the last lane, the wrap went untested", lanes, burst)
+			}
+		}
+	}
+}
+
 // TestLanesConcurrent runs producers on their own lanes, the owning
 // consumer on the fan-in, and a thief stealing in a loop — the -race
 // check that the per-lane consumer locks actually serialise the
