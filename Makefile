@@ -110,5 +110,6 @@ overload:
 # DESIGN.md §12, §13. Override the seed with SEED=n.
 xproc:
 	$(GO) test -run TestFutex ./internal/protomodel/
+	$(GO) test -race -count=2 -cpu 1,2,4 -run 'Proc|Payload' ./internal/livebind ./internal/core .
 	$(GO) run -race ./cmd/ipcbench -proc -quick -msgs 500 -paysize 1024
 	$(GO) run -race ./cmd/ipcbench -proc -chaos -seed $(SEED) -paysize 0,1024

@@ -157,20 +157,28 @@ func (c *Client) dispatchSend(m Msg) Msg {
 // When cancellation and the reply race, the reply wins: a message that
 // already arrived is returned rather than discarded.
 func (c *Client) SendCtx(ctx context.Context, m Msg) (Msg, error) {
+	ans, _, err := c.sendCtx(ctx, m)
+	return ans, err
+}
+
+// sendCtx is SendCtx that also reports whether this call enqueued m:
+// on error, a request that never reached the queue is still the
+// caller's, while one that did is owed a reply (c.lag).
+func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 	if c.disconnected {
-		return Msg{}, ErrDisconnected
+		return Msg{}, false, ErrDisconnected
 	}
 	m.Client = c.ID
 	for c.lag > 0 {
 		stale, err := c.recvReplyCtx(ctx)
 		if err != nil {
-			return Msg{}, err
+			return Msg{}, false, err
 		}
 		dropPayload(c.Blocks, c.Owner, stale)
 		c.lag--
 	}
 	if err := c.admit(); err != nil {
-		return Msg{}, err
+		return Msg{}, false, err
 	}
 	var t0 time.Time
 	obsOn := c.Obs.Enabled()
@@ -180,7 +188,9 @@ func (c *Client) SendCtx(ctx context.Context, m Msg) (Msg, error) {
 	}
 	ans, err := c.exchangeCtx(ctx, m)
 	if err != nil {
-		return Msg{}, err
+		// The drain above left nothing owed, so a reply owed now is
+		// this request's.
+		return Msg{}, c.lag > 0, err
 	}
 	if obsOn {
 		c.Obs.RTT(time.Since(t0))
@@ -192,7 +202,7 @@ func (c *Client) SendCtx(ctx context.Context, m Msg) (Msg, error) {
 	if c.M != nil {
 		c.M.MsgsSent.Add(1)
 	}
-	return ans, nil
+	return ans, true, nil
 }
 
 // exchangeCtx enqueues the request, wakes the server and awaits the

@@ -93,7 +93,7 @@ func payloadMsg(t *testing.T, store *fakeStore, client int32) (Msg, uint32) {
 	}
 	m := Msg{Op: OpEcho, MsgMeta: MsgMeta{Client: client}}
 	ref := p.Ref()
-	m.AttachPayload(p)
+	m.AttachPayload(&p)
 	return m, ref
 }
 

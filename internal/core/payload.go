@@ -115,46 +115,53 @@ func (m *Msg) AttachPayload(p *Payload) {
 }
 
 // allocPayload / resolvePayload are the shared client/server halves.
+// They return the view by value and stay out of line, so the exported
+// wrappers fit the inliner's budget: each takes the address of the
+// value it got back, and a caller that does not keep the view keeps it
+// on its own stack instead of the heap.
 
-func allocPayload(store BlockStore, owner uint32, n int) (*Payload, error) {
+//go:noinline
+func allocPayload(store BlockStore, owner uint32, n int) (Payload, error) {
 	if store == nil {
-		return nil, ErrNoBlocks
+		return Payload{}, ErrNoBlocks
 	}
 	ref, buf, ok := store.Alloc(n)
 	if !ok {
-		return nil, ErrBlocksExhausted
+		return Payload{}, ErrBlocksExhausted
 	}
 	if err := store.Lease(ref, owner); err != nil {
 		_ = store.Free(ref)
-		return nil, err
+		return Payload{}, err
 	}
-	return &Payload{store: store, ref: ref, gen: store.Gen(ref), buf: buf, n: n}, nil
+	return Payload{store: store, ref: ref, gen: store.Gen(ref), buf: buf, n: n}, nil
 }
 
 // resolvePayload claims the lease on a received message's payload and
 // builds the view. A failed claim means a sweeper got there first
 // (the sender died): the payload is lost, not usable — and the slot,
 // which may have been reallocated since, is not ours to free.
-func resolvePayload(store BlockStore, owner uint32, m Msg) (*Payload, error) {
+//
+//go:noinline
+func resolvePayload(store BlockStore, owner uint32, m Msg) (Payload, error) {
 	if store == nil {
-		return nil, ErrNoBlocks
+		return Payload{}, ErrNoBlocks
 	}
 	if !m.HasBlock() {
-		return nil, ErrNoPayload
+		return Payload{}, ErrNoPayload
 	}
 	ref, n := m.Block()
 	gen := m.BlockGen()
 	if !store.ClaimGen(ref, gen, owner) {
-		return nil, ErrPayloadLost
+		return Payload{}, ErrPayloadLost
 	}
 	buf, err := store.Get(ref)
 	if err != nil {
-		return nil, err
+		return Payload{}, err
 	}
 	if n > len(buf) {
 		n = len(buf)
 	}
-	return &Payload{store: store, ref: ref, gen: gen, buf: buf, n: n}, nil
+	return Payload{store: store, ref: ref, gen: gen, buf: buf, n: n}, nil
 }
 
 // dropPayload claim-frees a payload whose message was discarded (a
@@ -175,15 +182,23 @@ func dropPayload(store BlockStore, owner uint32, m Msg) {
 
 // AllocPayload leases a block of at least n bytes for an outgoing
 // request; fill Bytes() in place and pass it to SendPayload.
-func (c *Client) AllocPayload(n int) (*Payload, error) {
-	return allocPayload(c.Blocks, c.Owner, n)
+func (c *Client) AllocPayload(n int) (p *Payload, err error) {
+	v, err := allocPayload(c.Blocks, c.Owner, n)
+	if err == nil {
+		p = &v
+	}
+	return
 }
 
 // Payload resolves (claims) the payload of a reply returned by
 // SendCtx/Send. The caller owns the lease: Release it, or keep the
 // block for a later SendPayload.
-func (c *Client) Payload(m Msg) (*Payload, error) {
-	return resolvePayload(c.Blocks, c.Owner, m)
+func (c *Client) Payload(m Msg) (p *Payload, err error) {
+	v, err := resolvePayload(c.Blocks, c.Owner, m)
+	if err == nil {
+		p = &v
+	}
+	return
 }
 
 // SendPayload performs a request/response exchange carrying p (which
@@ -197,31 +212,42 @@ func (c *Client) Payload(m Msg) (*Payload, error) {
 // or peer death) the lease is in flight and the recovery layer — the
 // sweeper's owner walk, the stale-reply drain, or the post-mortem
 // Reclaim — accounts for it. Either way the caller must forget p.
-func (c *Client) SendPayload(ctx context.Context, m Msg, p *Payload) (Msg, *Payload, error) {
+func (c *Client) SendPayload(ctx context.Context, m Msg, p *Payload) (ans Msg, rp *Payload, err error) {
+	var v Payload
+	ans, v, err = c.sendPayload(ctx, m, p)
+	if v.store != nil {
+		rp = &v
+	}
+	return
+}
+
+// sendPayload is SendPayload's body, out of line for the same reason
+// as allocPayload: it returns the reply's view by value (zero when the
+// reply carries none).
+//
+//go:noinline
+func (c *Client) sendPayload(ctx context.Context, m Msg, p *Payload) (Msg, Payload, error) {
 	if p != nil {
 		m.setBlock(p.ref, p.gen, p.n)
 		p.store = nil // lease leaves this handle with the message
 	}
-	ans, err := c.SendCtx(ctx, m)
+	ans, sent, err := c.sendCtx(ctx, m)
 	if err != nil {
-		if p != nil && c.lag == 0 {
-			// The request never reached the queue (the exchange failed
-			// before enqueue): the lease is still ours — return it.
+		if p != nil && !sent {
+			// The request never reached the queue: the lease is still
+			// ours — return it.
 			_ = c.Blocks.Free(p.ref)
 		}
-		return Msg{}, nil, err
+		return Msg{}, Payload{}, err
 	}
 	if p != nil {
 		c.Obs.Payload(p.n)
 	}
 	if !ans.HasBlock() {
-		return ans, nil, nil
+		return ans, Payload{}, nil
 	}
-	rp, rerr := resolvePayload(c.Blocks, c.Owner, ans)
-	if rerr != nil {
-		return ans, nil, rerr
-	}
-	return ans, rp, nil
+	rp, err := resolvePayload(c.Blocks, c.Owner, ans)
+	return ans, rp, err
 }
 
 // ---- Server surface ----
@@ -229,13 +255,21 @@ func (c *Client) SendPayload(ctx context.Context, m Msg, p *Payload) (Msg, *Payl
 // Payload resolves (claims) the payload of a received request. The
 // server owns the lease: Release it before an empty reply, or re-lease
 // it for the response via ReplyPayload / Msg.AttachPayload.
-func (s *Server) Payload(m Msg) (*Payload, error) {
-	return resolvePayload(s.Blocks, s.Owner, m)
+func (s *Server) Payload(m Msg) (p *Payload, err error) {
+	v, err := resolvePayload(s.Blocks, s.Owner, m)
+	if err == nil {
+		p = &v
+	}
+	return
 }
 
 // AllocPayload leases a fresh block for a response.
-func (s *Server) AllocPayload(n int) (*Payload, error) {
-	return allocPayload(s.Blocks, s.Owner, n)
+func (s *Server) AllocPayload(n int) (p *Payload, err error) {
+	v, err := allocPayload(s.Blocks, s.Owner, n)
+	if err == nil {
+		p = &v
+	}
+	return
 }
 
 // ReplyPayload replies to client with m carrying p's lease (p nil

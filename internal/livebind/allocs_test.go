@@ -74,6 +74,77 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 	}
 }
 
+// The zero-copy round trip allocates nothing either: the lease verbs
+// return their views through inlined wrappers, so a caller that does
+// not keep a view keeps it on its own stack. The client leases, fills,
+// sends and releases the reply's block; the server receives, claims,
+// mutates in place and replies with the same lease.
+func TestPayloadZeroAllocRoundTrip(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := sys.Server()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			m, err := srv.ReceiveCtx(ctx)
+			if err != nil {
+				return
+			}
+			p, err := srv.Payload(m)
+			if err == nil {
+				p.Bytes()[0]++
+			}
+			if srv.ReplyPayloadCtx(ctx, m.Client, m, p) != nil {
+				return
+			}
+		}
+	}()
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamp byte
+	send := func() {
+		stamp++
+		p, err := cl.AllocPayload(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Bytes()[0] = stamp
+		_, rp, err := cl.SendPayload(ctx, core.Msg{Op: core.OpWork}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp == nil || rp.Bytes()[0] != stamp+1 {
+			t.Fatal("reply payload missing or not mutated in place")
+		}
+		if err := rp.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		send()
+	}
+	if n := testing.AllocsPerRun(2000, send); n != 0 {
+		t.Errorf("%v allocations per payload round trip, want 0", n)
+	}
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	if free := sys.Blocks().TotalFree(); free != int64(sys.Blocks().Capacity()) {
+		t.Fatalf("arena free %d / %d after the round trips", free, sys.Blocks().Capacity())
+	}
+}
+
 // The vectored path: a steady-state SendBatchCtx/ServeBatchCtx pair pays
 // for the returned reply slice and nothing else — the burst dequeues
 // and the replies, sent straight out of the server's receive buffer,

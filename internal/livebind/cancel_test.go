@@ -455,3 +455,63 @@ func TestBatchLagDrainReleasesPayload(t *testing.T) {
 		})
 	}
 }
+
+// TestSendPayloadDrainFailureReleasesPayload: a payload send that fails
+// while still draining an earlier call's stale reply never enqueued its
+// request, so the lease is the caller's to give back — even though a
+// reply is still owed from before. Otherwise the block stays leased to
+// a live client and no sweeper ever walks it back.
+func TestSendPayloadDrainFailureReleasesPayload(t *testing.T) {
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := sys.Server()
+	gate := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeCtx(context.Background(), func(m *core.Msg) {
+			<-gate // slow: the client's deadline passes first
+			if p, err := srv.Payload(*m); err == nil {
+				m.AttachPayload(p)
+			}
+		})
+	}()
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(ctx context.Context) error {
+		p, err := cl.AllocPayload(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = cl.SendPayload(ctx, core.Msg{Op: core.OpWork}, p)
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	err = send(ctx)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || cl.Lag() != 1 {
+		t.Fatalf("slow payload send = %v with lag %d, want DeadlineExceeded with lag 1", err, cl.Lag())
+	}
+	// The gate is still shut, so this call fails in the stale-reply
+	// drain, before its own request reaches the queue.
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	if err := send(ctx); !errors.Is(err, context.Canceled) || cl.Lag() != 1 {
+		t.Fatalf("cancelled payload send = %v with lag %d, want Canceled with lag 1", err, cl.Lag())
+	}
+	close(gate)
+	if _, err := cl.SendCtx(context.Background(), core.Msg{Op: core.OpEcho}); err != nil || cl.Lag() != 0 {
+		t.Fatalf("send after the gate opened = %v with lag %d", err, cl.Lag())
+	}
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	if free := sys.Blocks().TotalFree(); free != int64(sys.Blocks().Capacity()) {
+		t.Fatalf("arena free %d / %d: the unsent request's payload lease leaked", free, sys.Blocks().Capacity())
+	}
+}

@@ -50,9 +50,11 @@ func futexWait(addr *atomic.Uint32, val uint32, d time.Duration) {
 }
 
 // futexWake wakes up to n threads parked on addr — in this process or
-// any other that mapped the same page.
+// any other that mapped the same page. Waking never blocks the caller,
+// so it goes raw (procos_linux.go states the rule); futexWait above
+// parks the thread and must stay runtime-mediated.
 func futexWake(addr *atomic.Uint32, n int) {
-	_, _, _ = syscall.Syscall6(
+	_, _, _ = syscall.RawSyscall6(
 		syscall.SYS_FUTEX,
 		uintptr(unsafe.Pointer(addr)),
 		futexOpWake,

@@ -374,13 +374,15 @@ func (p *procPort) TryEnqueue(m core.Msg) bool {
 // lanes so no client starves the server's receive loop.
 func (p *procPort) TryDequeue() (core.Msg, bool) {
 	n := len(p.deq)
-	for i := 0; i < n; i++ {
-		l := p.deq[(p.rr+i)%n]
-		r, ok := l.TryPop()
+	for k, i := 0, p.rr; k < n; k++ {
+		r, ok := p.deq[i].TryPop()
+		if i++; i == n {
+			i = 0
+		}
 		if !ok {
 			continue
 		}
-		p.rr = (p.rr + i + 1) % n
+		p.rr = i
 		m := p.v.Arena().Node(r).Msg()
 		p.pool.Free(r)
 		return m, true

@@ -3,6 +3,7 @@ package livebind
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -103,41 +104,55 @@ func TestProcEchoAllProtocols(t *testing.T) {
 	}
 }
 
-// A client parked on its reply semaphore unblocks with ErrPeerDead when
-// the sweeper declares the server dead (staged here by stalling a fake
-// server's heartbeat past the lease).
+// A client waiting for its reply unblocks with ErrPeerDead when the
+// sweeper declares the server dead (staged here by stalling a fake
+// server's heartbeat past the lease) — whether it parks on its reply
+// semaphore (BSW), spins on sched_yield (BSS) or does both (BSLS). One
+// P makes it a starvation check too: the spinning client's yields are
+// raw syscalls the Go scheduler never sees, so the process's own
+// sweeper goroutine gets the P only by preempting the spinner.
 func TestProcServerDeathUnblocksClient(t *testing.T) {
-	seg, err := shm.NewHeapSeg(shm.SegConfig{Clients: 1, Nodes: 32, RingCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	v, _ := seg.View()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, alg := range []core.Algorithm{core.BSW, core.BSS, core.BSLS} {
+		t.Run(alg.String(), func(t *testing.T) {
+			seg, err := shm.NewHeapSeg(shm.SegConfig{Clients: 1, Nodes: 32, RingCap: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			v, _ := seg.View()
 
-	// A fake server that will never heartbeat: Pid 0 skips the pid
-	// probe, so only the lease can declare it.
-	v.Life[ServerSlot].State.Store(shm.LifeLive)
+			// A fake server that will never heartbeat: Pid 0 skips the
+			// pid probe, so only the lease can declare it.
+			v.Life[ServerSlot].State.Store(shm.LifeLive)
 
-	opts := testProcOptions(core.BSW)
-	opts.Lease = 30 * time.Millisecond
-	cl, err := AttachProcClient(seg, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+			opts := testProcOptions(alg)
+			opts.Lease = 30 * time.Millisecond
+			cl, err := AttachProcClient(seg, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, err = cl.SendCtx(ctx, core.Msg{Op: core.OpEcho, Seq: 1})
-	if !errors.Is(err, core.ErrPeerDead) {
-		t.Fatalf("SendCtx against dead server: %v, want ErrPeerDead", err)
-	}
-	if !cl.Sys.SegDead() {
-		t.Fatal("segment not marked dead after server death")
-	}
-	st := cl.Sys.Stats()
-	if st.PeerDeaths != 1 || st.DeadSlot != ServerSlot {
-		t.Fatalf("stats %+v, want one death at slot %d", st, ServerSlot)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			start := time.Now()
+			_, err = cl.SendCtx(ctx, core.Msg{Op: core.OpEcho, Seq: 1})
+			took := time.Since(start)
+			if !errors.Is(err, core.ErrPeerDead) {
+				t.Fatalf("SendCtx against dead server: %v, want ErrPeerDead", err)
+			}
+			if took > time.Second {
+				t.Fatalf("ErrPeerDead took %v, want under 1s", took)
+			}
+			if !cl.Sys.SegDead() {
+				t.Fatal("segment not marked dead after server death")
+			}
+			st := cl.Sys.Stats()
+			if st.PeerDeaths != 1 || st.DeadSlot != ServerSlot {
+				t.Fatalf("stats %+v, want one death at slot %d", st, ServerSlot)
+			}
+		})
 	}
 }
 
