@@ -77,7 +77,7 @@ func main() {
 		}(handler)
 
 		wg.Add(1)
-		go func(c int, cl *ulipc.DuplexClient) {
+		go func(c int, cl *ulipc.Client) {
 			defer wg.Done()
 			base := int32(c * docsPerClient)
 			// Store documents of varying sizes.

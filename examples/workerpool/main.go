@@ -64,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		wg.Add(1)
-		go func(c int, cl *ulipc.PoolClient) {
+		go func(c int, cl *ulipc.Client) {
 			defer wg.Done()
 			cl.Send(ulipc.Msg{Op: ulipc.OpConnect})
 			barrier.Done()

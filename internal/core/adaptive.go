@@ -3,9 +3,6 @@ package core
 import (
 	"sync/atomic"
 	"time"
-
-	"ulipc/internal/metrics"
-	"ulipc/internal/obs"
 )
 
 // Tuner is BSA's online controller: one per channel consumer, tuning
@@ -191,36 +188,4 @@ func clamp64(v, lo, hi int64) int64 {
 		return hi
 	}
 	return v
-}
-
-// adaptiveSpin is BSA's spin prefix: Figure 9's limited-spin loop with
-// the budget read from the controller and the outcome fed back. The
-// fall-through predicate is exact (queue still empty after the loop),
-// unlike the metrics counter's budget-exhausted approximation — the
-// controller must not count a last-iteration arrival as a sleep.
-func adaptiveSpin(q interface{ Empty() bool }, a Actor, t *Tuner, m *metrics.Proc, h obs.Hook) {
-	var t0 time.Time
-	if h.H != nil {
-		t0 = time.Now()
-	}
-	if m != nil {
-		m.SpinLoops.Add(1)
-	}
-	budget := t.Budget()
-	spincnt := 0
-	for q.Empty() && spincnt < budget {
-		a.PollDelay()
-		spincnt++
-		if m != nil {
-			m.SpinIters.Add(1)
-		}
-	}
-	fell := q.Empty()
-	if fell && m != nil {
-		m.SpinFallThrus.Add(1)
-	}
-	t.Observe(spincnt, fell)
-	if h.H != nil {
-		h.Spin(time.Since(t0))
-	}
 }

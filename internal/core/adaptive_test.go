@@ -104,7 +104,7 @@ func TestTunerSnapshotJSONStable(t *testing.T) {
 	}
 }
 
-// adaptiveSpin's fall-through predicate must be exact: an arrival on
+// BSA's fall-through predicate must be exact: an arrival on
 // the last budgeted poll is a successful spin, not a sleep.
 type scriptedQueue struct{ emptyFor int }
 
@@ -122,13 +122,13 @@ func TestAdaptiveSpinExactFallThrough(t *testing.T) {
 	// Arrival exactly when the budget expires: Empty() true for the
 	// whole loop, false immediately after — a success, not a sleep.
 	q := &scriptedQueue{emptyFor: tn.Budget()}
-	adaptiveSpin(q, a, tn, nil, obs.Hook{})
+	spinPoll(q, a, tn.Budget(), tn, nil, obs.Hook{})
 	if got := tn.FallThrus.Load(); got != 0 {
 		t.Fatalf("last-poll arrival counted as fall-through")
 	}
 	// Queue still empty after the loop: a genuine fall-through.
 	q = &scriptedQueue{emptyFor: 1 << 30}
-	adaptiveSpin(q, a, tn, nil, obs.Hook{})
+	spinPoll(q, a, tn.Budget(), tn, nil, obs.Hook{})
 	if got := tn.FallThrus.Load(); got != 1 {
 		t.Fatalf("fall-thrus %d after an expired wait, want 1", got)
 	}

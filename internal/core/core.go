@@ -17,7 +17,15 @@
 // to the discrete-event kernel for the paper's experiments;
 // internal/livebind binds them to real atomics and goroutines for use as
 // a library.
+//
+// Each verb has one body, the context-threaded one (SendCtx, ReceiveCtx,
+// ReplyCtx, ServeCtx and their batch forms): it is the protocol. The
+// plain verbs (Send, Receive, Reply, Serve, ...) run that body under
+// context.Background() and map its errors to the OpShutdown marker
+// message they have always returned (see plainMsg in errors.go).
 package core
+
+import "context"
 
 // Msg is the fixed-size message the paper's evaluation exchanges: an
 // opcode identifying the request type, the reply channel on which to
@@ -62,13 +70,28 @@ const (
 // SemID names the counting semaphore associated with a queue's consumer.
 type SemID int
 
+// SendPort is the producer's view of a shared one-way queue: enqueue,
+// then claim the right to wake the consumer.
+type SendPort interface {
+	// TryEnqueue attempts to append m; it reports false if the queue
+	// (i.e. the shared free pool) is full.
+	TryEnqueue(m Msg) bool
+
+	// ClaimWake reports whether this producer must issue the wake-up V
+	// after an enqueue. A single-consumer port test-and-sets the awake
+	// flag and claims the wake when the flag was clear (the Figure 4
+	// race-2 fix); a worker-pool port claims a registered waiter.
+	ClaimWake() bool
+
+	// Sem identifies the counting semaphore the consumer sleeps on.
+	Sem() SemID
+}
+
 // Port is one process's endpoint view of a shared one-way queue together
 // with the consumer-side wake state (the awake flag and the counting
 // semaphore the consumer sleeps on).
 type Port interface {
-	// TryEnqueue attempts to append m; it reports false if the queue
-	// (i.e. the shared free pool) is full.
-	TryEnqueue(m Msg) bool
+	SendPort
 
 	// TryDequeue attempts to remove the head message.
 	TryDequeue() (Msg, bool)
@@ -84,9 +107,6 @@ type Port interface {
 	// first to find the flag clear issues the wake-up; consumers use it
 	// to detect a redundant pending wake-up (the Figure 4 race fixes).
 	TASAwake() bool
-
-	// Sem identifies the counting semaphore the consumer sleeps on.
-	Sem() SemID
 }
 
 // Actor is the system-call surface a protocol participant uses. The
@@ -105,12 +125,21 @@ type Actor interface {
 	// yield() on a uniprocessor, a 25us busy-wait on a multiprocessor.
 	PollDelay()
 
-	// SleepSec sleeps at least s seconds (UNIX sleep semantics); used on
-	// queue-full, which implies the consumer is saturated.
-	SleepSec(s int)
+	// SleepCtx sleeps at least s seconds (UNIX sleep semantics, scaled
+	// by the binding); used on queue-full, which implies the consumer is
+	// saturated. It returns ctx.Err() if the context ends first.
+	SleepCtx(ctx context.Context, s int) error
 
 	// P blocks on the counting semaphore if its count is zero.
 	P(SemID)
+
+	// PCtx is P with cancellation. It returns nil when a semaphore
+	// token was consumed; ctx.Err() when the wait was cancelled WITHOUT
+	// consuming a token (when a grant and the cancellation race, one of
+	// them is decided first and the other loses — see the wake-token
+	// accounting note on consumerWaitCtx); and ErrShutdown when the
+	// semaphore was shut down.
+	PCtx(ctx context.Context, id SemID) error
 
 	// V unblocks a waiter or increments the count; it must NOT force a
 	// rescheduling decision (System V semantics).

@@ -43,7 +43,7 @@ func (p *fakePoolPort) TryUnregisterWaiter() bool {
 	return false
 }
 
-func (p *fakePoolPort) ClaimWaiter() bool {
+func (p *fakePoolPort) ClaimWake() bool {
 	if p.waiters > 0 {
 		p.waiters--
 		return true
@@ -58,12 +58,12 @@ var _ PoolPort = (*fakePoolPort)(nil)
 func TestPoolWakeClaimsBeforeV(t *testing.T) {
 	q := newFakePoolPort(0, 8)
 	a := newFakeActor(1)
-	poolWake(q, a) // no waiters: no V
+	wake(q, a) // no waiters: no V
 	if a.sems[0] != 0 {
 		t.Fatal("V issued with no registered waiter")
 	}
 	q.RegisterWaiter()
-	poolWake(q, a)
+	wake(q, a)
 	if a.sems[0] != 1 || q.waiters != 0 {
 		t.Fatalf("sem=%d waiters=%d, want 1/0", a.sems[0], q.waiters)
 	}
@@ -74,7 +74,7 @@ func TestPoolClientSendStampsAndWakes(t *testing.T) {
 		srv := newFakePoolPort(0, 8)
 		rcv := newFakePort(1, 8)
 		a := newFakeActor(2)
-		cl := &PoolClient{ID: 5, Alg: alg, MaxSpin: 2, Srv: srv, Rcv: rcv, A: a}
+		cl := &Client{ID: 5, Alg: alg, MaxSpin: 2, Srv: srv, Rcv: rcv, A: a}
 		echo := func() {
 			if m, ok := srv.TryDequeue(); ok {
 				rcv.msgs = append(rcv.msgs, m)
@@ -120,7 +120,7 @@ func TestPoolWorkerReceiveRegistersThenSleeps(t *testing.T) {
 	a.onP = func(id SemID) {
 		// Producer runs: enqueue, claim, V.
 		q.TryEnqueue(Msg{Seq: 9})
-		if !q.ClaimWaiter() {
+		if !q.ClaimWake() {
 			t.Error("producer found no registered waiter")
 		}
 		a.sems[id]++

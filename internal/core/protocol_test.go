@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ulipc/internal/metrics"
+	"ulipc/internal/obs"
 )
 
 // fakePort is a deterministic in-memory Port for white-box protocol
@@ -53,6 +55,8 @@ func (p *fakePort) TASAwake() bool {
 	return old
 }
 
+func (p *fakePort) ClaimWake() bool { return !p.TASAwake() }
+
 func (p *fakePort) Sem() SemID { return p.sem }
 
 // fakeActor is a deterministic Actor: semaphores are plain counters and
@@ -94,7 +98,7 @@ func (a *fakeActor) PollDelay() {
 	}
 }
 
-func (a *fakeActor) SleepSec(s int) { a.sleeps++ }
+func (a *fakeActor) SleepCtx(context.Context, int) error { a.sleeps++; return nil }
 
 func (a *fakeActor) P(id SemID) {
 	if a.sems[id] == 0 {
@@ -110,6 +114,8 @@ func (a *fakeActor) P(id SemID) {
 	a.sems[id]--
 }
 
+func (a *fakeActor) PCtx(_ context.Context, id SemID) error { a.P(id); return nil }
+
 func (a *fakeActor) V(id SemID) { a.sems[id]++ }
 
 func (a *fakeActor) Handoff(target int) { a.handoffs = append(a.handoffs, target) }
@@ -118,6 +124,16 @@ var (
 	_ Port  = (*fakePort)(nil)
 	_ Actor = (*fakeActor)(nil)
 )
+
+// mustWait runs the consumer wait under a context that never ends.
+func mustWait(t *testing.T, q Port, a Actor) Msg {
+	t.Helper()
+	m, err := consumerWaitCtx(context.Background(), q, a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestEnqueueOrSleepRetriesOnFull(t *testing.T) {
 	q := newFakePort(0, 1)
@@ -135,7 +151,9 @@ func TestEnqueueOrSleepRetriesOnFull(t *testing.T) {
 	}
 	// fakeActor has no sleep hook; emulate by wrapping.
 	wrapped := &sleepHookActor{fakeActor: a, hook: aSleep}
-	enqueueOrSleep(q, wrapped, Msg{Val: 7})
+	if err := enqueueCtx(context.Background(), BSW, q, wrapped, Msg{Val: 7}, nil, nil, obs.Hook{}); err != nil {
+		t.Fatal(err)
+	}
 	if !drained {
 		t.Fatal("expected a queue-full sleep before success")
 	}
@@ -152,9 +170,9 @@ type sleepHookActor struct {
 	hook func()
 }
 
-func (a *sleepHookActor) SleepSec(s int) {
-	a.fakeActor.SleepSec(s)
+func (a *sleepHookActor) SleepCtx(ctx context.Context, s int) error {
 	a.hook()
+	return a.fakeActor.SleepCtx(ctx, s)
 }
 
 func TestWakeConsumerOnlyWhenFlagClear(t *testing.T) {
@@ -162,7 +180,7 @@ func TestWakeConsumerOnlyWhenFlagClear(t *testing.T) {
 	a := newFakeActor(1)
 
 	q.awake = true
-	if wakeConsumer(q, a) {
+	if wake(q, a) {
 		t.Fatal("must not V an awake consumer")
 	}
 	if a.sems[0] != 0 {
@@ -170,7 +188,7 @@ func TestWakeConsumerOnlyWhenFlagClear(t *testing.T) {
 	}
 
 	q.awake = false
-	if !wakeConsumer(q, a) {
+	if !wake(q, a) {
 		t.Fatal("must V a sleeping consumer")
 	}
 	if a.sems[0] != 1 {
@@ -181,7 +199,7 @@ func TestWakeConsumerOnlyWhenFlagClear(t *testing.T) {
 	}
 
 	// A second producer now sees the flag set: no V.
-	if wakeConsumer(q, a) {
+	if wake(q, a) {
 		t.Fatal("second producer must not V (Interleaving 2 fix)")
 	}
 	if a.sems[0] != 1 {
@@ -193,7 +211,7 @@ func TestConsumerWaitImmediateSuccess(t *testing.T) {
 	q := newFakePort(0, 4)
 	a := newFakeActor(1)
 	q.TryEnqueue(Msg{Val: 1})
-	m := consumerWait(q, a, nil)
+	m := mustWait(t, q, a)
 	if m.Val != 1 {
 		t.Fatalf("got %+v", m)
 	}
@@ -213,7 +231,7 @@ func TestConsumerWaitBlocksThenWakes(t *testing.T) {
 		q.msgs = append(q.msgs, Msg{Val: 42})
 		a.sems[id]++
 	}
-	m := consumerWait(q, a, nil)
+	m := mustWait(t, q, a)
 	if m.Val != 42 {
 		t.Fatalf("got %+v", m)
 	}
@@ -249,7 +267,7 @@ func TestConsumerWaitDrainsPendingWake(t *testing.T) {
 	// Use the dequeue-attempt counter to trigger the hook after C.2:
 	// wrap via SetAwake.
 	wrapped := &setAwakeHookPort{fakePort: q, onClear: hook}
-	m := consumerWait(wrapped, a, nil)
+	m := mustWait(t, wrapped, a)
 	if m.Val != 9 {
 		t.Fatalf("got %+v", m)
 	}
@@ -284,7 +302,7 @@ func TestConsumerWaitLateReplyNoPendingWake(t *testing.T) {
 			q.msgs = append(q.msgs, Msg{Val: 5})
 		}
 	}}
-	m := consumerWait(wrapped, a, nil)
+	m := mustWait(t, wrapped, a)
 	if m.Val != 5 {
 		t.Fatalf("got %+v", m)
 	}
@@ -302,7 +320,7 @@ func TestSpinPollStats(t *testing.T) {
 	m := &metrics.Proc{}
 
 	// Exhaustion: queue stays empty.
-	spinPoll(q, a, 5, m)
+	spinPoll(q, a, 5, nil, m, obs.Hook{})
 	if m.SpinLoops.Load() != 1 || m.SpinFallThrus.Load() != 1 || m.SpinIters.Load() != 5 {
 		t.Fatalf("exhaustion stats: loops=%d falls=%d iters=%d",
 			m.SpinLoops.Load(), m.SpinFallThrus.Load(), m.SpinIters.Load())
@@ -319,7 +337,7 @@ func TestSpinPollStats(t *testing.T) {
 			q.msgs = append(q.msgs, Msg{})
 		}
 	}
-	spinPoll(q, a, 5, m)
+	spinPoll(q, a, 5, nil, m, obs.Hook{})
 	if m.SpinLoops.Load() != 2 || m.SpinFallThrus.Load() != 1 {
 		t.Fatalf("early-success stats: loops=%d falls=%d", m.SpinLoops.Load(), m.SpinFallThrus.Load())
 	}
@@ -330,16 +348,26 @@ func TestSpinPollStats(t *testing.T) {
 	// Immediate success: no polls.
 	q.msgs = append(q.msgs, Msg{})
 	before := a.polls
-	spinPoll(q, a, 5, m)
+	spinPoll(q, a, 5, nil, m, obs.Hook{})
 	if a.polls != before {
 		t.Fatal("non-empty queue must not poll")
 	}
 }
 
+// TestBusySpinUntil: BSS busy-waits (Figure 1) between failed queue
+// operations, once per failure.
 func TestBusySpinUntil(t *testing.T) {
+	q := newFakePort(0, 4)
 	a := newFakeActor(0)
-	n := 0
-	busySpinUntil(a, nil, func() bool { n++; return n >= 4 })
+	a.onBusy = func() {
+		if a.busyWaits == 3 {
+			q.msgs = append(q.msgs, Msg{Val: 4})
+		}
+	}
+	m, err := spinDequeueCtx(context.Background(), a, q)
+	if err != nil || m.Val != 4 {
+		t.Fatalf("got %+v, %v", m, err)
+	}
 	if a.busyWaits != 3 {
 		t.Fatalf("busyWaits = %d, want 3", a.busyWaits)
 	}

@@ -45,7 +45,7 @@ func TestDuplexEchoAllAlgorithms(t *testing.T) {
 			served := make(chan int64, 1)
 			go func() { served <- h.ServeConn(nil) }()
 			wg.Add(1)
-			go func(i int, cl *core.DuplexClient) {
+			go func(i int, cl *core.Client) {
 				defer wg.Done()
 				for j := 0; j < 200; j++ {
 					ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)})

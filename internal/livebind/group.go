@@ -607,6 +607,9 @@ func (p *pickPort) SetAwake(v bool) { p.g.recvs[p.bind.cur].awake.Store(v) }
 // TASAwake implements core.Port.
 func (p *pickPort) TASAwake() bool { return p.g.recvs[p.bind.cur].awake.Swap(true) }
 
+// ClaimWake implements core.Port: the producer's test-and-set.
+func (p *pickPort) ClaimWake() bool { return !p.TASAwake() }
+
 // Sem implements core.Port.
 func (p *pickPort) Sem() core.SemID { return p.g.recvs[p.bind.cur].id }
 
@@ -676,6 +679,9 @@ func (p *clientRcvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
 // TASAwake implements core.Port.
 func (p *clientRcvPort) TASAwake() bool { return p.ch.awake.Swap(true) }
 
+// ClaimWake implements core.Port: the producer's test-and-set.
+func (p *clientRcvPort) ClaimWake() bool { return !p.TASAwake() }
+
 // Sem implements core.Port.
 func (p *clientRcvPort) Sem() core.SemID { return p.ch.id }
 
@@ -721,6 +727,9 @@ func (p *lanePort) SetAwake(v bool) { p.c.awake.Store(v) }
 
 // TASAwake implements core.Port.
 func (p *lanePort) TASAwake() bool { return p.c.awake.Swap(true) }
+
+// ClaimWake implements core.Port: the producer's test-and-set.
+func (p *lanePort) ClaimWake() bool { return !p.TASAwake() }
 
 // Sem implements core.Port.
 func (p *lanePort) Sem() core.SemID { return p.c.id }
@@ -842,6 +851,9 @@ func (p *shardRecvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
 
 // TASAwake implements core.Port.
 func (p *shardRecvPort) TASAwake() bool { return p.ch.awake.Swap(true) }
+
+// ClaimWake implements core.Port: the producer's test-and-set.
+func (p *shardRecvPort) ClaimWake() bool { return !p.TASAwake() }
 
 // Sem implements core.Port.
 func (p *shardRecvPort) Sem() core.SemID { return p.ch.id }

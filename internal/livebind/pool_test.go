@@ -39,7 +39,7 @@ func runPool(t *testing.T, alg core.Algorithm, workers, clients, msgs int) int64
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, cl *core.PoolClient) {
+		go func(i int, cl *core.Client) {
 			defer wg.Done()
 			if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
 				t.Errorf("client %d: bad connect reply %+v", i, ans)
@@ -103,12 +103,12 @@ func TestPoolPortWaiterOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPoolPort(sys.ReceiveChannel())
-	if p.ClaimWaiter() {
+	if p.ClaimWake() {
 		t.Fatal("claim on zero waiters succeeded")
 	}
 	p.RegisterWaiter()
 	p.RegisterWaiter()
-	if !p.ClaimWaiter() {
+	if !p.ClaimWake() {
 		t.Fatal("claim failed with registered waiters")
 	}
 	if !p.TryUnregisterWaiter() {

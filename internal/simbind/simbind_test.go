@@ -257,14 +257,14 @@ func TestPoolPortWaiterAccounting(t *testing.T) {
 	var claims [3]bool
 	k.Spawn("w", 0, func(p *sim.Proc) {
 		pp := NewPoolPort(p, q)
-		claims[0] = pp.ClaimWaiter() // no waiters
+		claims[0] = pp.ClaimWake() // no waiters
 		pp.RegisterWaiter()
 		pp.RegisterWaiter()
-		claims[1] = pp.ClaimWaiter()
+		claims[1] = pp.ClaimWake()
 		if !pp.TryUnregisterWaiter() {
 			t.Error("unregister failed with one waiter left")
 		}
-		claims[2] = pp.ClaimWaiter() // drained
+		claims[2] = pp.ClaimWake() // drained
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 			return Result{}, err
 		}
 		wg.Add(1)
-		go func(i int, cl *core.PoolClient) {
+		go func(i int, cl *core.Client) {
 			defer wg.Done()
 			if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
 				noteErr("client%d: bad connect reply %+v", i, ans)

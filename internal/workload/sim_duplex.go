@@ -63,10 +63,11 @@ func runSimDuplex(k *sim.Kernel, cfg Config, ms *metrics.Set) (Result, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("client%d", i), cfg.ClientPrio, func(p *sim.Proc) {
-			cl := &core.DuplexClient{
+			cl := &core.Client{
+				ID:      int32(i),
 				Alg:     cfg.Alg,
 				MaxSpin: cfg.MaxSpin,
-				Snd:     simbind.NewPort(p, conns[i].c2s),
+				Srv:     simbind.NewPort(p, conns[i].c2s),
 				Rcv:     simbind.NewPort(p, conns[i].s2c),
 				A:       simbind.NewActor(p),
 				M:       p.M,

@@ -63,7 +63,7 @@ func runSimPool(k *sim.Kernel, cfg Config, ms *metrics.Set) (Result, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("client%d", i), cfg.ClientPrio, func(p *sim.Proc) {
-			cl := &core.PoolClient{
+			cl := &core.Client{
 				ID:      int32(i),
 				Alg:     cfg.Alg,
 				MaxSpin: cfg.MaxSpin,

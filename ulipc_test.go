@@ -211,7 +211,7 @@ func TestPublicAPIWorkerPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(cl *ulipc.PoolClient) {
+		go func(cl *ulipc.Client) {
 			defer wg.Done()
 			cl.Send(ulipc.Msg{Op: ulipc.OpConnect})
 			barrier.Done()
