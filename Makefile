@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-live lint lint-deprecated cover bench-gate ab chaos xproc overload
+.PHONY: build test race vet bench bench-live lint examples cover bench-gate ab chaos xproc overload
 
 build:
 	$(GO) build ./...
@@ -38,24 +38,20 @@ bench-live:
 lint:
 	golangci-lint run ./...
 
-# The repo's own code must not use the deprecated single-knob tuning
-# options (WithMaxSpin/WithThrottle/WithSleepScale) — they exist for
-# downstream compatibility only; in-repo callers take WithTuning or
-# WithAdaptive. The definitions (internal/livebind/system.go) and the
-# facade aliases (ulipc.go) are the only legitimate mentions.
-lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' -E 'WithMaxSpin\(|WithThrottle\(|WithSleepScale\(' . \
-		| grep -v -E '^\./(internal/livebind/system\.go|ulipc\.go):' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated tuning options used in-repo (use WithTuning/WithAdaptive):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@echo lint-deprecated: clean
+# Run every example program to completion, each capped at 30 s so a
+# hang fails instead of blocking (the CI examples job).
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		timeout 30 $(GO) run ./$$d > /dev/null || { echo "$$d failed or timed out"; exit 1; }; \
+	done
 
 # Statement coverage over the library packages, gated on the committed
 # floor (.github/coverage-floor) exactly as the CI coverage job does.
+# -coverpkg credits each package with the statements every package's
+# tests execute, not only its own tests.
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/...
+	$(GO) test -coverpkg=./internal/... -coverprofile=coverage.out ./internal/...
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 	floor=$$(cat .github/coverage-floor); \
 	echo "total statement coverage: $$total% (floor: $$floor%)"; \

@@ -93,19 +93,27 @@ func main() {
 		done <- served
 	}()
 
-	var wg sync.WaitGroup
-	var verified sync.Map
-	for c := 0; c < clients; c++ {
+	// Connect every client before any starts work: ServeCtx returns once
+	// its connected count drops to zero, so a client that finished and
+	// disconnected before another connected would end the server early.
+	conns := make([]*ulipc.Client, clients)
+	for c := range conns {
 		cl, err := sys.Client(c)
 		if err != nil {
 			log.Fatal(err)
 		}
+		if _, err := cl.SendCtx(ctx, ulipc.Msg{Op: ulipc.OpConnect}); err != nil {
+			log.Fatalf("client %d: connect: %v", c, err)
+		}
+		conns[c] = cl
+	}
+
+	var wg sync.WaitGroup
+	var verified sync.Map
+	for c, cl := range conns {
 		wg.Add(1)
 		go func(c int, cl *ulipc.Client) {
 			defer wg.Done()
-			if _, err := cl.SendCtx(ctx, ulipc.Msg{Op: ulipc.OpConnect}); err != nil {
-				log.Fatalf("client %d: connect: %v", c, err)
-			}
 			base := int32(c * keysPerClient)
 			good := 0
 			for i := int32(0); i < keysPerClient; i++ {
