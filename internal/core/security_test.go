@@ -28,6 +28,7 @@ func TestServeSurvivesHostileClientField(t *testing.T) {
 		{Op: OpEcho, MsgMeta: MsgMeta{Client: 99}},      // forged reply channel
 		{Op: OpEcho, MsgMeta: MsgMeta{Client: -7}},      // negative reply channel
 		{Op: OpWork, MsgMeta: MsgMeta{Client: 1 << 20}}, // far out of range
+		{Op: OpShutdown, MsgMeta: MsgMeta{Client: -1}},  // forged shutdown marker
 		{Op: OpEcho, MsgMeta: MsgMeta{Client: 0}},       // honest request
 		{Op: OpDisconnect, MsgMeta: MsgMeta{Client: 0}},
 	}
