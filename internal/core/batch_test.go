@@ -267,3 +267,24 @@ func TestReceiveBatchRetiresDeferredWakes(t *testing.T) {
 			h.srv.PendingWakes(), h.a.sems[2])
 	}
 }
+
+// SendBatch on a full request queue takes the same full-queue leg as a
+// scalar send: BSS busy-waits (Figure 1), it never naps.
+func TestSendBatchBSSBusyWaitsFullQueue(t *testing.T) {
+	srv, rcv := newFakePort(0, 1), newFakePort(1, 1)
+	srv.TryEnqueue(Msg{}) // full
+	a := &ctxFakeActor{fakeActor: newFakeActor(2)}
+	a.onBusy = func() { // the server drains the queue and answers
+		srv.msgs = srv.msgs[:0]
+		rcv.TryEnqueue(Msg{Val: 7})
+	}
+	a.onSleepCtx = func(int) error { return errors.New("napped on a BSS queue") }
+	c := &Client{Alg: BSS, Srv: srv, Rcv: rcv, A: a}
+	out, err := c.SendBatchCtx(context.Background(), []Msg{{Val: 7}})
+	if err != nil || len(out) != 1 || out[0].Val != 7 {
+		t.Fatalf("replies = %+v, %v; want the one echo", out, err)
+	}
+	if a.busyWaits != 1 {
+		t.Fatalf("%d busy-waits, want one", a.busyWaits)
+	}
+}

@@ -66,27 +66,10 @@ func (s *System) releaseSlot(slot int) {
 // Connect claims a free client slot, sends the connect handshake, and
 // returns the connection. It fails with ErrNoFreeSlots when every slot
 // is in use (the shared segment is a fixed-size resource, like the
-// paper's mapped regions).
-func (s *System) Connect() (*Conn, error) {
-	slot, err := s.claimSlot()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := s.Client(slot)
-	if err != nil {
-		s.releaseSlot(slot)
-		return nil, err
-	}
-	if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
-		DrainPort(cl.Srv)
-		s.releaseSlot(slot)
-		if ans.Op == core.OpShutdown {
-			return nil, core.ErrShutdown
-		}
-		return nil, fmt.Errorf("livebind: bad connect reply %+v", ans)
-	}
-	return &Conn{cl: cl, sys: s, slot: slot}, nil
-}
+// paper's mapped regions). It is ConnectCtx under
+// context.Background(), so a failed handshake reports its own error
+// (ErrShutdown, ErrPeerDead).
+func (s *System) Connect() (*Conn, error) { return s.ConnectCtx(context.Background()) }
 
 // ConnectCtx is Connect with a deadline/cancellation on the connect
 // handshake. A slot whose handshake was cancelled mid-flight (the

@@ -1,8 +1,10 @@
 package livebind
 
 import (
+	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"ulipc/internal/core"
 )
@@ -49,6 +51,80 @@ func TestConnectLifecycle(t *testing.T) {
 	c3.Close()
 	c2.Close()
 	<-done
+}
+
+// The connect and disconnect handshakes pass admission: at high water
+// Connect still connects and Close still delivers its disconnect, so
+// the server's Serve returns once the last client is gone.
+func TestHandshakesBypassHighWater(t *testing.T) {
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2}, WithAdmission(Admission{HighWater: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release, quit := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(quit) // a failed check must not leave the server parked in work
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		sys.Shutdown(ctx)
+	}()
+	work := func(*core.Msg) {
+		select {
+		case started <- struct{}{}:
+			select {
+			case <-release:
+			case <-quit:
+			}
+		case <-quit:
+		}
+	}
+	done := make(chan int64, 1)
+	go func() { done <- sys.Server().Serve(work) }()
+
+	filler, err := sys.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := filler.cl.Srv.(core.DepthPort)
+	// atHighWater parks the server in work and leaves one more request
+	// queued behind it, so the request queue sits at the mark; handshake
+	// then runs, and both requests are served once it is queued too.
+	atHighWater := func(name string, handshake func() error) {
+		t.Helper()
+		filler.SendAsync(core.Msg{Op: core.OpWork})
+		<-started
+		filler.SendAsync(core.Msg{Op: core.OpWork})
+		errc := make(chan error, 1)
+		go func() { errc <- handshake() }()
+		for deadline := time.Now().Add(5 * time.Second); depth.Depth() < 2; time.Sleep(time.Millisecond) {
+			select {
+			case err := <-errc:
+				t.Fatalf("%s at high water returned before it was queued: %v", name, err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s at high water never reached the queue", name)
+			}
+		}
+		release <- struct{}{}
+		<-started
+		release <- struct{}{}
+		if err := <-errc; err != nil {
+			t.Fatalf("%s at high water: %v", name, err)
+		}
+		for i := 0; i < 2; i++ {
+			filler.RecvReply()
+		}
+	}
+	var c *Conn
+	atHighWater("Connect", func() (err error) { c, err = sys.Connect(); return err })
+	atHighWater("Close", c.Close)
+	filler.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still running after every client closed")
+	}
 }
 
 func TestConnClosedOps(t *testing.T) {

@@ -1,6 +1,7 @@
 package livebind
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -184,7 +185,9 @@ func TestSemaphoreBounded(t *testing.T) {
 func TestActorSleepScale(t *testing.T) {
 	a := &Actor{SleepScale: time.Microsecond}
 	start := time.Now()
-	a.SleepSec(1)
+	if err := a.SleepCtx(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("scaled sleep took %v", d)
 	}
