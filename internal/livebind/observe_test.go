@@ -1,7 +1,9 @@
 package livebind
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ulipc/internal/core"
@@ -189,15 +191,21 @@ func TestUnobservedSystemStaysBare(t *testing.T) {
 	}
 }
 
+// expvarRun numbers the runs of TestPublishExpvarDuplicate.
+var expvarRun atomic.Int64
+
 func TestPublishExpvarDuplicate(t *testing.T) {
 	sys, err := NewSystem(Options{Alg: core.BSS, Clients: 1}, WithHistograms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.PublishExpvar("ulipc_test_dup"); err != nil {
+	// The expvar registry is process-global and -count/-cpu rerun the
+	// test in one process, so each run publishes under a fresh name.
+	name := fmt.Sprintf("ulipc_test_dup_%d", expvarRun.Add(1))
+	if err := sys.PublishExpvar(name); err != nil {
 		t.Fatalf("first publish: %v", err)
 	}
-	if err := sys.PublishExpvar("ulipc_test_dup"); err == nil {
+	if err := sys.PublishExpvar(name); err == nil {
 		t.Fatal("duplicate publish did not error")
 	}
 }
