@@ -526,7 +526,11 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 				next += burstNs - ph
 			}
 		}
-		if next >= durNs {
+		// The window ends on the arrival clock, or on the wall clock for
+		// a generator that has fallen behind its schedule: a slow
+		// generator (one processor, the race detector) must not stretch
+		// the run past Duration towards the watchdog.
+		if next >= durNs || nowNs() >= durNs {
 			break
 		}
 		// Pace to the arrival clock, draining replies while ahead. On a

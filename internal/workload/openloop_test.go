@@ -120,6 +120,33 @@ func TestOpenLoopBurst(t *testing.T) {
 	}
 }
 
+// TestOpenLoopSlowGeneratorKeepsWindow: a generator that cannot keep
+// up with its arrival schedule still stops at the end of the window.
+// Producing every scheduled arrival of a 1/ns rate would take minutes
+// and trip the watchdog instead.
+func TestOpenLoopSlowGeneratorKeepsWindow(t *testing.T) {
+	const window = 50 * time.Millisecond
+	start := time.Now()
+	res, err := RunOpenLoop(OpenLoopConfig{
+		Alg:       core.BSLS,
+		Clients:   1,
+		Rate:      1e9, // one arrival per nanosecond: no generator keeps up
+		Duration:  window,
+		Deadline:  time.Millisecond,
+		HighWater: 16,
+		Watchdog:  5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("RunOpenLoop: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("a %v window ran %v", window, took)
+	}
+	if res.Offered == 0 || res.Offered >= int64(window.Nanoseconds()) {
+		t.Errorf("offered %d, want some but fewer than the %d scheduled", res.Offered, window.Nanoseconds())
+	}
+}
+
 // TestOpenLoopGroupQuarantine drives a sharded system past high water
 // with a sticky-pinned overload so the per-shard circuit opens at least
 // once, and the cell still tears down cleanly.
