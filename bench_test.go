@@ -482,27 +482,6 @@ func benchLive(b *testing.B, cfg workload.LiveConfig) {
 	b.ReportMetric(res.Throughput*1e3, "msgs/s")
 }
 
-// BenchmarkLiveMatrix is the wall-clock benchmark matrix — the same
-// cells `ipcbench -live` writes to BENCH_live.json: {queue
-// configuration} x {protocol} x {client count}. The "ring" vs
-// "ring+spsc" pair isolates the SPSC reply-path win; "default" is the
-// library's out-of-the-box configuration.
-func BenchmarkLiveMatrix(b *testing.B) {
-	for _, k := range workload.DefaultLiveBenchKinds() {
-		for _, alg := range ulipc.Algorithms() {
-			for _, n := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("%s/%s/%dclients", k.Name, alg, n), func(b *testing.B) {
-					reply := k.Reply
-					benchLive(b, workload.LiveConfig{
-						Alg: alg, Clients: n,
-						QueueKind: k.Recv, ReplyKind: &reply,
-					})
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkLiveReplyKind isolates the reply leg: identical workloads
 // that differ only in the reply-queue implementation.
 func BenchmarkLiveReplyKind(b *testing.B) {

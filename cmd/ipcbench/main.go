@@ -1,6 +1,7 @@
 // Command ipcbench regenerates the paper's tables and figures from the
-// discrete-event reproduction (and the live-runtime ablations), and
-// measures the live runtime's wall-clock fast path.
+// discrete-event reproduction (and the live-runtime ablations), and runs
+// the live runtime's chaos and cross-process crash cells. Wall-clock
+// measurement is bench/'s job (bash bench/run.sh, BENCHMARK.json).
 //
 // Usage:
 //
@@ -10,38 +11,6 @@
 //	ipcbench -list              # list experiment ids
 //	ipcbench -quick             # faster, lower-precision sweeps
 //	ipcbench -records           # also dump the flat record map
-//
-// Live wall-clock mode (host timing, not the simulator):
-//
-//	ipcbench -live                        # text table on stdout
-//	ipcbench -live -json                  # BENCH_live.json document on stdout
-//	ipcbench -live -json -o BENCH_live.json
-//	ipcbench -live -clients 1,4 -algs BSW,BSLS -batch 8
-//	ipcbench -live -watchdog 30s          # per-cell deadline; exits non-zero
-//	                                      # with partial results on deadlock
-//	ipcbench -live -noobs                 # bare fast path, no histograms
-//	ipcbench -live -flight 1024           # flight recorder; SIGQUIT or a
-//	                                      # watchdog trip dumps it to stderr
-//	ipcbench -live -ab 7                  # interleaved A/B observability
-//	                                      # overhead measurement (7 pairs)
-//	ipcbench -live -shards 2,4,8          # server-group scale-out sweep at
-//	                                      # 16/64/256 clients, each preceded
-//	                                      # by its single-server baseline
-//	ipcbench -live -shards 4 -shardclients 64 -sendbatch 32
-//	ipcbench -live -paysize 0,64,1024,4096  # zero-copy payload sweep: each
-//	                                      # non-zero size runs a copy-mode
-//	                                      # cell back to back with its
-//	                                      # lease-transfer twin (bytes/s)
-//
-// Open-loop overload mode (offered rate decoupled from completions):
-//
-//	ipcbench -openloop                    # per protocol: closed-loop capacity
-//	                                      # probe, then open-loop cells at
-//	                                      # 0.5x/1x/2x the measured capacity
-//	ipcbench -openloop -rate 0.5,1,2,4    # custom rate factors
-//	ipcbench -openloop -burst             # add a bursty (on/off) twin per cell
-//	ipcbench -openloop -json -o BENCH_openloop.json
-//	ipcbench -openloop -highwater 48 -retrycap 32 -deadline 5ms
 //
 // Chaos mode (seeded fault injection + recovery, pass/fail not speed):
 //
@@ -59,17 +28,12 @@
 // any failed cell makes the process exit non-zero after the full
 // report is written.
 //
-// Cross-process mode (real OS processes over a memfd arena + futexes):
+// Cross-process chaos (real OS processes over a memfd arena + futexes):
 //
-//	ipcbench -proc                        # in-process vs cross-process A/B
-//	                                      # pairs (xproc-base / xproc cells)
-//	ipcbench -proc -procclients 1,4,16
-//	ipcbench -live -proc                  # full matrix plus the A/B pairs
 //	ipcbench -proc -chaos -seed 42        # SIGKILL the server mid-traffic;
 //	                                      # fails on a hung client, a missed
 //	                                      # ErrPeerDead, or a leaked pool
-//	ipcbench -live -flightout dump.txt    # watchdog flight dumps to a file
-//	                                      # (CI uploads it as an artifact)
+//	ipcbench -proc -chaos -procclients 2,4,8 -paysize 0,1024
 //
 // ipcbench re-executes itself as the worker processes of -proc cells;
 // the ULIPC_PROC_ROLE environment variable marks a worker invocation.
@@ -103,50 +67,25 @@ func main() {
 		records = flag.Bool("records", false, "also print the machine-readable record map")
 		format  = flag.String("format", "text", "output format: text (tables + ASCII plots) or md (Markdown tables)")
 
-		live     = flag.Bool("live", false, "run the live wall-clock benchmark matrix instead of the simulator experiments")
-		jsonOut  = flag.Bool("json", false, "with -live: emit the BENCH_live.json document instead of a text table")
-		outFile  = flag.String("o", "", "with -live: write the output to this file instead of stdout")
-		clients  = flag.String("clients", "", "with -live: comma-separated client counts (default 1,4,16)")
-		algs     = flag.String("algs", "", "with -live: comma-separated protocols (default BSS,BSW,BSWY,BSLS,BSA)")
-		batch    = flag.Int("batch", 0, "with -live: producer alloc-batch size (two-lock queues; 0 disables)")
-		liveSpin = flag.Int("spin", 0, "with -live: busy-wait spin iterations (0 = yield flavour)")
-		watchdog = flag.Duration("watchdog", 2*time.Minute, "with -live: per-cell deadline on the context-threaded paths; a deadlocked cell is recorded and the sweep continues (0 disables, restoring the legacy error-less fast path)")
-		noObs    = flag.Bool("noobs", false, "with -live: disable the phase-latency histograms (bare legacy fast path; no quantile columns)")
-		flight   = flag.Int("flight", 0, "with -live: attach a flight recorder of this many events per cell; dumped to stderr on a watchdog trip or SIGQUIT")
-		abReps   = flag.Int("ab", 0, "with -live: instead of the matrix, run this many interleaved (observability off, on) pairs of one cell and report the median overhead delta")
-		best     = flag.Int("best", 1, "with -live: run the matrix this many times and keep each cell's fastest sample (best-of-K; stabilises a committed baseline against run-to-run jitter)")
+		chaos    = flag.Bool("chaos", false, "run the seeded chaos matrix (fault injection + recovery) instead of the simulator experiments")
+		seed     = flag.Int64("seed", 1, "with -chaos: base seed for the fault schedules (cell i uses seed+i)")
+		jsonOut  = flag.Bool("json", false, "with -chaos: emit the JSON report instead of a text table")
+		outFile  = flag.String("o", "", "with -chaos: write the report to this file instead of stdout")
+		clients  = flag.String("clients", "", "with -chaos: comma-separated client counts")
+		algs     = flag.String("algs", "", "with -chaos: comma-separated protocols")
+		shards   = flag.String("shards", "", "with -chaos: comma-separated shard counts for the shard-kill cells (default 2)")
+		paySizes = flag.String("paysize", "", "with -chaos: comma-separated payload sizes in bytes for the leak-audited crash cells (0 is the header-only cell)")
+		watchdog = flag.Duration("watchdog", 2*time.Minute, "with -chaos: per-cell deadline; a deadlocked cell is recorded and the sweep continues")
 
-		shards       = flag.String("shards", "", "with -live: comma-separated shard counts for the server-group scale-out sweep (each cell also runs a shards=0 single-server baseline back to back for interleaved A/B); empty disables the sweep")
-		shardClients = flag.String("shardclients", "", "with -live -shards: comma-separated client counts for the scale-out sweep (default 16,64,256)")
-		sendBatch    = flag.Int("sendbatch", 0, "with -live -shards: messages per SendBatch/ReplyBatch burst in group cells (default 16)")
-
-		openLoop   = flag.Bool("openloop", false, "run the open-loop overload sweep: per protocol, a closed-loop capacity probe then open-loop cells at -rate multiples of the measured capacity")
-		rates      = flag.String("rate", "", "with -openloop: comma-separated offered-rate factors as multiples of measured capacity (default 0.5,1,2)")
-		burst      = flag.Bool("burst", false, "with -openloop: run a bursty (on/off) twin after each Poisson cell")
-		olDeadline = flag.Duration("deadline", 0, "with -openloop: per-message deadline (default 5ms)")
-		hwMark     = flag.Int("highwater", 0, "with -openloop: admission high-water mark on the request queue (default 48)")
-		retryCap   = flag.Float64("retrycap", 0, "with -openloop: client retry-budget capacity (default 32)")
-		olDur      = flag.Duration("duration", 0, "with -openloop: arrival window per open-loop cell (default 300ms)")
-
-		chaos = flag.Bool("chaos", false, "run the seeded chaos matrix (fault injection + recovery) instead of the simulator experiments")
-		seed  = flag.Int64("seed", 1, "with -chaos: base seed for the fault schedules (cell i uses seed+i)")
-
-		paySizes = flag.String("paysize", "", "with -live: comma-separated payload sizes in bytes for the zero-copy sweep (e.g. 0,64,1024,4096; 0 is the legacy header-only reference, each non-zero size runs an interleaved copy vs zero-copy pair; combined with -proc the pairs also run cross-process); with -chaos: payload sizes for the leak-audited crash cells")
-
-		proc        = flag.Bool("proc", false, "cross-process cells over a memfd arena: alone, run the in-process vs cross-process A/B pairs; with -live, append them to the matrix; with -chaos, SIGKILL the server mid-traffic instead of the in-process fault matrix")
-		procClients = flag.String("procclients", "", "with -proc: comma-separated client counts for the cross-process cells (default 1,4)")
-		flightOut   = flag.String("flightout", "", "with -live: write watchdog flight-recorder dumps to this file instead of stderr (enables a 4096-event recorder if -flight is unset); CI uploads it as an artifact")
+		proc        = flag.Bool("proc", false, "with -chaos: SIGKILL a cross-process server mid-traffic instead of the in-process fault matrix")
+		procClients = flag.String("procclients", "", "with -proc -chaos: comma-separated client counts for the cross-process cells (default 2)")
 	)
 	flag.Parse()
 
-	if *openLoop {
-		if err := runOpenLoopSweep(*jsonOut, *outFile, *msgs, *quick, *clients, *algs, *rates, *burst, *hwMark, *retryCap, *olDeadline, *olDur, uint64(*seed), *liveSpin, *watchdog); err != nil {
-			fmt.Fprintf(os.Stderr, "ipcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if *proc && !*chaos {
+		fmt.Fprintln(os.Stderr, "ipcbench: -proc runs only with -chaos")
+		os.Exit(1)
 	}
-
 	if *chaos {
 		var err error
 		if *proc {
@@ -155,21 +94,6 @@ func main() {
 			err = runChaos(*jsonOut, *outFile, *msgs, *quick, *clients, *algs, *shards, *paySizes, *seed, *watchdog)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ipcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *live || *proc {
-		if *abReps > 0 {
-			if err := runLiveAB(*abReps, *jsonOut, *msgs, *clients, *algs, *liveSpin, *watchdog); err != nil {
-				fmt.Fprintf(os.Stderr, "ipcbench: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runLive(*jsonOut, *outFile, *msgs, *quick, *clients, *algs, *shards, *shardClients, *procClients, *paySizes, *flightOut, *sendBatch, *batch, *liveSpin, *watchdog, *noObs, *flight, *best, *proc, !*live); err != nil {
 			fmt.Fprintf(os.Stderr, "ipcbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -214,188 +138,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-// runLive executes the wall-clock benchmark matrix (workload.RunLiveBench).
-// With a watchdog, a deadlocked or failing cell does not hang or abort
-// the sweep: its partial numbers and Error land in the report, the
-// remaining cells still run, and the non-nil error return makes the
-// process exit non-zero after the (partial) report has been written.
-func runLive(jsonOut bool, outFile string, msgs int, quick bool, clients, algs, shards, shardClients, procClients, paySizes, flightOut string, sendBatch, batch, spin int, watchdog time.Duration, noObs bool, flight, best int, proc, procOnly bool) error {
-	opts := workload.LiveBenchOptions{Msgs: msgs, AllocBatch: batch, SpinIters: spin, Watchdog: watchdog, NoObs: noObs, RecorderCap: flight, Batch: sendBatch}
-	if flight > 0 {
-		opts.DumpTo = os.Stderr
-	}
-	if flightOut != "" {
-		f, err := os.Create(flightOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opts.DumpTo = f
-		if opts.RecorderCap <= 0 {
-			opts.RecorderCap = 4096
-		}
-	}
-	if quick && msgs == 0 {
-		opts.Msgs = 200
-	}
-	var err error
-	if opts.Clients, err = parseClients(clients); err != nil {
-		return err
-	}
-	if opts.Algs, err = parseAlgs(algs); err != nil {
-		return err
-	}
-	if opts.Shards, err = parseClients(shards); err != nil {
-		return fmt.Errorf("-shards: %w", err)
-	}
-	if opts.ShardClients, err = parseClients(shardClients); err != nil {
-		return fmt.Errorf("-shardclients: %w", err)
-	}
-	if opts.PaySizes, err = parseSizes(paySizes); err != nil {
-		return fmt.Errorf("-paysize: %w", err)
-	}
-	if quick && len(opts.Shards) > 0 && shardClients == "" {
-		opts.ShardClients = []int{16} // keep the CI smoke to seconds
-	}
-	if proc {
-		opts.ProcOnly = procOnly
-		if opts.ProcClients, err = parseClients(procClients); err != nil {
-			return fmt.Errorf("-procclients: %w", err)
-		}
-		if len(opts.ProcClients) == 0 {
-			opts.ProcClients = []int{1, 4}
-		}
-		if quick && procClients == "" {
-			opts.ProcClients = []int{2}
-		}
-	}
-	out := os.Stdout
-	if outFile != "" {
-		// Open the destination before the (long) run so a bad path fails
-		// in milliseconds, not after the full matrix.
-		f, err := os.Create(outFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	var rep *workload.LiveBenchReport
-	if best <= 1 {
-		rep, err = workload.RunLiveBench(opts, os.Stderr)
-	} else {
-		var reps []*workload.LiveBenchReport
-		for i := 0; i < best; i++ {
-			fmt.Fprintf(os.Stderr, "== best-of-%d: run %d ==\n", best, i+1)
-			r, rerr := workload.RunLiveBench(opts, os.Stderr)
-			if r != nil {
-				reps = append(reps, r)
-			}
-			if rerr != nil && err == nil {
-				err = rerr
-			}
-			if r == nil && rerr != nil {
-				break // hard failure before any cell ran
-			}
-		}
-		rep = workload.MergeBest(reps)
-	}
-	if rep != nil {
-		if jsonOut {
-			if werr := rep.WriteJSON(out); werr != nil && err == nil {
-				err = werr
-			}
-		} else {
-			rep.RenderText(out)
-		}
-	}
-	return err
-}
-
-// runOpenLoopSweep executes the open-loop overload sweep
-// (workload.RunOpenLoopBench): per protocol and rate factor, an
-// interleaved closed-loop capacity probe ("openloop-base" entries,
-// admission disabled) anchors the offered rate of the open-loop cell
-// ("openloop" entries) that follows it. Failing cells are recorded and
-// the sweep continues; any failure makes the exit non-zero after the
-// report is written.
-func runOpenLoopSweep(jsonOut bool, outFile string, msgs int, quick bool, clients, algs, rates string, burst bool, highWater int, retryCap float64, deadline, duration time.Duration, seed uint64, spin int, watchdog time.Duration) error {
-	opts := workload.OpenLoopBenchOptions{
-		Msgs:      msgs,
-		Burst:     burst,
-		HighWater: highWater,
-		RetryCap:  retryCap,
-		Deadline:  deadline,
-		Duration:  duration,
-		Seed:      seed,
-		SpinIters: spin,
-		Watchdog:  watchdog,
-	}
-	var err error
-	if opts.Factors, err = parseFactors(rates); err != nil {
-		return fmt.Errorf("-rate: %w", err)
-	}
-	if opts.Algs, err = parseAlgs(algs); err != nil {
-		return err
-	}
-	cls, err := parseClients(clients)
-	if err != nil {
-		return err
-	}
-	if len(cls) > 0 {
-		opts.Clients = cls[0]
-	}
-	if quick {
-		// CI smoke: one protocol pair, short probes and windows.
-		if opts.Msgs == 0 {
-			opts.Msgs = 500
-		}
-		if opts.Duration == 0 {
-			opts.Duration = 100 * time.Millisecond
-		}
-		if len(opts.Algs) == 0 {
-			opts.Algs = []core.Algorithm{core.BSW, core.BSLS}
-		}
-	}
-	out := os.Stdout
-	if outFile != "" {
-		f, ferr := os.Create(outFile)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		out = f
-	}
-	rep, err := workload.RunOpenLoopBench(opts, os.Stderr)
-	if rep != nil {
-		if jsonOut {
-			if werr := rep.WriteJSON(out); werr != nil && err == nil {
-				err = werr
-			}
-		} else {
-			rep.RenderText(out)
-		}
-	}
-	return err
-}
-
-// parseFactors parses a -rate list of offered-rate multipliers; any
-// positive float is legal (0.5 = half capacity, 2 = overload).
-func parseFactors(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate factor %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // runChaos executes the seeded chaos matrix (workload.RunChaosBench).
@@ -612,49 +354,4 @@ func parseAlgs(s string) ([]core.Algorithm, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// runLiveAB measures the observability hook overhead on one cell:
-// reps interleaved pairs of the same workload with the hooks disabled
-// and enabled, medians compared. The cell is the first -algs/-clients
-// entry (default BSLS, 1 client) on the library-default queues.
-func runLiveAB(reps int, jsonOut bool, msgs int, clients, algs string, spin int, watchdog time.Duration) error {
-	cl, err := parseClients(clients)
-	if err != nil {
-		return err
-	}
-	as, err := parseAlgs(algs)
-	if err != nil {
-		return err
-	}
-	cfg := workload.LiveConfig{
-		Alg:       core.BSLS,
-		Clients:   1,
-		Msgs:      msgs,
-		SpinIters: spin,
-		Watchdog:  watchdog,
-	}
-	if len(as) > 0 {
-		cfg.Alg = as[0]
-	}
-	if len(cl) > 0 {
-		cfg.Clients = cl[0]
-	}
-	if cfg.Msgs <= 0 {
-		cfg.Msgs = 2000
-	}
-	res, err := workload.RunLiveOverheadAB(cfg, reps, os.Stderr)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	fmt.Printf("A/B overhead %s/%dc over %d interleaved pairs:\n", cfg.Alg, cfg.Clients, res.Reps)
-	fmt.Printf("  base (obs off) median %10.0f ns/rtt\n", res.BaseMedianNs)
-	fmt.Printf("  obs  (obs on)  median %10.0f ns/rtt\n", res.ObsMedianNs)
-	fmt.Printf("  delta %+.2f%%\n", res.DeltaPct)
-	return nil
 }

@@ -52,21 +52,7 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 		}(w)
 	}
 
-	var (
-		startMu sync.Mutex
-		started bool
-		start   time.Time
-		errsMu  sync.Mutex
-		errs    []string
-	)
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-		errsMu.Unlock()
-	}
-
+	var run liveRun
 	var barrier, wg sync.WaitGroup
 	barrier.Add(cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
@@ -78,20 +64,15 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
 			if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
-				noteErr("client%d: bad connect reply %+v", i, ans)
+				run.noteErr("client%d: bad connect reply %+v", i, ans)
 			}
 			barrier.Done()
 			barrier.Wait()
-			startMu.Lock()
-			if !started {
-				start = time.Now()
-				started = true
-			}
-			startMu.Unlock()
+			run.noteStart()
 			for j := 0; j < cfg.Msgs; j++ {
 				ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)})
 				if ans.Seq != int32(j) || ans.Val != float64(j) {
-					noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+					run.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
 				}
 			}
 			cl.Send(core.Msg{Op: core.OpDisconnect})
@@ -101,26 +82,7 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 	swg.Wait()
 	end := time.Now()
 
-	if len(errs) > 0 {
-		return Result{}, fmt.Errorf("workload: live pool validation failed: %v", errs)
-	}
-	total := int64(cfg.Clients * cfg.Msgs)
-	if served := pool[0].C.Served(); served != total {
-		return Result{}, fmt.Errorf("workload: pool served %d, want %d", served, total)
-	}
-	dur := end.Sub(start)
-	if dur <= 0 {
-		dur = time.Nanosecond
-	}
-	res := Result{
-		Label:      fmt.Sprintf("live-pool%d/%s/%dc", workers, cfg.Alg, cfg.Clients),
-		Throughput: float64(total) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(cfg.Msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  total,
-	}
-	res.Server = ms.ByPrefix("server")
-	res.Clients = ms.ByPrefix("client")
-	res.All = ms.Total()
-	return res, nil
+	served := pool[0].C.Served()
+	res := run.result(fmt.Sprintf("live-pool%d/%s/%dc", workers, cfg.Alg, cfg.Clients), served, cfg.Msgs, end, ms)
+	return res, run.check(served, int64(cfg.Clients*cfg.Msgs))
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,6 +119,28 @@ func TestLiveGroupPickersAndNoSteal(t *testing.T) {
 		res := runLive(t, cfg)
 		if res.TotalMsgs != 4*128 {
 			t.Errorf("%s: total %d, want %d", tc.name, res.TotalMsgs, 4*128)
+		}
+	}
+}
+
+// TestRunLiveWatchdogTrip: a run far longer than its watchdog, on the
+// single-server and the group path, returns an error naming the
+// deadline and its partial count instead of hanging.
+func TestRunLiveWatchdogTrip(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		res, err := RunLive(LiveConfig{
+			Alg: core.BSW, Clients: 2, Shards: shards,
+			Msgs:     2_000_000, // far more than fits in the deadline
+			Watchdog: 25 * time.Millisecond,
+		})
+		if err == nil {
+			t.Fatalf("shards=%d: 4M round trips in 25ms — watchdog never tripped", shards)
+		}
+		if !strings.Contains(err.Error(), "deadline exceeded") {
+			t.Errorf("shards=%d: error does not name the deadline: %v", shards, err)
+		}
+		if res.Label == "" || res.TotalMsgs >= 4_000_000 {
+			t.Errorf("shards=%d: want the partial result, got %+v", shards, res)
 		}
 	}
 }

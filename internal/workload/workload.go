@@ -13,7 +13,6 @@ import (
 	"ulipc/internal/core"
 	"ulipc/internal/machine"
 	"ulipc/internal/metrics"
-	"ulipc/internal/obs"
 	"ulipc/internal/sim"
 	"ulipc/internal/sim/sched"
 )
@@ -116,25 +115,6 @@ type Result struct {
 	Clients    metrics.Snapshot // aggregated over all clients
 	Background metrics.Snapshot // aggregated over background processes
 	All        metrics.Snapshot
-
-	// Phase holds the per-phase latency histograms for the cell's
-	// protocol when the run was observed (live runs with
-	// LiveConfig.Observe); nil otherwise.
-	Phase *obs.ProtoSnapshot
-
-	// FlightDump holds the flight-recorder contents captured when a
-	// watchdog deadline tripped (live runs with LiveConfig.Observe and a
-	// RecorderCap): the last IPC events before the stall, ready to embed
-	// in a report.
-	FlightDump string
-
-	// Payload axis (live cells with LiveConfig.PaySize > 0): bytes per
-	// message, whether the copy-in/copy-out baseline ran instead of the
-	// lease transfer, and the achieved payload bandwidth (request +
-	// response bytes over the measured interval).
-	PaySize     int
-	PayCopy     bool
-	BytesPerSec float64
 }
 
 // BackgroundCPUShare returns the fraction of the measured interval the
