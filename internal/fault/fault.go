@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ulipc/internal/core"
 )
 
 // Point identifies an injection site. Crash probabilities are
@@ -162,6 +164,8 @@ type actorState struct {
 	pendingPool PoolFreer
 	pendingRef  uint32
 	pendingSet  bool
+	held        core.Msg // the message a pending dequeue unlinked
+	holding     bool
 }
 
 // Injector owns one fault plan and hands out per-actor Hooks. Safe for
@@ -243,6 +247,24 @@ func (inj *Injector) ReclaimPending(actor int32) bool {
 	st.pendingSet = false
 	st.pendingPool = nil
 	return true
+}
+
+// ReclaimHeld returns the message the actor had unlinked from a queue
+// but not yet handed back when it died (see SetPendingMsg), and forgets
+// it. The sweeper calls this after the actor is declared dead, to
+// return whatever the message still carries.
+func (inj *Injector) ReclaimHeld(actor int32) (core.Msg, bool) {
+	inj.mu.Lock()
+	st := inj.actors[actor]
+	inj.mu.Unlock()
+	if st == nil {
+		return core.Msg{}, false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	m, ok := st.held, st.holding
+	st.held, st.holding = core.Msg{}, false
+	return m, ok
 }
 
 // Hook is one actor's handle on the injector. The zero Hook is valid
@@ -341,8 +363,24 @@ func (h Hook) SetPending(pool PoolFreer, ref uint32) {
 	h.st.mu.Unlock()
 }
 
+// SetPendingMsg is SetPending for a dequeue's unlinked old dummy: the
+// actor now also holds the message it unlinked, which no queue holds
+// any longer. If the actor dies before ClearPending, ReclaimHeld hands
+// the message to the sweeper.
+func (h Hook) SetPendingMsg(pool PoolFreer, ref uint32, m core.Msg) {
+	if h.inj == nil {
+		return
+	}
+	h.st.mu.Lock()
+	h.st.pendingPool = pool
+	h.st.pendingRef = ref
+	h.st.pendingSet = true
+	h.st.held, h.st.holding = m, true
+	h.st.mu.Unlock()
+}
+
 // ClearPending marks the in-flight ref as safely handed over (linked
-// into the queue, or freed).
+// into the queue, or freed), and a held message as returned.
 func (h Hook) ClearPending() {
 	if h.inj == nil {
 		return
@@ -350,5 +388,6 @@ func (h Hook) ClearPending() {
 	h.st.mu.Lock()
 	h.st.pendingSet = false
 	h.st.pendingPool = nil
+	h.st.held, h.st.holding = core.Msg{}, false
 	h.st.mu.Unlock()
 }

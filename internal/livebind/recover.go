@@ -385,6 +385,14 @@ func (r *recovery) recoverLocked(slot *lifeSlot) {
 		r.m.OrphanRefs.Add(1)
 		r.s.obs.Recorder().Note(obs.EvReclaim, slot.id, 1)
 	}
+	// A message the actor had unlinked but not yet handled died with it.
+	// Its payload lease is still tagged with the live sender, so neither
+	// the owner walk below nor the orphan drain would ever find it.
+	if r.s.inj != nil && r.s.blocks != nil {
+		if m, ok := r.s.inj.ReclaimHeld(slot.id); ok {
+			r.reclaimMsgBlock(m)
+		}
+	}
 
 	// Spill the dead actor's private allocation caches so parked refs
 	// rejoin the pool's flow control.

@@ -431,3 +431,69 @@ func TestServerCrashReclaimsPendingRef(t *testing.T) {
 		t.Fatalf("Shutdown = %v", err)
 	}
 }
+
+// TestServerCrashReclaimsHeldPayload: a server that dies between
+// unlinking a request and claiming its payload (the post-unlock
+// crashpoint) takes the request with it, and the lease it carries is
+// still tagged with the live client that sent it. Neither the owner
+// walk (the tag names a live actor) nor the orphan drain (the message
+// is no longer queued) can find it, so the sweeper must reclaim the
+// dead actor's in-hand message too, or the block leaks for good.
+func TestServerCrashReclaimsHeldPayload(t *testing.T) {
+	plan := fault.Plan{Seed: 7, MaxCrashes: 1}
+	plan.Crash[fault.PtBeforeFree] = 1.0
+	inj := fault.NewInjector(plan)
+	ms := metrics.NewSet()
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4, Metrics: ms},
+		WithFaults(inj),
+		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := sys.Server()
+	crashed := make(chan struct{})
+	go func() {
+		defer func() {
+			if v := recover(); v != nil {
+				if !sys.ReportCrash(v) {
+					panic(v)
+				}
+				close(crashed)
+			}
+		}()
+		_, _ = srv.ServeCtx(context.Background(), nil)
+	}()
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cl.AllocPayload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _, err := cl.SendPayload(ctx, core.Msg{Op: core.OpWork}, p)
+		res <- err
+	}()
+	select {
+	case <-crashed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never hit the armed crashpoint")
+	}
+	sys.SweepNow()
+	if err := <-res; !errors.Is(err, core.ErrPeerDead) {
+		t.Fatalf("client after server crash = %v, want ErrPeerDead", err)
+	}
+	if free, all := sys.Blocks().TotalFree(), int64(sys.Blocks().Capacity()); free != all {
+		t.Fatalf("arena free %d / %d after recovery: the dead server's in-hand payload leaked", free, all)
+	}
+	if got := ms.Total().OrphanBlocks; got != 1 {
+		t.Fatalf("OrphanBlocks = %d, want 1 (the in-hand payload)", got)
+	}
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+}

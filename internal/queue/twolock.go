@@ -122,7 +122,8 @@ func (q *TwoLock) Dequeue() (core.Msg, bool) {
 // while holding the head lock leaves the message still queued (head not
 // yet advanced), so recovery merely reclaims the lock and the message
 // is re-delivered; a crash after unlock but before the free leaves the
-// old dummy as a pending ref the sweeper returns to the pool.
+// old dummy as a pending ref the sweeper returns to the pool, and the
+// unlinked message as held, so the sweeper can return its payload.
 func (q *TwoLock) DequeueAs(owner int32, fh fault.Hook) (core.Msg, bool) {
 	a := q.pool.Arena()
 	h := q.headMu.Lock(owner)
@@ -135,7 +136,7 @@ func (q *TwoLock) DequeueAs(owner int32, fh fault.Hook) (core.Msg, bool) {
 	m := a.Node(first).Msg()
 	fh.Crashpoint(fault.PtDequeueLocked) // dies holding headMu, msg still queued
 	q.head.Store(first)                  // first becomes the new dummy
-	fh.SetPending(q.pool, dummy)
+	fh.SetPendingMsg(q.pool, dummy, m)
 	q.headMu.Unlock(h)
 	fh.Crashpoint(fault.PtBeforeFree) // dies owning the unlinked old dummy
 	q.pool.Free(dummy)
