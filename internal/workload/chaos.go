@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ulipc/internal/core"
@@ -28,11 +29,9 @@ import (
 // ChaosConfig describes one chaos cell. The zero value of every rate
 // disables that fault class; Seed makes the cell reproducible.
 type ChaosConfig struct {
-	Alg      core.Algorithm
-	Clients  int
-	Msgs     int // per client
-	QueueCap int
-	MaxSpin  int
+	Alg     core.Algorithm
+	Clients int
+	Msgs    int // per client
 
 	// Seed drives every per-actor fault stream; the same seed and
 	// topology replay the same faults.
@@ -40,11 +39,9 @@ type ChaosConfig struct {
 
 	// CrashRate is the per-draw probability of an injected crash at each
 	// crashpoint (queue critical sections, semaphore ops, actor bodies).
+	// The crash budget is half the participants, so the cell keeps
+	// survivors.
 	CrashRate float64
-
-	// MaxCrashes caps the total injected crashes (the crash budget);
-	// 0 defaults to half the participants so the cell keeps survivors.
-	MaxCrashes int
 
 	// DropRate/DupRate/DelayRate mutate wake-up Vs: swallowed, doubled,
 	// or delivered late.
@@ -57,15 +54,19 @@ type ChaosConfig struct {
 	// recovery layer exists to prevent.
 	Watchdog time.Duration
 
-	// SweepInterval is the recovery sweeper period (default 200µs).
-	SweepInterval time.Duration
-
 	// PaySize, when > 0, attaches a leased payload block to every echo:
 	// the system is built with a slab arena and the cell additionally
 	// audits lease conservation — after teardown every block must be
 	// back in the arena, crashes mid-lease notwithstanding.
 	PaySize int
 }
+
+// The fixed shape of every chaos cell: request and reply queues of 64
+// slots, the default spin budget, and a recovery sweep every 200µs.
+const (
+	chaosQueueCap = 64
+	chaosSweep    = 200 * time.Microsecond
+)
 
 func (c *ChaosConfig) defaults() error {
 	if c.Clients < 1 {
@@ -74,22 +75,24 @@ func (c *ChaosConfig) defaults() error {
 	if c.Msgs < 1 {
 		return fmt.Errorf("workload: chaos cell needs at least 1 message")
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.MaxSpin <= 0 {
-		c.MaxSpin = core.DefaultMaxSpin
-	}
 	if c.Watchdog <= 0 {
 		c.Watchdog = 30 * time.Second
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = 200 * time.Microsecond
-	}
-	if c.MaxCrashes <= 0 {
-		c.MaxCrashes = (c.Clients + 1) / 2
-	}
 	return nil
+}
+
+// options is the livebind configuration every chaos cell shares.
+func (c *ChaosConfig) options(ms *metrics.Set) livebind.Options {
+	maxSpin, _ := tuneFor(c.Alg, core.DefaultMaxSpin, 0)
+	return livebind.Options{
+		Alg:        c.Alg,
+		MaxSpin:    maxSpin,
+		Clients:    c.Clients,
+		QueueCap:   chaosQueueCap,
+		BlockSlots: paySlots(c.PaySize, c.Clients),
+		SleepScale: time.Millisecond,
+		Metrics:    ms,
+	}
 }
 
 // ChaosResult is one cell's outcome, JSON-ready for the chaos report.
@@ -138,6 +141,45 @@ type ChaosResult struct {
 	Shards int `json:"shards,omitempty"`
 }
 
+// newChaosResult starts a cell's result under label, suffixed with the
+// payload size on a payload cell.
+func newChaosResult(cfg ChaosConfig, label string) ChaosResult {
+	if cfg.PaySize > 0 {
+		label += fmt.Sprintf("/p%d", cfg.PaySize)
+	}
+	return ChaosResult{Label: label, Alg: cfg.Alg.String(), Clients: cfg.Clients, Seed: cfg.Seed, PaySize: cfg.PaySize}
+}
+
+// finish is the chaos cells' common verdict: it copies the recovery
+// and overload counters into res, then fails the cell on a deadlock, a
+// leak, any of fail, or any noted error.
+func (c *cell) finish(res *ChaosResult, ms *metrics.Set, fail ...string) error {
+	total := ms.Total()
+	res.PeerDeaths = total.PeerDeaths
+	res.LockReclaims = total.LockReclaims
+	res.OrphanMsgs = total.OrphanMsgs
+	res.OrphanRefs = total.OrphanRefs
+	res.OrphanBlocks = total.OrphanBlocks
+	res.WakeRescues = total.WakeRescues
+	res.Sheds = total.Sheds
+	res.Overloads = total.Overloads
+	c.mu.Lock()
+	res.Aborted = c.aborted
+	res.Deadlocked = c.deadlock
+	c.mu.Unlock()
+	if res.PoolLeaked != 0 {
+		fail = append(fail, fmt.Sprintf("pool leak: %d refs unaccounted for", res.PoolLeaked))
+	}
+	if res.BlockLeaked != 0 {
+		fail = append(fail, fmt.Sprintf("payload leak: %d blocks unaccounted for", res.BlockLeaked))
+	}
+	if f := c.failures(fail...); len(f) > 0 {
+		res.Error = fmt.Sprintf("%v", f)
+		return fmt.Errorf("chaos cell %s: %v", res.Label, f)
+	}
+	return nil
+}
+
 // RunChaosCell executes one seeded chaos cell and returns its result.
 // The returned error is non-nil when the cell violated a hard
 // invariant: deadlock, a pool leak, a validation mismatch, or a panic
@@ -152,7 +194,7 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 		DupWake:      cfg.DupRate,
 		DelayWake:    cfg.DelayRate,
 		WakeDelayDur: 100 * time.Microsecond,
-		MaxCrashes:   cfg.MaxCrashes,
+		MaxCrashes:   (cfg.Clients + 1) / 2,
 	}
 	for _, p := range []fault.Point{
 		fault.PtAfterAlloc, fault.PtEnqueueLocked, fault.PtDequeueLocked,
@@ -167,78 +209,28 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 	// and dequeue walking the recoverable critical sections, so the SPSC
 	// reply default (no locks, nothing to crash in) is deliberately
 	// overridden.
-	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
-	blockSlots := 0
-	if cfg.PaySize > 0 {
-		blockSlots = 4 * (cfg.Clients + 1)
-		if blockSlots < 32 {
-			blockSlots = 32
-		}
-	}
-	sys, err := livebind.NewSystem(livebind.Options{
-		Alg:        cfg.Alg,
-		MaxSpin:    maxSpin,
-		Clients:    cfg.Clients,
-		QueueCap:   cfg.QueueCap,
-		QueueKind:  queue.KindTwoLock,
-		BlockSlots: blockSlots,
-		SleepScale: time.Millisecond,
-		Metrics:    ms,
-	},
+	opts := cfg.options(ms)
+	opts.QueueKind = queue.KindTwoLock
+	sys, err := livebind.NewSystem(opts,
 		livebind.WithReplyKind(queue.KindTwoLock),
 		livebind.WithFaults(inj),
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: cfg.SweepInterval}),
+		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
 	)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-
-	label := fmt.Sprintf("chaos/%s/%dc/seed%d", cfg.Alg, cfg.Clients, cfg.Seed)
-	if cfg.PaySize > 0 {
-		label += fmt.Sprintf("/p%d", cfg.PaySize)
-	}
-	res := ChaosResult{
-		Label:   label,
-		Alg:     cfg.Alg.String(),
-		Clients: cfg.Clients,
-		Seed:    cfg.Seed,
-		PaySize: cfg.PaySize,
-	}
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		mu        sync.Mutex
-		completed int64
-		aborted   int
-		deadlock  bool
-		hardErrs  []string
-	)
-	noteErr := func(format string, args ...any) {
-		mu.Lock()
-		if len(hardErrs) < 8 {
-			hardErrs = append(hardErrs, fmt.Sprintf(format, args...))
-		}
-		mu.Unlock()
-	}
-	// endOfRound classifies a client's failed protocol call: injected
-	// peer death and shutdown end the participant gracefully; a watchdog
-	// expiry is the deadlock the cell exists to detect; anything else is
-	// a bug.
-	endOfRound := func(who string, err error) {
-		switch {
-		case errors.Is(err, core.ErrPeerDead), errors.Is(err, core.ErrShutdown):
-			mu.Lock()
-			aborted++
-			mu.Unlock()
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			mu.Lock()
-			deadlock = true
-			mu.Unlock()
-		default:
-			noteErr("%s: %v", who, err)
+	cls := make([]*core.Client, cfg.Clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			return ChaosResult{}, err
 		}
 	}
+
+	res := newChaosResult(cfg, fmt.Sprintf("chaos/%s/%dc/seed%d", cfg.Alg, cfg.Clients, cfg.Seed))
+	c := newCell(cfg.Watchdog)
+	defer c.cancel()
+	var completed atomic.Int64
+
 	// survive wraps a participant body: an injected crash panic is
 	// reported to the lifetable (the FUTEX_OWNER_DIED analogue) and the
 	// goroutine dies in place; any other panic is a real bug.
@@ -253,36 +245,23 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 		body()
 	}
 
-	// The server's exit is NOT a liveness criterion: a crashed client
-	// never disconnects, so a correct server legitimately waits for work
-	// until the harness cancels it. Only non-ctx, non-peer-death server
-	// errors are bugs.
-	srv := sys.Server()
 	// Payload cells route echoes through the OpWork handler so the
 	// server side of the lease discipline (claim + re-attach) is under
 	// fire too: a crash between the claim and the reply leaves the block
 	// tagged by the server, which only the sweeper's owner walk can
 	// recover.
+	srv := sys.Server()
 	var work func(*core.Msg)
 	if cfg.PaySize > 0 {
-		work = func(m *core.Msg) {
-			p, err := srv.Payload(*m)
-			if err != nil {
-				m.ClearBlock()
-				return
-			}
-			m.AttachPayload(p)
-		}
+		work = echoPayload(srv)
 	}
-	serverDone := make(chan struct{})
+	var swg sync.WaitGroup
+	swg.Add(1)
 	go func() {
-		defer close(serverDone)
+		defer swg.Done()
 		survive(func() {
-			_, err := srv.ServeCtx(rootCtx, work)
-			if err != nil && !errors.Is(err, core.ErrPeerDead) && !errors.Is(err, core.ErrShutdown) &&
-				!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				noteErr("server: %v", err)
-			}
+			_, err := srv.ServeCtx(c.ctx, work)
+			c.noteExit("server", err)
 		})
 	}()
 
@@ -290,7 +269,7 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 	// deadlocked cell can name who was stuck where — the first question
 	// any chaos failure raises.
 	pos := make([]string, cfg.Clients)
-	setPos := func(i int, s string) { mu.Lock(); pos[i] = s; mu.Unlock() }
+	setPos := func(i int, s string) { c.mu.Lock(); pos[i] = s; c.mu.Unlock() }
 
 	// Every client connects before any runs its script, as in the live
 	// runner: the server stops once every connected client has
@@ -300,11 +279,7 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 	// (on exit), so it never holds the others back.
 	var connected, wg sync.WaitGroup
 	connected.Add(cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return res, err
-		}
+	for i, cl := range cls {
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
@@ -313,22 +288,14 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 			defer arrive()
 			fh := cl.A.(*livebind.Actor).FH
 			survive(func() {
-				// An injected crash (panic) deliberately skips closePE so
+				// An injected crash (panic) deliberately skips pe.close so
 				// the dead client strands its lease — the sweeper's owner
 				// walk must recover it or the block audit fails the cell.
-				var pe *payEcho
-				if cfg.PaySize > 0 {
-					pe = &payEcho{cl: cl, size: cfg.PaySize}
-				}
-				closePE := func() {
-					if pe != nil {
-						pe.close()
-					}
-				}
+				pe := &payEcho{cl: cl, size: cfg.PaySize}
 				setPos(i, "connect")
-				if _, err := cl.SendCtx(rootCtx, core.Msg{Op: core.OpConnect}); err != nil {
+				if _, err := cl.SendCtx(c.ctx, core.Msg{Op: core.OpConnect}); err != nil {
 					setPos(i, fmt.Sprintf("connect-err:%v", err))
-					endOfRound(fmt.Sprintf("client%d connect", i), err)
+					c.end(fmt.Sprintf("client%d connect", i), err)
 					return
 				}
 				arrive()
@@ -339,149 +306,60 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 					m := core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}
 					var ans core.Msg
 					var err error
-					if pe != nil {
+					if cfg.PaySize > 0 {
 						m.Op = core.OpWork
-						ans, err = pe.echo(rootCtx, m)
+						ans, err = pe.echo(c.ctx, m)
 					} else {
-						ans, err = cl.SendCtx(rootCtx, m)
+						ans, err = cl.SendCtx(c.ctx, m)
 					}
 					if err != nil {
 						setPos(i, fmt.Sprintf("send %d err:%v", j, err))
-						closePE()
-						endOfRound(fmt.Sprintf("client%d send %d", i, j), err)
+						pe.close()
+						c.end(fmt.Sprintf("client%d send %d", i, j), err)
 						return
 					}
 					if ans.Seq != int32(j) || ans.Val != float64(j) {
-						noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
-						closePE()
+						c.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+						pe.close()
 						return
 					}
-					mu.Lock()
-					completed++
-					mu.Unlock()
+					completed.Add(1)
 				}
-				closePE()
+				pe.close()
 				setPos(i, "disconnect")
-				if _, err := cl.SendCtx(rootCtx, core.Msg{Op: core.OpDisconnect}); err != nil {
+				if _, err := cl.SendCtx(c.ctx, core.Msg{Op: core.OpDisconnect}); err != nil {
 					setPos(i, fmt.Sprintf("disconnect-err:%v", err))
-					endOfRound(fmt.Sprintf("client%d disconnect", i), err)
+					c.end(fmt.Sprintf("client%d disconnect", i), err)
 					return
 				}
 				setPos(i, "done")
 			})
-			mu.Lock()
+			c.mu.Lock()
 			pos[i] += " [exited]"
-			mu.Unlock()
+			c.mu.Unlock()
 		}(i, cl)
 	}
+	c.join(&wg)
+	c.teardown(sys, &swg) // also halts the sweeper after a final sweep
 
-	// Join the clients with a grace period past the watchdog: rootCtx
-	// expiry should unblock everyone, so a client still stuck after the
-	// grace is a hard hang even the context could not break. Then cancel
-	// the root context to release the server (which may be correctly
-	// waiting for crashed clients that will never disconnect) and hold it
-	// to the same grace.
-	joined := make(chan struct{})
-	go func() { wg.Wait(); close(joined) }()
-	select {
-	case <-joined:
-	case <-time.After(cfg.Watchdog + 5*time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "clients still blocked past watchdog+grace")
-		mu.Unlock()
-	}
-	cancel()
-	select {
-	case <-serverDone:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "server still blocked after cancellation")
-		mu.Unlock()
-	}
-
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	serr := sys.Shutdown(shutCtx) // halts the sweeper after a final sweep
-	shutCancel()
-	if serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
-		noteErr("shutdown: %v", serr)
-	}
-
-	// Pool-leak audit: drain what teardown left queued, then every
-	// two-lock pool must be whole again — capacity free refs (the +1 of
-	// the pool is the queue's resident dummy). A dead actor's lock,
-	// cached ref, or unlinked node that escaped recovery shows up here.
-	pool := sys.Blocks()
-	audit := func(ch *livebind.Channel) {
-		tl, ok := ch.Queue().(*queue.TwoLock)
-		if !ok {
-			return
-		}
-		if pool != nil {
-			// Teardown leftovers may still carry payload leases (a reply
-			// to a crashed client the sweeper had no reason to drain):
-			// claim-free them alongside their nodes, same race-safe rule
-			// as the sweeper's own drain.
-			const auditOwner = ^uint32(0)
-			queue.DrainFunc(tl, func(m core.Msg) {
-				if !m.HasBlock() {
-					return
-				}
-				if ref, _ := m.Block(); pool.ClaimGen(ref, m.BlockGen(), auditOwner) {
-					_ = pool.Free(ref)
-				}
-			})
-		} else {
-			queue.Drain(tl)
-		}
-		res.PoolLeaked += int64(tl.Cap()) - tl.Pool().FreeCount()
-	}
-	audit(sys.ReceiveChannel())
-	for i := 0; i < cfg.Clients; i++ {
-		audit(sys.ReplyChannel(i))
-	}
-	// Lease-conservation audit: with queues drained, crashes reclaimed
-	// and caches spilled, every payload block must be back in the arena.
-	if pool != nil {
-		res.BlockLeaked = int64(pool.Capacity()) - pool.TotalFree()
-	}
-
+	// Pool-leak audit: every two-lock pool must be whole again. A dead
+	// actor's lock, cached ref, or unlinked node that escaped recovery
+	// shows up here; with queues drained, crashes reclaimed and caches
+	// spilled, so does every payload block not back in the arena.
+	res.PoolLeaked, res.BlockLeaked = c.auditPools(sys, cfg.Clients)
 	counts := inj.Counts()
-	total := ms.Total()
-	res.Completed = completed
-	res.Aborted = aborted
+	res.Completed = completed.Load()
 	res.Crashes = counts.Crashes
 	res.WakeDrops = counts.WakeDrops
 	res.WakeDups = counts.WakeDups
 	res.WakeDelays = counts.WakeDelays
-	res.PeerDeaths = total.PeerDeaths
-	res.LockReclaims = total.LockReclaims
-	res.OrphanMsgs = total.OrphanMsgs
-	res.OrphanRefs = total.OrphanRefs
-	res.OrphanBlocks = total.OrphanBlocks
-	res.WakeRescues = total.WakeRescues
-	res.Deadlocked = deadlock
-
 	var fail []string
-	if deadlock {
-		mu.Lock()
-		stuck := fmt.Sprintf("deadlocked: watchdog expired with participants blocked (clients: %v)", pos)
-		mu.Unlock()
-		fail = append(fail, stuck)
+	if c.deadlocked() {
+		c.mu.Lock()
+		fail = append(fail, fmt.Sprintf("client positions: %v", pos))
+		c.mu.Unlock()
 	}
-	if res.PoolLeaked != 0 {
-		fail = append(fail, fmt.Sprintf("pool leak: %d refs unaccounted for", res.PoolLeaked))
-	}
-	if res.BlockLeaked != 0 {
-		fail = append(fail, fmt.Sprintf("payload leak: %d blocks unaccounted for", res.BlockLeaked))
-	}
-	fail = append(fail, hardErrs...)
-	if len(fail) > 0 {
-		res.Error = fmt.Sprintf("%v", fail)
-		return res, fmt.Errorf("chaos cell %s: %v", res.Label, fail)
-	}
-	return res, nil
+	return res, c.finish(&res, ms, fail...)
 }
 
 // RunChaosShardKill runs the server-group fault cell: a sharded system
@@ -505,68 +383,45 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	}
 	const batch = 8
 	ms := metrics.NewSet()
-	groupSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
-	sys, err := livebind.NewSystemGroup(shards, livebind.Options{
-		Alg:        cfg.Alg,
-		MaxSpin:    groupSpin,
-		Clients:    cfg.Clients,
-		QueueCap:   cfg.QueueCap,
-		SleepScale: time.Millisecond,
-		NoSteal:    true,
-		Metrics:    ms,
-	},
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: cfg.SweepInterval}),
+	opts := cfg.options(ms)
+	opts.NoSteal = true
+	sys, err := livebind.NewSystemGroup(shards, opts,
+		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
 	)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-
-	res := ChaosResult{
-		Label:   fmt.Sprintf("chaos/shardkill/%s/%dc/%ds", cfg.Alg, cfg.Clients, shards),
-		Alg:     cfg.Alg.String(),
-		Clients: cfg.Clients,
-		Seed:    cfg.Seed,
-		Shards:  shards,
-	}
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		mu        sync.Mutex
-		completed int64
-		aborted   int
-		deadlock  bool
-		hardErrs  []string
-	)
-	noteErr := func(format string, args ...any) {
-		mu.Lock()
-		if len(hardErrs) < 8 {
-			hardErrs = append(hardErrs, fmt.Sprintf(format, args...))
-		}
-		mu.Unlock()
-	}
-
-	const victim = 0
 	srvs, err := sys.ShardServers()
 	if err != nil {
-		return res, err
+		return ChaosResult{}, err
 	}
-	victimCtx, killVictim := context.WithCancel(rootCtx)
+	cls := make([]*core.Client, cfg.Clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			return ChaosResult{}, err
+		}
+	}
+
+	res := newChaosResult(cfg, fmt.Sprintf("chaos/shardkill/%s/%dc/%ds", cfg.Alg, cfg.Clients, shards))
+	res.Shards = shards
+	c := newCell(cfg.Watchdog)
+	defer c.cancel()
+	var completed atomic.Int64
+
+	const victim = 0
+	victimCtx, killVictim := context.WithCancel(c.ctx)
 	defer killVictim()
 	var swg sync.WaitGroup
 	for sh, srv := range srvs {
 		swg.Add(1)
 		go func(sh int, sv *core.Server) {
 			defer swg.Done()
-			ctx := rootCtx
+			ctx := c.ctx
 			if sh == victim {
 				ctx = victimCtx
 			}
 			_, err := sv.ServeBatchCtx(ctx, nil, batch)
-			if err != nil && !errors.Is(err, core.ErrPeerDead) && !errors.Is(err, core.ErrShutdown) &&
-				!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				noteErr("shard%d: %v", sh, err)
-			}
+			c.noteExit(fmt.Sprintf("shard%d", sh), err)
 		}(sh, srv)
 	}
 
@@ -578,37 +433,15 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	warm := make(chan struct{}, cfg.Clients)
 	killed := make(chan struct{})
 	sendBatch := func(cl *core.Client, base, k int) error {
-		msgs := make([]core.Msg, 0, k)
-		for q := 0; q < k; q++ {
-			msgs = append(msgs, core.Msg{Op: core.OpEcho, Seq: int32(base + q), Val: float64(base + q)})
-		}
-		out, err := cl.SendBatchCtx(rootCtx, msgs)
-		if err != nil {
+		if err := echoBatch(c.ctx, cl, make([]core.Msg, 0, k), base, k); err != nil {
 			return err
 		}
-		if len(out) != k {
-			return fmt.Errorf("%d replies, want %d", len(out), k)
-		}
-		seen := make(map[int32]bool, k)
-		for _, m := range out {
-			if m.Client != cl.ID || m.Seq < int32(base) || m.Seq >= int32(base+k) ||
-				m.Val != float64(m.Seq) || seen[m.Seq] {
-				return fmt.Errorf("bad reply %+v", m)
-			}
-			seen[m.Seq] = true
-		}
-		mu.Lock()
-		completed += int64(k)
-		mu.Unlock()
+		completed.Add(int64(k))
 		return nil
 	}
 	victimClients := 0
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return res, err
-		}
+	for i, cl := range cls {
 		onVictim := i%shards == victim
 		if onVictim {
 			victimClients++
@@ -619,7 +452,7 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 			j := 0
 			if onVictim {
 				if err := sendBatch(cl, j, batch); err != nil {
-					noteErr("client%d warm-up: %v", i, err)
+					c.noteErr("client%d warm-up: %v", i, err)
 					warm <- struct{}{}
 					return
 				}
@@ -628,26 +461,11 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 				<-killed
 			}
 			for ; j < cfg.Msgs; j += batch {
-				k := batch
-				if j+k > cfg.Msgs {
-					k = cfg.Msgs - j
-				}
-				if err := sendBatch(cl, j, k); err != nil {
-					switch {
-					case errors.Is(err, core.ErrPeerDead), errors.Is(err, core.ErrShutdown):
-						mu.Lock()
-						aborted++
-						mu.Unlock()
-						if !onVictim {
-							noteErr("client%d (survivor, shard %d): spurious %v", i, i%shards, err)
-						}
-					case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-						mu.Lock()
-						deadlock = true
-						mu.Unlock()
-					default:
-						noteErr("client%d at %d: %v", i, j, err)
+				if err := sendBatch(cl, j, min(batch, cfg.Msgs-j)); err != nil {
+					if graceful(err) && !onVictim {
+						c.noteErr("client%d (survivor, shard %d): spurious %v", i, i%shards, err)
 					}
+					c.end(fmt.Sprintf("client%d at %d", i, j), err)
 					return
 				}
 			}
@@ -655,120 +473,63 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 				// A victim client whose post-kill sends all succeeded saw
 				// neither ErrPeerDead nor the recovery path — the kill
 				// landed after its script; the cell proves nothing then.
-				noteErr("client%d: completed despite its shard being killed", i)
+				c.noteErr("client%d: completed despite its shard being killed", i)
 			}
 		}(i, cl, onVictim)
 	}
 
 	// Crash the victim once each of its clients has a served warm-up
-	// batch: stop its serve loop, report the actor dead, and force a
-	// sweep so recovery (peer-death marking, lane drain, compensating
-	// client wakes) runs before the held clients send again.
+	// batch (or the watchdog ended the wait): stop its serve loop,
+	// report the actor dead, and force a sweep so recovery (peer-death
+	// marking, lane drain, compensating client wakes) runs before the
+	// held clients send again.
 	for w := 0; w < victimClients; w++ {
 		select {
 		case <-warm:
-		case <-rootCtx.Done():
-			mu.Lock()
-			deadlock = true
-			mu.Unlock()
+		case <-c.ctx.Done():
 		}
 	}
 	killVictim()
-	vid := srvs[victim].A.(*livebind.Actor).ID
-	sys.KillActor(vid)
+	sys.KillActor(srvs[victim].A.(*livebind.Actor).ID)
 	sys.SweepNow()
 	close(killed)
+	c.join(&wg)
 
-	joined := make(chan struct{})
-	go func() { wg.Wait(); close(joined) }()
-	select {
-	case <-joined:
-	case <-time.After(cfg.Watchdog + 5*time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "clients still blocked past watchdog+grace")
-		mu.Unlock()
-	}
-
+	var fail []string
 	if !sys.ShardDead(victim) {
-		noteErr("shard %d not marked dead after kill", victim)
+		fail = append(fail, fmt.Sprintf("shard %d not marked dead after kill", victim))
 	}
 	for sh := 1; sh < shards; sh++ {
 		if sys.ShardDead(sh) {
-			noteErr("surviving shard %d marked dead", sh)
+			fail = append(fail, fmt.Sprintf("surviving shard %d marked dead", sh))
 		}
 	}
 	sys.SweepNow() // final orphan pass over the dead shard's lanes
 	if !sys.ShardChannel(victim).Queue().Empty() {
-		noteErr("dead shard %d still holds undrained requests", victim)
+		fail = append(fail, fmt.Sprintf("dead shard %d still holds undrained requests", victim))
 	}
+	c.teardown(sys, &swg)
 
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	serr := sys.Shutdown(shutCtx)
-	shutCancel()
-	if serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
-		noteErr("shutdown: %v", serr)
-	}
-	cancel()
-	sdone := make(chan struct{})
-	go func() { swg.Wait(); close(sdone) }()
-	select {
-	case <-sdone:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "surviving shards still blocked after shutdown")
-		mu.Unlock()
-	}
-
-	total := ms.Total()
-	res.Completed = completed
-	res.Aborted = aborted
-	res.PeerDeaths = total.PeerDeaths
-	res.LockReclaims = total.LockReclaims
-	res.OrphanMsgs = total.OrphanMsgs
-	res.OrphanRefs = total.OrphanRefs
-	res.WakeRescues = total.WakeRescues
-	res.Deadlocked = deadlock
-
-	var fail []string
-	if deadlock {
-		fail = append(fail, "deadlocked: watchdog expired with participants blocked")
-	}
+	res.Completed = completed.Load()
+	c.mu.Lock()
+	aborted := c.aborted
+	c.mu.Unlock()
 	if aborted != victimClients {
 		fail = append(fail, fmt.Sprintf("aborted %d clients, want exactly the %d homed to the dead shard", aborted, victimClients))
 	}
-	fail = append(fail, hardErrs...)
-	if len(fail) > 0 {
-		res.Error = fmt.Sprintf("%v", fail)
-		return res, fmt.Errorf("chaos cell %s: %v", res.Label, fail)
-	}
-	return res, nil
+	return res, c.finish(&res, ms, fail...)
 }
 
 // ChaosOptions configures a chaos sweep over the protocol matrix.
 type ChaosOptions struct {
-	Algs    []core.Algorithm // default all four protocols
+	Algs    []core.Algorithm // default all five protocols
 	Clients []int            // default {2, 4, 8}
 	Msgs    int              // per client; default 200
 	Seed    int64            // base seed; cell i uses Seed+i
 
-	// Fault rates for every cell; zero values take the defaults noted.
-	CrashRate float64 // default 0.02
-	DropRate  float64 // default 0.05
-	DupRate   float64 // default 0.02
-	DelayRate float64 // default 0.02
-
 	// Shards lists the server-group sizes to run a shard-kill cell at
-	// (one cell per alg × size, after the classic matrix). Default {2};
-	// explicit empty slice via NoShardKill disables them.
-	Shards      []int
-	NoShardKill bool
-
-	// NoOverloadKill disables the overload-kill cells (one per alg,
-	// after the shard-kill cells: a client SIGKILLed mid-overload with
-	// sheds in flight, payload leases audited).
-	NoOverloadKill bool
+	// (one cell per alg × size, after the payload cells). Default {2}.
+	Shards []int
 
 	// PaySizes lists payload sizes to run leak-audited payload cells at
 	// (one cell per alg × size at the largest client count, after the
@@ -777,6 +538,14 @@ type ChaosOptions struct {
 
 	Watchdog time.Duration // per cell; default 30s
 }
+
+// The fault rates of every classic and payload cell of a sweep.
+const (
+	sweepCrashRate = 0.02
+	sweepDropRate  = 0.05
+	sweepDupRate   = 0.02
+	sweepDelayRate = 0.02
+)
 
 func (o *ChaosOptions) defaults() {
 	if len(o.Algs) == 0 {
@@ -788,19 +557,7 @@ func (o *ChaosOptions) defaults() {
 	if o.Msgs <= 0 {
 		o.Msgs = 200
 	}
-	if o.CrashRate == 0 {
-		o.CrashRate = 0.02
-	}
-	if o.DropRate == 0 {
-		o.DropRate = 0.05
-	}
-	if o.DupRate == 0 {
-		o.DupRate = 0.02
-	}
-	if o.DelayRate == 0 {
-		o.DelayRate = 0.02
-	}
-	if len(o.Shards) == 0 && !o.NoShardKill {
+	if len(o.Shards) == 0 {
 		o.Shards = []int{2}
 	}
 	if o.Watchdog <= 0 {
@@ -819,7 +576,10 @@ type ChaosReport struct {
 }
 
 // RunChaosBench sweeps the protocol matrix under seeded fault
-// injection. Every cell runs to completion regardless of earlier
+// injection: the classic cells (alg × clients), then the payload cells
+// (size × alg at the largest client count), the shard-kill cells (alg
+// × shards) and the overload-kill cells (one per alg); cell i is seeded
+// opts.Seed+i. Every cell runs to completion regardless of earlier
 // failures; the combined error names each violated cell. progress,
 // when non-nil, receives one line per cell.
 func RunChaosBench(opts ChaosOptions, progress io.Writer) (*ChaosReport, error) {
@@ -831,130 +591,65 @@ func RunChaosBench(opts ChaosOptions, progress io.Writer) (*ChaosReport, error) 
 		BaseSeed:    opts.Seed,
 		MsgsPerCli:  opts.Msgs,
 	}
-	var failures []error
-	cell := 0
+	type sweepCell struct {
+		cfg ChaosConfig
+		run func(ChaosConfig) (ChaosResult, error)
+	}
+	var cells []sweepCell
+	widest := opts.Clients[len(opts.Clients)-1]
+	faulty := func(alg core.Algorithm, clients, paySize int) sweepCell {
+		return sweepCell{ChaosConfig{
+			Alg: alg, Clients: clients, Msgs: opts.Msgs, Watchdog: opts.Watchdog, PaySize: paySize,
+			CrashRate: sweepCrashRate, DropRate: sweepDropRate, DupRate: sweepDupRate, DelayRate: sweepDelayRate,
+		}, RunChaosCell}
+	}
 	for _, alg := range opts.Algs {
 		for _, n := range opts.Clients {
-			res, err := RunChaosCell(ChaosConfig{
-				Alg:       alg,
-				Clients:   n,
-				Msgs:      opts.Msgs,
-				Seed:      opts.Seed + int64(cell),
-				CrashRate: opts.CrashRate,
-				DropRate:  opts.DropRate,
-				DupRate:   opts.DupRate,
-				DelayRate: opts.DelayRate,
-				Watchdog:  opts.Watchdog,
-			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d/%d rtts, %d crashes, %d peer-deaths, %d reclaims, %d rescues\n",
-						res.Label, res.Completed, int64(n*opts.Msgs), res.Crashes,
-						res.PeerDeaths, res.LockReclaims+res.OrphanRefs, res.WakeRescues)
-				}
-			}
+			cells = append(cells, faulty(alg, n, 0))
 		}
 	}
 	for _, size := range opts.PaySizes {
-		if size <= 0 {
-			continue
-		}
 		for _, alg := range opts.Algs {
-			n := opts.Clients[len(opts.Clients)-1]
-			res, err := RunChaosCell(ChaosConfig{
-				Alg:       alg,
-				Clients:   n,
-				Msgs:      opts.Msgs,
-				Seed:      opts.Seed + int64(cell),
-				CrashRate: opts.CrashRate,
-				DropRate:  opts.DropRate,
-				DupRate:   opts.DupRate,
-				DelayRate: opts.DelayRate,
-				Watchdog:  opts.Watchdog,
-				PaySize:   size,
+			if size > 0 {
+				cells = append(cells, faulty(alg, widest, size))
+			}
+		}
+	}
+	for _, alg := range opts.Algs {
+		for _, shards := range opts.Shards {
+			cells = append(cells, sweepCell{
+				ChaosConfig{Alg: alg, Clients: max(2*shards, widest), Msgs: opts.Msgs, Watchdog: opts.Watchdog},
+				func(cfg ChaosConfig) (ChaosResult, error) { return RunChaosShardKill(cfg, shards) },
 			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d/%d rtts, %d crashes, %d orphan blocks, 0 leaked\n",
-						res.Label, res.Completed, int64(n*opts.Msgs), res.Crashes, res.OrphanBlocks)
-				}
-			}
 		}
 	}
-	if !opts.NoShardKill {
-		for _, alg := range opts.Algs {
-			for _, shards := range opts.Shards {
-				clients := shards * 2
-				if max := opts.Clients[len(opts.Clients)-1]; clients < max {
-					clients = max
-				}
-				res, err := RunChaosShardKill(ChaosConfig{
-					Alg:      alg,
-					Clients:  clients,
-					Msgs:     opts.Msgs,
-					Seed:     opts.Seed + int64(cell),
-					Watchdog: opts.Watchdog,
-				}, shards)
-				cell++
-				if err != nil {
-					failures = append(failures, err)
-				}
-				rep.Cells = append(rep.Cells, res)
-				if progress != nil {
-					if err != nil {
-						fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-					} else {
-						fmt.Fprintf(progress, "%-24s ok: %d rtts, %d clients lost their shard, %d peer-deaths, %d orphans\n",
-							res.Label, res.Completed, res.Aborted, res.PeerDeaths, res.OrphanMsgs)
-					}
-				}
-			}
-		}
-	}
-	if !opts.NoOverloadKill {
+	for _, alg := range opts.Algs {
 		// Full-tilt sends are cheap; the storm needs volume — with too few
 		// messages the blast is over before anything queues long enough to
 		// shed, and a cell that never overloads proves nothing.
-		overloadMsgs := opts.Msgs * 4
-		if overloadMsgs < 2000 {
-			overloadMsgs = 2000
+		cells = append(cells, sweepCell{
+			ChaosConfig{Alg: alg, Clients: 4, Msgs: max(4*opts.Msgs, 2000), Watchdog: opts.Watchdog, PaySize: 64},
+			RunChaosOverloadKill,
+		})
+	}
+
+	var failures []error
+	for i, sc := range cells {
+		sc.cfg.Seed = opts.Seed + int64(i)
+		res, err := sc.run(sc.cfg)
+		rep.Cells = append(rep.Cells, res)
+		if err != nil {
+			failures = append(failures, err)
 		}
-		for _, alg := range opts.Algs {
-			res, err := RunChaosOverloadKill(ChaosConfig{
-				Alg:      alg,
-				Clients:  4,
-				Msgs:     overloadMsgs,
-				Seed:     opts.Seed + int64(cell),
-				Watchdog: opts.Watchdog,
-				PaySize:  64,
-			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d rtts, %d sheds, %d rejects, %d orphan blocks, 0 leaked\n",
-						res.Label, res.Completed, res.Sheds, res.Overloads, res.OrphanBlocks)
-				}
-			}
+		if progress == nil {
+			continue
+		}
+		if err != nil {
+			fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
+		} else {
+			fmt.Fprintf(progress, "%-24s ok: %d rtts, %d aborted, %d crashes, %d peer-deaths, %d reclaims, %d orphans, %d rescues, %d sheds, %d rejects, 0 leaked\n",
+				res.Label, res.Completed, res.Aborted, res.Crashes, res.PeerDeaths, res.LockReclaims,
+				res.OrphanMsgs+res.OrphanRefs+res.OrphanBlocks, res.WakeRescues, res.Sheds, res.Overloads)
 		}
 	}
 	return rep, errors.Join(failures...)

@@ -64,47 +64,77 @@ func TestChaosCellCleanRun(t *testing.T) {
 	}
 }
 
-// TestChaosBenchShortSweep runs a reduced matrix end to end and checks
-// the report covers every cell, including the default shard-kill cells
-// appended after the classic matrix.
+// TestChaosBenchShortSweep runs a reduced matrix end to end and pins
+// its composition: the classic matrix, then the payload, shard-kill and
+// overload-kill cells, in that order, cell i seeded base+i.
 func TestChaosBenchShortSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
 	var progress strings.Builder
 	rep, err := RunChaosBench(ChaosOptions{
-		Algs:    []core.Algorithm{core.BSW, core.BSLS},
-		Clients: []int{2, 4},
-		Msgs:    50,
-		Seed:    99,
+		Algs:     []core.Algorithm{core.BSW, core.BSLS},
+		Clients:  []int{2, 4},
+		Msgs:     50,
+		Seed:     99,
+		PaySizes: []int{1024},
 	}, &progress)
 	if err != nil {
 		t.Fatalf("chaos sweep: %v\n%s", err, progress.String())
 	}
-	if len(rep.Cells) != 8 {
-		t.Fatalf("report has %d cells, want 8 (4 classic + 2 shard-kill + 2 overload-kill)", len(rep.Cells))
+	want := []struct {
+		label string
+		seed  int64
+	}{
+		{"chaos/BSW/2c/seed99", 99},
+		{"chaos/BSW/4c/seed100", 100},
+		{"chaos/BSLS/2c/seed101", 101},
+		{"chaos/BSLS/4c/seed102", 102},
+		{"chaos/BSW/4c/seed103/p1024", 103},
+		{"chaos/BSLS/4c/seed104/p1024", 104},
+		{"chaos/shardkill/BSW/4c/2s", 105},
+		{"chaos/shardkill/BSLS/4c/2s", 106},
+		{"chaos/overloadkill/BSW/4c/seed107/p64", 107},
+		{"chaos/overloadkill/BSLS/4c/seed108/p64", 108},
 	}
-	shardKills, overloadKills := 0, 0
-	for _, c := range rep.Cells {
+	if len(rep.Cells) != len(want) {
+		t.Fatalf("report has %d cells, want %d", len(rep.Cells), len(want))
+	}
+	for i, c := range rep.Cells {
+		if c.Label != want[i].label || c.Seed != want[i].seed {
+			t.Errorf("cell %d is (%s, %d), want (%s, %d)", i, c.Label, c.Seed, want[i].label, want[i].seed)
+		}
 		if c.Error != "" {
 			t.Fatalf("cell %s failed: %s", c.Label, c.Error)
 		}
-		if c.Shards > 0 {
-			shardKills++
-		}
-		if strings.Contains(c.Label, "overloadkill") {
-			overloadKills++
-			if c.Sheds == 0 || c.Overloads == 0 {
-				t.Errorf("overload-kill cell %s recorded no overload (sheds %d, rejects %d)",
-					c.Label, c.Sheds, c.Overloads)
-			}
+		if strings.Contains(c.Label, "overloadkill") && (c.Sheds == 0 || c.Overloads == 0) {
+			t.Errorf("overload-kill cell %s recorded no overload (sheds %d, rejects %d)",
+				c.Label, c.Sheds, c.Overloads)
 		}
 	}
-	if shardKills != 2 {
-		t.Fatalf("sweep ran %d shard-kill cells, want 2", shardKills)
+}
+
+// TestChaosCellWatchdogVerdict: each chaos cell run under a watchdog
+// far too short for its script must fail with Deadlocked set and an
+// error naming the deadlock, not pass on a partial run.
+func TestChaosCellWatchdogVerdict(t *testing.T) {
+	cfg := ChaosConfig{Alg: core.BSW, Clients: 4, Msgs: 1_000_000, Seed: 3, Watchdog: 20 * time.Millisecond}
+	cells := []struct {
+		name string
+		run  func() (ChaosResult, error)
+	}{
+		{"classic", func() (ChaosResult, error) { return RunChaosCell(cfg) }},
+		{"shardkill", func() (ChaosResult, error) { return RunChaosShardKill(cfg, 2) }},
+		{"overloadkill", func() (ChaosResult, error) { return RunChaosOverloadKill(cfg) }},
 	}
-	if overloadKills != 2 {
-		t.Fatalf("sweep ran %d overload-kill cells, want 2", overloadKills)
+	for _, c := range cells {
+		res, err := c.run()
+		if err == nil {
+			t.Fatalf("%s: 4M round trips in 20ms passed: %+v", c.name, res)
+		}
+		if !res.Deadlocked || !strings.Contains(err.Error(), "deadlocked") || !strings.Contains(res.Error, "deadlocked") {
+			t.Errorf("%s: want a deadlock verdict, got Deadlocked=%v err=%v", c.name, res.Deadlocked, err)
+		}
 	}
 }
 

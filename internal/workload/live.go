@@ -76,15 +76,12 @@ func tuneFor(alg core.Algorithm, maxSpin, throttle int) (int, int) {
 	return maxSpin, throttle
 }
 
-// RunLive executes the client/server workload on the live runtime and
-// returns wall-clock results. Every participant runs the
-// context-threaded verbs under cfg.Watchdog (see LiveConfig.Watchdog).
-func RunLive(cfg LiveConfig) (Result, error) {
+func (cfg *LiveConfig) defaults() error {
 	if cfg.Clients < 1 {
-		return Result{}, fmt.Errorf("workload: need at least 1 client")
+		return fmt.Errorf("workload: need at least 1 client")
 	}
 	if cfg.Msgs < 1 {
-		return Result{}, fmt.Errorf("workload: need at least 1 message")
+		return fmt.Errorf("workload: need at least 1 message")
 	}
 	if cfg.SleepScale == 0 {
 		cfg.SleepScale = time.Millisecond
@@ -92,175 +89,131 @@ func RunLive(cfg LiveConfig) (Result, error) {
 	if cfg.Watchdog <= 0 {
 		cfg.Watchdog = 2 * time.Minute
 	}
-	replyKind := cfg.QueueKind
-	if cfg.ReplyKind != nil {
-		replyKind = *cfg.ReplyKind
+	return nil
+}
+
+// RunLive executes the client/server workload on the live runtime and
+// returns wall-clock results. Every participant runs the
+// context-threaded verbs under cfg.Watchdog (see LiveConfig.Watchdog).
+func RunLive(cfg LiveConfig) (Result, error) {
+	if err := cfg.defaults(); err != nil {
+		return Result{}, err
 	}
 	maxSpin, throttle := tuneFor(cfg.Alg, cfg.MaxSpin, cfg.Throttle)
 	ms := metrics.NewSet()
+	opts := livebind.Options{
+		Alg:        cfg.Alg,
+		MaxSpin:    maxSpin,
+		Clients:    cfg.Clients,
+		QueueCap:   cfg.QueueCap,
+		AllocBatch: cfg.AllocBatch,
+		SpinIters:  cfg.SpinIters,
+		SleepScale: cfg.SleepScale,
+		Metrics:    ms,
+	}
 	if cfg.Shards > 0 {
-		sys, err := livebind.NewSystemGroup(cfg.Shards, livebind.Options{
-			Alg:        cfg.Alg,
-			MaxSpin:    maxSpin,
-			Clients:    cfg.Clients,
-			QueueCap:   cfg.QueueCap,
-			AllocBatch: cfg.AllocBatch,
-			SpinIters:  cfg.SpinIters,
-			SleepScale: cfg.SleepScale,
-			NoSteal:    cfg.NoSteal,
-			Picker:     cfg.Picker,
-			Metrics:    ms,
-		})
+		opts.NoSteal, opts.Picker = cfg.NoSteal, cfg.Picker
+		sys, err := livebind.NewSystemGroup(cfg.Shards, opts)
 		if err != nil {
 			return Result{}, err
 		}
 		return runLiveGroup(cfg, sys, ms)
 	}
-	sys, err := livebind.NewSystem(livebind.Options{
-		Alg:        cfg.Alg,
-		MaxSpin:    maxSpin,
-		Clients:    cfg.Clients,
-		QueueCap:   cfg.QueueCap,
-		QueueKind:  cfg.QueueKind,
-		AllocBatch: cfg.AllocBatch,
-		SpinIters:  cfg.SpinIters,
-		Throttle:   throttle,
-		SleepScale: cfg.SleepScale,
-		Metrics:    ms,
-	}, livebind.WithReplyKind(replyKind))
+	replyKind := cfg.QueueKind
+	if cfg.ReplyKind != nil {
+		replyKind = *cfg.ReplyKind
+	}
+	opts.QueueKind, opts.Throttle = cfg.QueueKind, throttle
+	sys, err := livebind.NewSystem(opts, livebind.WithReplyKind(replyKind))
 	if err != nil {
 		return Result{}, err
 	}
 
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-	var run liveRun
+	c := newCell(cfg.Watchdog)
+	defer c.cancel()
 	srv := sys.Server()
-	var serveEnd time.Time
-	serverDone := make(chan int64, 1)
+	var served atomic.Int64
+	var swg sync.WaitGroup
+	swg.Add(1)
 	go func() {
-		served, err := srv.ServeCtx(rootCtx, nil)
+		defer swg.Done()
+		n, err := srv.ServeCtx(c.ctx, nil)
 		if err != nil {
-			run.noteErr("server: %v", err)
+			c.noteErr("server: %v", err)
 		}
-		serveEnd = time.Now()
-		serverDone <- served
+		served.Store(n)
+		c.noteEnd()
 	}()
+	if err := c.echoClients(cfg, sys.Client); err != nil {
+		return Result{}, err
+	}
+	c.teardown(sys, &swg)
 
-	var barrier sync.WaitGroup
-	barrier.Add(cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return Result{}, err
+	res := c.result(fmt.Sprintf("live/%s/%dc", cfg.Alg, cfg.Clients), served.Load(), cfg.Msgs, ms)
+	return res, c.check(served.Load(), int64(cfg.Clients*cfg.Msgs))
+}
+
+// echoClients runs the closed-loop clients of a scalar or pool cell and
+// joins them: every client connects, waits until all have, sends
+// cfg.Msgs validated echoes under the cell's context, and disconnects.
+func (c *cell) echoClients(cfg LiveConfig, client func(int) (*core.Client, error)) error {
+	cls := make([]*core.Client, cfg.Clients)
+	for i := range cls {
+		var err error
+		if cls[i], err = client(i); err != nil {
+			return err
 		}
+	}
+	var barrier, wg sync.WaitGroup
+	barrier.Add(cfg.Clients)
+	for i, cl := range cls {
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
 			defer livebind.DrainPort(cl.Srv)
 			// Each client derives its own child context: cancellation
-			// still fans out from rootCtx, but the per-message Err()
+			// still fans out from the root, but the per-message Err()
 			// polls hit a per-client mutex instead of contending on one
 			// shared context across every client goroutine.
-			cctx, ccancel := context.WithCancel(rootCtx)
+			cctx, ccancel := context.WithCancel(c.ctx)
 			defer ccancel()
 			if ans, err := cl.SendCtx(cctx, core.Msg{Op: core.OpConnect}); err != nil {
-				run.noteErr("client%d: connect: %v", i, err)
+				c.noteErr("client%d: connect: %v", i, err)
 				barrier.Done()
 				return
 			} else if ans.Op != core.OpConnect {
-				run.noteErr("client%d: bad connect reply %+v", i, ans)
+				c.noteErr("client%d: bad connect reply %+v", i, ans)
 			}
 			barrier.Done()
 			barrier.Wait()
-			run.noteStart()
+			c.noteStart()
 			for j := 0; j < cfg.Msgs; j++ {
 				ans, err := cl.SendCtx(cctx, core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)})
 				if err != nil {
-					run.noteErr("client%d: send %d: %v", i, j, err)
+					c.noteErr("client%d: send %d: %v", i, j, err)
 					return
 				}
 				if ans.Seq != int32(j) || ans.Val != float64(j) {
-					run.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+					c.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
 				}
 			}
 			if _, err := cl.SendCtx(cctx, core.Msg{Op: core.OpDisconnect}); err != nil {
-				run.noteErr("client%d: disconnect: %v", i, err)
+				c.noteErr("client%d: disconnect: %v", i, err)
 			}
 		}(i, cl)
 	}
-	wg.Wait()
-	// Unblock the server if clients bailed out without completing the
-	// disconnect protocol (watchdog tripped), then tear the system down;
-	// Shutdown also spills any batched producer caches.
-	cancel()
-	served := <-serverDone
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		run.noteErr("shutdown: %v", err)
-	}
-	shutCancel()
-
-	res := run.result(fmt.Sprintf("live/%s/%dc", cfg.Alg, cfg.Clients), served, cfg.Msgs, serveEnd, ms)
-	return res, run.check(served, int64(cfg.Clients*cfg.Msgs))
-}
-
-// liveRun collects what the goroutines of one live run report: when
-// the first measured send started, and the first few failures.
-type liveRun struct {
-	mu      sync.Mutex
-	started bool
-	start   time.Time
-	errs    []string
-}
-
-func (r *liveRun) noteStart() {
-	r.mu.Lock()
-	if !r.started {
-		r.start = time.Now()
-		r.started = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *liveRun) noteErr(format string, args ...any) {
-	r.mu.Lock()
-	if len(r.errs) < 8 {
-		r.errs = append(r.errs, fmt.Sprintf(format, args...))
-	}
-	r.mu.Unlock()
-}
-
-// result measures from the first send to end, at least 1 ns so the
-// rates stay finite when no client got past its barrier.
-func (r *liveRun) result(label string, served int64, msgs int, end time.Time, ms *metrics.Set) Result {
-	dur := time.Nanosecond
-	if r.started && end.After(r.start) {
-		dur = end.Sub(r.start)
-	}
-	return Result{
-		Label:      label,
-		Throughput: float64(served) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  served,
-		Server:     ms.ByPrefix("server"),
-		Clients:    ms.ByPrefix("client"),
-		All:        ms.Total(),
-	}
-}
-
-// check fails the run on any noted failure or on a served count short
-// of total.
-func (r *liveRun) check(served, total int64) error {
-	if len(r.errs) > 0 {
-		return fmt.Errorf("workload: live validation failed: %v", r.errs)
-	}
-	if served != total {
-		return fmt.Errorf("workload: served %d, want %d", served, total)
-	}
+	c.join(&wg)
 	return nil
+}
+
+// check is the verdict of a live measurement: any failure, or a served
+// count short of total.
+func (c *cell) check(served, total int64) error {
+	var fail []string
+	if served != total {
+		fail = append(fail, fmt.Sprintf("served %d, want %d", served, total))
+	}
+	return c.verdict("workload: live validation failed", fail...)
 }
 
 // runLiveGroup is the server-group variant of RunLive: every shard runs
@@ -269,21 +222,24 @@ func (r *liveRun) check(served, total int64) error {
 // skips the connect/disconnect handshake — shard membership is static
 // and work stealing may carry a control op's bookkeeping to the wrong
 // shard — so shards exit on the Shutdown marker once every client is
-// done. Replies are validated as a per-batch multiset: stealing means
-// another shard may answer, and answers may interleave, but every
-// client must get exactly its own sequence set back.
+// done. Replies are validated as a per-batch multiset (echoBatch).
 func runLiveGroup(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, error) {
 	batch := cfg.Batch
 	if batch < 1 {
 		batch = 16
 	}
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-	var run liveRun
+	c := newCell(cfg.Watchdog)
+	defer c.cancel()
 
 	srvs, err := sys.ShardServers()
 	if err != nil {
 		return Result{}, err
+	}
+	cls := make([]*core.Client, cfg.Clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			return Result{}, err
+		}
 	}
 	var served atomic.Int64
 	var swg sync.WaitGroup
@@ -291,95 +247,78 @@ func runLiveGroup(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result
 		swg.Add(1)
 		go func(sv *core.Server) {
 			defer swg.Done()
-			n, err := sv.ServeBatchCtx(rootCtx, nil, batch)
+			n, err := sv.ServeBatchCtx(c.ctx, nil, batch)
 			if err != nil {
-				run.noteErr("shard: %v", err)
+				c.noteErr("shard: %v", err)
 			}
 			served.Add(n)
 		}(srv)
 	}
 
-	var barrier sync.WaitGroup
+	var barrier, wg sync.WaitGroup
 	barrier.Add(cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return Result{}, err
-		}
+	for i, cl := range cls {
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
 			barrier.Done()
 			barrier.Wait()
-			run.noteStart()
+			c.noteStart()
 			msgs := make([]core.Msg, 0, batch)
-			var seenBig map[int32]bool // only allocated for batches > 64
-			for j := 0; j < cfg.Msgs; j += len(msgs) {
-				k := batch
-				if j+k > cfg.Msgs {
-					k = cfg.Msgs - j
-				}
-				msgs = msgs[:0]
-				for q := 0; q < k; q++ {
-					msgs = append(msgs, core.Msg{Op: core.OpEcho, Seq: int32(j + q), Val: float64(j + q)})
-				}
-				out, err := cl.SendBatchCtx(rootCtx, msgs)
-				if err != nil {
-					run.noteErr("client%d: batch at %d: %v", i, j, err)
+			for j := 0; j < cfg.Msgs; j += batch {
+				if err := echoBatch(c.ctx, cl, msgs, j, min(batch, cfg.Msgs-j)); err != nil {
+					c.noteErr("client%d: batch at %d: %v", i, j, err)
 					return
-				}
-				if len(out) != k {
-					run.noteErr("client%d: batch at %d: %d replies, want %d", i, j, len(out), k)
-					return
-				}
-				// Multiset check per batch: stolen work means replies may
-				// interleave across shards, but every sequence must appear
-				// exactly once. A bitmask keeps the check allocation-free
-				// on the hot path (batches ≤ 64).
-				var seen uint64
-				if k > 64 {
-					seenBig = make(map[int32]bool, k)
-				}
-				for _, m := range out {
-					if m.Client != cl.ID || m.Seq < int32(j) || m.Seq >= int32(j+k) ||
-						m.Val != float64(m.Seq) {
-						run.noteErr("client%d: bad reply %+v in batch at %d", i, m, j)
-						return
-					}
-					if k > 64 {
-						if seenBig[m.Seq] {
-							run.noteErr("client%d: duplicate reply %+v in batch at %d", i, m, j)
-							return
-						}
-						seenBig[m.Seq] = true
-						continue
-					}
-					bit := uint64(1) << uint(m.Seq-int32(j))
-					if seen&bit != 0 {
-						run.noteErr("client%d: duplicate reply %+v in batch at %d", i, m, j)
-						return
-					}
-					seen |= bit
 				}
 			}
 		}(i, cl)
 	}
-	wg.Wait()
-	end := time.Now()
+	c.join(&wg)
+	c.noteEnd()
+	c.teardown(sys, &swg)
 
-	// Shutdown releases the shard loops (they exit on the marker). The
-	// shards share rootCtx, so cancelling it before they drain would
-	// turn a clean exit into a spurious "context canceled" shard error;
-	// only cancel early if shutdown itself failed to release them.
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		run.noteErr("shutdown: %v", err)
-		cancel()
+	res := c.result(fmt.Sprintf("live/%s/%dc/%ds", cfg.Alg, cfg.Clients, cfg.Shards), served.Load(), cfg.Msgs, ms)
+	return res, c.check(served.Load(), int64(cfg.Clients*cfg.Msgs))
+}
+
+// echoBatch sends the echoes base..base+k-1 as one vectored batch,
+// built in buf, and checks the replies as a multiset: work stealing
+// means another shard may answer, and answers may interleave across
+// shards, but the client must get exactly its own sequences back. A
+// bitmask keeps the check allocation-free for batches up to 64.
+func echoBatch(ctx context.Context, cl *core.Client, buf []core.Msg, base, k int) error {
+	buf = buf[:0]
+	for q := base; q < base+k; q++ {
+		buf = append(buf, core.Msg{Op: core.OpEcho, Seq: int32(q), Val: float64(q)})
 	}
-	shutCancel()
-	swg.Wait()
-
-	res := run.result(fmt.Sprintf("live/%s/%dc/%ds", cfg.Alg, cfg.Clients, cfg.Shards), served.Load(), cfg.Msgs, end, ms)
-	return res, run.check(served.Load(), int64(cfg.Clients*cfg.Msgs))
+	out, err := cl.SendBatchCtx(ctx, buf)
+	if err != nil {
+		return err
+	}
+	if len(out) != k {
+		return fmt.Errorf("%d replies, want %d", len(out), k)
+	}
+	var seen uint64
+	var seenBig map[int32]bool
+	if k > 64 {
+		seenBig = make(map[int32]bool, k)
+	}
+	for _, m := range out {
+		if m.Client != cl.ID || m.Seq < int32(base) || m.Seq >= int32(base+k) || m.Val != float64(m.Seq) {
+			return fmt.Errorf("bad reply %+v", m)
+		}
+		if seenBig != nil {
+			if seenBig[m.Seq] {
+				return fmt.Errorf("duplicate reply %+v", m)
+			}
+			seenBig[m.Seq] = true
+			continue
+		}
+		bit := uint64(1) << uint(m.Seq-int32(base))
+		if seen&bit != 0 {
+			return fmt.Errorf("duplicate reply %+v", m)
+		}
+		seen |= bit
+	}
+	return nil
 }

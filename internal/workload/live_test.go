@@ -124,23 +124,34 @@ func TestLiveGroupPickersAndNoSteal(t *testing.T) {
 }
 
 // TestRunLiveWatchdogTrip: a run far longer than its watchdog, on the
-// single-server and the group path, returns an error naming the
-// deadline and its partial count instead of hanging.
+// single-server, the group and the worker-pool path, returns an error
+// naming the deadline and its partial count instead of hanging.
 func TestRunLiveWatchdogTrip(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		res, err := RunLive(LiveConfig{
-			Alg: core.BSW, Clients: 2, Shards: shards,
+	for _, path := range []string{"single", "group", "pool"} {
+		cfg := LiveConfig{
+			Alg: core.BSW, Clients: 2,
 			Msgs:     2_000_000, // far more than fits in the deadline
 			Watchdog: 25 * time.Millisecond,
-		})
+		}
+		var res Result
+		var err error
+		switch path {
+		case "group":
+			cfg.Shards = 2
+			res, err = RunLive(cfg)
+		case "pool":
+			res, err = RunLivePool(cfg, 2)
+		default:
+			res, err = RunLive(cfg)
+		}
 		if err == nil {
-			t.Fatalf("shards=%d: 4M round trips in 25ms — watchdog never tripped", shards)
+			t.Fatalf("%s: 4M round trips in 25ms — watchdog never tripped", path)
 		}
 		if !strings.Contains(err.Error(), "deadline exceeded") {
-			t.Errorf("shards=%d: error does not name the deadline: %v", shards, err)
+			t.Errorf("%s: error does not name the deadline: %v", path, err)
 		}
 		if res.Label == "" || res.TotalMsgs >= 4_000_000 {
-			t.Errorf("shards=%d: want the partial result, got %+v", shards, res)
+			t.Errorf("%s: want the partial result, got %+v", path, res)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"ulipc/internal/core"
 	"ulipc/internal/livebind"
 	"ulipc/internal/metrics"
+	"ulipc/internal/obs"
 )
 
 // The open-loop load generator (DESIGN.md §14). The closed-loop harness
@@ -26,12 +26,6 @@ import (
 // injects it with the fire-and-forget async send, a bare polling
 // collector drains replies, and the result separates offered load,
 // admitted load, and goodput — replies that made their deadline.
-//
-// The collector never parks: its reply-queue awake flag is primed true
-// once at start, so the server's reply-side TASAwake always sees an
-// awake consumer and issues no V. No semaphore tokens accumulate over
-// thousands of un-awaited replies, and the Figure 4 token conservation
-// holds trivially for the collector (zero tokens in, zero out).
 
 // OpenLoopConfig describes one open-loop overload cell.
 type OpenLoopConfig struct {
@@ -46,23 +40,17 @@ type OpenLoopConfig struct {
 	Duration time.Duration
 
 	// Burst switches the Poisson process to on/off modulation: arrivals
-	// come at twice the rate during the first half of each BurstPeriod
+	// come at twice the rate during the first half of each 20ms period
 	// and not at all during the second — same mean rate, clumped.
-	Burst       bool
-	BurstPeriod time.Duration // full on+off cycle; default 20ms
+	Burst bool
 
 	// Deadline is stamped on every message (Val carries the absolute
-	// deadline in nanoseconds since the run epoch): the server sheds
+	// deadline in nanoseconds on the run clock): the server sheds
 	// messages that expire before dequeue, the collector counts replies
 	// arriving past it as Expiries rather than goodput. Default 5ms.
+	// The collectors keep draining for up to 2*Deadline+50ms after the
+	// last arrival so the server can finish (or shed) the backlog.
 	Deadline time.Duration
-
-	// Grace is the post-arrival drain window: how long the collectors
-	// keep draining replies after the last arrival so the server can
-	// finish (or shed) the backlog. Clients exit early once the request
-	// queue is empty and no replies have arrived for a settle interval
-	// longer than the producer backoff ceiling. Default 2*Deadline+50ms.
-	Grace time.Duration
 
 	// Seed makes the arrival streams deterministic; each client derives
 	// its own xorshift stream from it. Default 1.
@@ -81,27 +69,27 @@ type OpenLoopConfig struct {
 	// Not supported in group mode.
 	PaySize int
 
-	// Blocks overrides the arena slot count (PaySize cells only);
-	// default 4*(Clients+1), minimum 32.
-	Blocks int
-
-	// CopyFallback degrades arena exhaustion to the heap overflow table
-	// (PaySize cells only; see livebind.WithCopyFallback).
-	CopyFallback bool
-
-	MaxSpin    int
-	QueueCap   int
-	SpinIters  int
-	SleepScale time.Duration
-
 	// Shards, when > 0, runs the cell against a server group (the
-	// quarantine circuit only exists there).
+	// quarantine circuit only exists there), one vectored serve loop of
+	// 16-message batches per shard.
 	Shards int
-	Batch  int // vectored serve batch in group mode; default 16
 
-	// Watchdog bounds the whole cell; default Duration+Grace+10s.
+	// Watchdog bounds the whole cell; default Duration+grace+10s.
 	Watchdog time.Duration
 }
+
+// The fixed shape of an open-loop cell.
+const (
+	burstPeriod = 20 * time.Millisecond // full on+off cycle of a Burst cell
+	olBatch     = 16                    // group-mode serve batch
+
+	// settleNs is how long a collector must hear nothing, with the
+	// request queue empty, before it stops draining: longer than the
+	// reply producer's backoff ceiling (8 sleep(1)s at the 1ms sleep
+	// scale), so a server napping against a momentarily full reply queue
+	// still gets its retry in.
+	settleNs = 8*int64(time.Millisecond) + 4_000_000
+)
 
 // OpenLoopResult is one open-loop cell's outcome. The load-balance
 // identity is Offered = Admitted + Rejected + AllocFails; admitted
@@ -113,7 +101,7 @@ type OpenLoopResult struct {
 	Offered    int64 // arrivals generated
 	Admitted   int64 // successfully enqueued
 	Rejected   int64 // fast-rejected (core.ErrOverload)
-	AllocFails int64 // payload allocation denied (exhausted arena, no fallback)
+	AllocFails int64 // payload allocation denied (exhausted arena)
 	Completed  int64 // replies collected
 	Good       int64 // replies collected within their deadline
 	Expired    int64 // replies collected past their deadline
@@ -145,28 +133,25 @@ func (cfg *OpenLoopConfig) defaults() error {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 5 * time.Millisecond
 	}
-	if cfg.Grace <= 0 {
-		cfg.Grace = 2*cfg.Deadline + 50*time.Millisecond
-	}
-	if cfg.BurstPeriod <= 0 {
-		cfg.BurstPeriod = 20 * time.Millisecond
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.SleepScale == 0 {
-		cfg.SleepScale = time.Millisecond
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 16
-	}
 	if cfg.Watchdog <= 0 {
-		cfg.Watchdog = cfg.Duration + cfg.Grace + 10*time.Second
+		cfg.Watchdog = cfg.Duration + cfg.grace() + 10*time.Second
 	}
 	if cfg.PaySize > 0 && cfg.Shards > 0 {
 		return fmt.Errorf("workload: open-loop payload cells not supported in group mode")
 	}
 	return nil
+}
+
+// grace is the post-arrival drain window.
+func (cfg *OpenLoopConfig) grace() time.Duration { return 2*cfg.Deadline + 50*time.Millisecond }
+
+// olCounters is one client's tally; summed after the run.
+type olCounters struct {
+	offered, admitted, rejected, allocFails int64
+	completed, good, expired                int64
 }
 
 // RunOpenLoop executes one open-loop overload cell: paced arrivals for
@@ -175,33 +160,18 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return OpenLoopResult{}, err
 	}
-	blockSlots := 0
-	if cfg.PaySize > 0 {
-		blockSlots = cfg.Blocks
-		if blockSlots <= 0 {
-			blockSlots = 4 * (cfg.Clients + 1)
-			if blockSlots < 32 {
-				blockSlots = 32
-			}
-		}
-	}
-	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
 	ms := metrics.NewSet()
 	opts := livebind.Options{
 		Alg:        cfg.Alg,
-		MaxSpin:    maxSpin,
 		Clients:    cfg.Clients,
-		QueueCap:   cfg.QueueCap,
-		SpinIters:  cfg.SpinIters,
-		SleepScale: cfg.SleepScale,
-		BlockSlots: blockSlots,
+		SleepScale: time.Millisecond,
+		BlockSlots: paySlots(cfg.PaySize, cfg.Clients),
 		Metrics:    ms,
 		Admission: livebind.Admission{
 			HighWater:       cfg.HighWater,
 			RetryCap:        cfg.RetryCap,
 			QuarantineAfter: cfg.Quarantine,
 		},
-		CopyFallback: cfg.CopyFallback && blockSlots > 0,
 	}
 	var (
 		sys *livebind.System
@@ -215,48 +185,14 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if err != nil {
 		return OpenLoopResult{}, err
 	}
-	return runOpenLoop(cfg, sys, ms)
-}
-
-// olCounters is one client's tally; summed after the run.
-type olCounters struct {
-	offered, admitted, rejected, allocFails int64
-	completed, good, expired                int64
-	hist                                    latHist
-}
-
-func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (OpenLoopResult, error) {
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		errsMu sync.Mutex
-		errs   []string
-	)
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
+	cls := make([]*core.Client, cfg.Clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			return OpenLoopResult{}, err
 		}
-		errsMu.Unlock()
 	}
-
-	// One shared run epoch: deadlines stamped by clients and checked by
-	// the server's shed hook read the same clock.
-	epoch := time.Now()
-	nowNs := func() int64 { return time.Since(epoch).Nanoseconds() }
-	dlNs := cfg.Deadline.Nanoseconds()
-	shed := &core.ShedPolicy{
-		// Only the stamped request ops carry deadlines; control traffic
-		// (connect/disconnect, shutdown markers) is never shed.
-		Deadline: func(m core.Msg) (int64, bool) {
-			if m.Op != core.OpEcho && m.Op != core.OpWork {
-				return 0, false
-			}
-			return int64(m.Val), true
-		},
-		Now: nowNs,
-	}
+	c := newCell(cfg.Watchdog)
+	defer c.cancel()
 
 	// Servers: scalar ServeCtx or one vectored ServeBatchCtx per shard;
 	// both run until Shutdown (no connect handshake — an overloaded
@@ -270,77 +206,46 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 			return OpenLoopResult{}, err
 		}
 		for _, srv := range srvs {
-			srv.Shed = shed
+			srv.Shed = c.shedPolicy()
 			swg.Add(1)
 			go func(sv *core.Server) {
 				defer swg.Done()
-				if _, err := sv.ServeBatchCtx(rootCtx, nil, cfg.Batch); err != nil {
-					noteErr("shard: %v", err)
+				if _, err := sv.ServeBatchCtx(c.ctx, nil, olBatch); err != nil {
+					c.noteErr("shard: %v", err)
 				}
 			}(srv)
 		}
 	} else {
-		srv := sys.Server()
-		srv.Shed = shed
-		srv0 = srv
+		srv0 = sys.Server()
+		srv0.Shed = c.shedPolicy()
 		var work func(*core.Msg)
 		if cfg.PaySize > 0 {
-			// Zero-copy echo: claim the request lease, re-attach it to
-			// the reply. A lost claim (ErrPayloadLost) clears the ref.
-			work = func(m *core.Msg) {
-				p, err := srv.Payload(*m)
-				if err != nil {
-					m.ClearBlock()
-					return
-				}
-				m.AttachPayload(p)
-			}
+			work = echoPayload(srv0)
 		}
 		swg.Add(1)
 		go func() {
 			defer swg.Done()
-			if _, err := srv.ServeCtx(rootCtx, work); err != nil {
-				noteErr("server: %v", err)
+			if _, err := srv0.ServeCtx(c.ctx, work); err != nil {
+				c.noteErr("server: %v", err)
 			}
 		}()
 	}
 
-	durNs := cfg.Duration.Nanoseconds()
-	graceNs := cfg.Grace.Nanoseconds()
 	counts := make([]olCounters, cfg.Clients)
-	cls := make([]*core.Client, cfg.Clients)
+	var hist obs.Histogram
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			cancel()
-			swg.Wait()
-			return OpenLoopResult{}, err
-		}
-		cls[i] = cl
+	for i, cl := range cls {
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
-			c := &counts[i]
-			cctx, ccancel := context.WithCancel(rootCtx)
+			cctx, ccancel := context.WithCancel(c.ctx)
 			defer ccancel()
-			openLoopClient(cctx, cfg, cl, c, i, nowNs, dlNs, durNs, graceNs, noteErr)
+			openLoopClient(cctx, c, cfg, cl, &counts[i], &hist, i)
 		}(i, cl)
 	}
-	wg.Wait()
-
-	// Teardown before reading counters: Shutdown closes the request
-	// channels, the serve loops exit on ErrShutdown, and batched caches
-	// spill. Only cancel the root context if shutdown failed to release
-	// them (a premature cancel turns a clean shard exit into an error).
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		noteErr("shutdown: %v", err)
-		cancel()
-	}
-	shutCancel()
-	swg.Wait()
-	tripped := rootCtx.Err() != nil
+	c.join(&wg)
+	c.teardown(sys, &swg)
+	tripped := c.ctx.Err() != nil
 
 	// Teardown reclaim: the run ends on a wall-clock edge, not a drained
 	// system, so arrivals the server never dequeued are still in the
@@ -366,6 +271,11 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 			}
 		}
 	}
+	// Lease-conservation audit: every payload block allocated during the
+	// run must be back — released by the collector, claim-freed by a
+	// shed, or freed on a rejected send. Skipped if the watchdog tripped
+	// (stranded participants legitimately hold leases then).
+	var fail []string
 	if !tripped {
 		if srv0 != nil {
 			reclaim(srv0.Rcv, srv0.Payload)
@@ -373,43 +283,33 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 		for _, cl := range cls {
 			reclaim(cl.Rcv, cl.Payload)
 		}
-	}
-
-	// Lease-conservation audit: every payload block allocated during the
-	// run must be back — released by the collector, claim-freed by a
-	// shed, or freed on a rejected send. Skipped if the watchdog tripped
-	// (stranded participants legitimately hold leases then).
-	if pool := sys.Blocks(); pool != nil && !tripped {
-		if leaked := int64(pool.Capacity()) - pool.TotalFree(); leaked != 0 {
-			noteErr("payload blocks leaked: %d", leaked)
-		}
-		if fb := sys.FallbackLive(); fb != 0 {
-			noteErr("fallback blocks leaked: %d", fb)
+		if pool := sys.Blocks(); pool != nil {
+			if leaked := int64(pool.Capacity()) - pool.TotalFree(); leaked != 0 {
+				fail = append(fail, fmt.Sprintf("payload blocks leaked: %d", leaked))
+			}
 		}
 	}
 
 	res := OpenLoopResult{Duration: cfg.Duration}
-	var hist latHist
-	for i := range counts {
-		c := &counts[i]
-		res.Offered += c.offered
-		res.Admitted += c.admitted
-		res.Rejected += c.rejected
-		res.AllocFails += c.allocFails
-		res.Completed += c.completed
-		res.Good += c.good
-		res.Expired += c.expired
-		hist.merge(&c.hist)
+	for _, n := range counts {
+		res.Offered += n.offered
+		res.Admitted += n.admitted
+		res.Rejected += n.rejected
+		res.AllocFails += n.allocFails
+		res.Completed += n.completed
+		res.Good += n.good
+		res.Expired += n.expired
 	}
 	res.Unanswered = res.Admitted - res.Completed
 	res.Stranded = stranded
 	secs := cfg.Duration.Seconds()
 	res.OfferedPerSec = float64(res.Offered) / secs
 	res.GoodputPerSec = float64(res.Good) / secs
-	res.P50Ns = hist.quantile(0.50)
-	res.P95Ns = hist.quantile(0.95)
-	res.P99Ns = hist.quantile(0.99)
-	res.MaxNs = float64(hist.max)
+	lat := hist.Snapshot()
+	res.P50Ns = lat.Quantile(0.50)
+	res.P95Ns = lat.Quantile(0.95)
+	res.P99Ns = lat.Quantile(0.99)
+	res.MaxNs = float64(lat.Max)
 	res.All = ms.Total()
 	res.Clients = ms.ByPrefix("client")
 	res.Label = fmt.Sprintf("openloop/%s/%dc", cfg.Alg, cfg.Clients)
@@ -419,54 +319,115 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 	if cfg.Burst {
 		res.Label += "/burst"
 	}
+	return res, c.verdict("workload: open loop failed", fail...)
+}
 
-	if tripped {
-		noteErr("watchdog tripped after %v", cfg.Watchdog)
+// collector drains one client's replies by polling. It never parks:
+// the reply-queue awake flag is primed true once at start, so the
+// server's reply-side TASAwake always sees an awake consumer and issues
+// no V. No semaphore tokens accumulate over thousands of un-awaited
+// replies, and the Figure 4 token conservation holds trivially for the
+// collector (zero tokens in, zero out).
+type collector struct {
+	cl    *core.Client
+	reply func(core.Msg) // per collected echo, its lease already released
+}
+
+func newCollector(cl *core.Client, reply func(core.Msg)) *collector {
+	cl.Rcv.SetAwake(true)
+	return &collector{cl: cl, reply: reply}
+}
+
+// drain collects every queued reply and returns how many messages it
+// dequeued.
+func (k *collector) drain() int {
+	n := 0
+	for {
+		m, ok := k.cl.Rcv.TryDequeue()
+		if !ok {
+			return n
+		}
+		n++
+		if m.Op != core.OpEcho && m.Op != core.OpWork {
+			continue // shutdown marker or stray control op
+		}
+		if m.HasBlock() {
+			if p, err := k.cl.Payload(m); err == nil {
+				_ = p.Release()
+			}
+		}
+		k.reply(m)
 	}
-	if len(errs) > 0 {
-		return res, fmt.Errorf("workload: open loop failed: %v", errs)
+}
+
+// settle collects the backlog's replies after the last send: until
+// the request queue is empty and nothing has arrived for settleNs, or
+// until ctx ends or the run clock passes end.
+func (k *collector) settle(ctx context.Context, c *cell, end int64) {
+	depth := func() int {
+		if d, ok := k.cl.Srv.(core.DepthPort); ok {
+			return d.Depth()
+		}
+		return 0
 	}
-	return res, nil
+	quietSince := int64(-1)
+	for ctx.Err() == nil && c.nowNs() < end {
+		if k.drain() > 0 || depth() > 0 {
+			quietSince = -1
+		} else {
+			now := c.nowNs()
+			if quietSince < 0 {
+				quietSince = now
+			} else if now-quietSince > settleNs {
+				break
+			}
+		}
+		time.Sleep(500 * time.Microsecond)
+	}
+	k.drain()
+}
+
+// errNoBlock reports an arrival lost at the allocator: the arena had
+// no block to lend its payload.
+var errNoBlock = errors.New("workload: payload arena exhausted")
+
+// offer sends m with send, first attaching a size-byte payload when
+// size > 0. A lease the send did not enqueue is still ours: it is
+// freed again.
+func (k *collector) offer(m core.Msg, size int, send func(core.Msg) error) error {
+	if size <= 0 {
+		return send(m)
+	}
+	p, err := k.cl.AllocPayload(size)
+	if err != nil {
+		return errNoBlock
+	}
+	ref := p.Ref()
+	m.Op = core.OpWork
+	m.AttachPayload(p)
+	if err := send(m); err != nil {
+		_ = k.cl.Blocks.Free(ref)
+		return err
+	}
+	return nil
 }
 
 // openLoopClient is one client's generate-and-collect loop.
-func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c *olCounters,
-	id int, nowNs func() int64, dlNs, durNs, graceNs int64, noteErr func(string, ...any)) {
-	// Prime the collector awake: the reply-side producer's TASAwake
-	// always sees true, so no wake tokens accumulate while replies are
-	// drained by polling (see the package comment above).
-	cl.Rcv.SetAwake(true)
-
-	drain := func() int {
-		n := 0
-		for {
-			m, ok := cl.Rcv.TryDequeue()
-			if !ok {
-				return n
+func openLoopClient(ctx context.Context, c *cell, cfg OpenLoopConfig, cl *core.Client, n *olCounters, hist *obs.Histogram, id int) {
+	dlNs := cfg.Deadline.Nanoseconds()
+	k := newCollector(cl, func(m core.Msg) {
+		n.completed++
+		now, dl := c.nowNs(), int64(m.Val)
+		if now > dl {
+			n.expired++
+			if cl.M != nil {
+				cl.M.Expiries.Add(1)
 			}
-			n++
-			if m.Op != core.OpEcho && m.Op != core.OpWork {
-				continue // shutdown marker or stray control op
-			}
-			if m.HasBlock() {
-				if p, err := cl.Payload(m); err == nil {
-					_ = p.Release()
-				}
-			}
-			c.completed++
-			now := nowNs()
-			dl := int64(m.Val)
-			if now > dl {
-				c.expired++
-				if cl.M != nil {
-					cl.M.Expiries.Add(1)
-				}
-			} else {
-				c.good++
-				c.hist.add(now - (dl - dlNs))
-			}
+		} else {
+			n.good++
+			hist.Record(time.Duration(now - (dl - dlNs)))
 		}
-	}
+	})
 
 	// send is SendAsyncCtx with each attempt bounded by the producer
 	// backoff ceiling (8 scaled "seconds") plus a margin. An attempt cut
@@ -496,14 +457,14 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 	}()
 	send := func(m core.Msg) error {
 		for {
-			stall.Reset(8*cfg.SleepScale + time.Millisecond)
+			stall.Reset(9 * time.Millisecond)
 			err := cl.SendAsyncCtx(sctx, m)
 			stall.Stop()
 			if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
 				return err
 			}
 			rearm()
-			drain()
+			k.drain()
 		}
 	}
 
@@ -515,10 +476,11 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 	if cfg.Burst {
 		perNs *= 2 // on-half rate; the off-half contributes nothing
 	}
-	burstNs := cfg.BurstPeriod.Nanoseconds()
+	burstNs := burstPeriod.Nanoseconds()
+	durNs := cfg.Duration.Nanoseconds()
 	var seq int32
-	next := nowNs() + expNs(&rng, perNs)
-	for ctx.Err() == nil {
+	next := c.nowNs() + expNs(&rng, perNs)
+	for ; ctx.Err() == nil; next += expNs(&rng, perNs) {
 		if cfg.Burst {
 			// Arrivals scheduled into the off-half clump at the start of
 			// the next period — the on/off square wave.
@@ -530,18 +492,18 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		// a generator that has fallen behind its schedule: a slow
 		// generator (one processor, the race detector) must not stretch
 		// the run past Duration towards the watchdog.
-		if next >= durNs || nowNs() >= durNs {
+		if next >= durNs || c.nowNs() >= durNs {
 			break
 		}
 		// Pace to the arrival clock, draining replies while ahead. On a
 		// single-CPU host time.Sleep granularity is coarse, so only
 		// sleep when comfortably ahead of schedule; otherwise yield.
 		for ctx.Err() == nil {
-			d := next - nowNs()
+			d := next - c.nowNs()
 			if d <= 0 {
 				break
 			}
-			drain()
+			k.drain()
 			if d > 500_000 {
 				time.Sleep(time.Duration(d - 200_000))
 			} else {
@@ -557,74 +519,26 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		// what the server can reply while one send blocks — but that is
 		// every request of ours still queued, which can exceed the reply
 		// queue, so send also bounds how long one attempt may block.
-		drain()
-		c.offered++
+		k.drain()
+		n.offered++
 		seq++
-		m := core.Msg{Op: core.OpEcho, Seq: seq, Val: float64(nowNs() + dlNs)}
-		var payRef uint32
-		hasPay := false
-		if cfg.PaySize > 0 {
-			p, err := cl.AllocPayload(cfg.PaySize)
-			if err != nil {
-				// Exhausted arena without fallback: the arrival is lost
-				// at the allocator, the open-loop analogue of a reject.
-				c.allocFails++
-				next += expNs(&rng, perNs)
-				continue
-			}
-			m.Op = core.OpWork
-			payRef, hasPay = p.Ref(), true
-			m.AttachPayload(p)
-		}
-		switch err := send(m); {
+		m := core.Msg{Op: core.OpEcho, Seq: seq, Val: float64(c.nowNs() + dlNs)}
+		switch err := k.offer(m, cfg.PaySize, send); {
 		case err == nil:
-			c.admitted++
+			n.admitted++
 		case errors.Is(err, core.ErrOverload):
-			c.rejected++
-			if hasPay {
-				// Never enqueued: the lease is still ours — return it.
-				_ = cl.Blocks.Free(payRef)
-			}
+			n.rejected++
+		case err == errNoBlock:
+			// Exhausted arena: the open-loop analogue of a reject.
+			n.allocFails++
 		default:
-			if hasPay {
-				_ = cl.Blocks.Free(payRef)
-			}
 			if ctx.Err() == nil {
-				noteErr("client%d: send: %v", id, err)
+				c.noteErr("client%d: send: %v", id, err)
 			}
 			return
 		}
-		next += expNs(&rng, perNs)
 	}
-
-	// Grace drain: collect the backlog's replies until the request queue
-	// is empty and nothing has arrived for a settle window longer than
-	// the reply producer's backoff ceiling (8 scaled "seconds"), so a
-	// server napping against this client's momentarily-full reply queue
-	// still gets its retry in before the collector leaves.
-	depth := func() int {
-		if d, ok := cl.Srv.(core.DepthPort); ok {
-			return d.Depth()
-		}
-		return 0
-	}
-	settle := 8*cfg.SleepScale.Nanoseconds() + 4_000_000
-	hardEnd := durNs + graceNs
-	quietSince := int64(-1)
-	for ctx.Err() == nil && nowNs() < hardEnd {
-		if drain() > 0 || depth() > 0 {
-			quietSince = -1
-		} else {
-			now := nowNs()
-			if quietSince < 0 {
-				quietSince = now
-			} else if now-quietSince > settle {
-				break
-			}
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	drain()
+	k.settle(ctx, c, durNs+cfg.grace().Nanoseconds())
 }
 
 // expNs draws an exponential interarrival gap (ns) for the given
@@ -647,69 +561,4 @@ func expNs(s *uint64, perNs float64) int64 {
 		d = 1e9 // one-second ceiling keeps a tiny rate from stalling the loop
 	}
 	return int64(d)
-}
-
-// latHist is a log2 histogram with 4 sub-buckets per octave — ~12%
-// relative error on the reported quantiles, fixed 2KB footprint, no
-// allocation on the hot path.
-type latHist struct {
-	count   int64
-	max     int64
-	buckets [256]int64
-}
-
-func (h *latHist) add(ns int64) {
-	if ns < 1 {
-		ns = 1
-	}
-	if ns > h.max {
-		h.max = ns
-	}
-	b := bits.Len64(uint64(ns)) // 1..63
-	sub := 0
-	if b >= 3 {
-		sub = int((uint64(ns) >> uint(b-3)) & 3)
-	}
-	idx := (b-1)*4 + sub
-	if idx > 255 {
-		idx = 255
-	}
-	h.buckets[idx]++
-	h.count++
-}
-
-func (h *latHist) merge(o *latHist) {
-	h.count += o.count
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-}
-
-// quantile returns the q-quantile's bucket midpoint in nanoseconds.
-func (h *latHist) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var cum int64
-	for i, cnt := range h.buckets {
-		cum += cnt
-		if cum > target {
-			b := i/4 + 1
-			sub := int64(i % 4)
-			lo := int64(1) << uint(b-1)
-			if b >= 3 {
-				lo |= sub << uint(b-3)
-				return float64(lo + int64(1)<<uint(b-3)/2)
-			}
-			return float64(lo)
-		}
-	}
-	return float64(h.max)
 }

@@ -174,38 +174,6 @@ func TestOpenLoopGroupQuarantine(t *testing.T) {
 	}
 }
 
-// TestLatHist sanity-checks the log2 histogram's quantiles: the
-// reported value must bracket the true quantile within one sub-bucket
-// (~12% relative error, by construction).
-func TestLatHist(t *testing.T) {
-	var h latHist
-	for i := int64(1); i <= 10_000; i++ {
-		h.add(i)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{{0.50, 5000}, {0.95, 9500}, {0.99, 9900}} {
-		got := h.quantile(tc.q)
-		if got < tc.want*0.85 || got > tc.want*1.15 {
-			t.Errorf("quantile(%g) = %g, want within 15%% of %g", tc.q, got, tc.want)
-		}
-	}
-	if h.max != 10_000 {
-		t.Errorf("max = %d, want 10000", h.max)
-	}
-	var m latHist
-	m.merge(&h)
-	m.merge(&h)
-	if m.count != 2*h.count || m.quantile(0.5) != h.quantile(0.5) {
-		t.Errorf("merge changed the distribution: %g vs %g", m.quantile(0.5), h.quantile(0.5))
-	}
-	var empty latHist
-	if empty.quantile(0.5) != 0 {
-		t.Errorf("empty histogram quantile should be 0")
-	}
-}
-
 // TestExpNs: the exponential sampler's mean must track 1/rate, and the
 // stream must be deterministic for a fixed seed.
 func TestExpNs(t *testing.T) {

@@ -44,27 +44,12 @@ type ProcConfig struct {
 	Clients int
 	Msgs    int // per client; 0 = unbounded (chaos cells run until error)
 
-	MaxSpin   int
-	SpinIters int
-	RingCap   int // per-lane capacity (segment geometry)
-	Nodes     int // arena size; 0 = geometry default
-
 	// PaySize arms the payload path: every echo carries that many bytes
 	// in a leased shared-memory block. PayCopy selects the copy-mode
 	// baseline (memcpy in and out of the blocks plus a server-side
 	// re-allocation) against which the zero-copy default is A/B'd.
-	// Blocks sizes the slab arena (slots per class; defaulted when
-	// PaySize > 0 and Blocks is 0).
 	PaySize int
 	PayCopy bool
-	Blocks  int
-
-	SleepScale time.Duration // queue-full nap compression (default 1ms)
-	WaitSlice  time.Duration // futex park slice (default livebind's)
-
-	HeartbeatEvery time.Duration
-	SweepEvery     time.Duration
-	Lease          time.Duration
 
 	// Watchdog bounds every worker (default 60s): a cell that trips it
 	// is deadlocked, which is a hard failure.
@@ -75,47 +60,23 @@ type ProcConfig struct {
 	// seeded jitter when Seed is set).
 	KillServerAfter time.Duration
 	Seed            int64
-
-	// Exe is the worker binary (default: this executable).
-	Exe string
 }
+
+// The fixed shape of every proc cell: 64-slot lanes, the default spin
+// budget, and a 1ms queue-full nap. The heartbeat lease is short enough
+// that a chaos cell whose pid probes lie still detects the death well
+// inside the watchdog (the probe usually fires first).
+const (
+	procRingCap = 64
+	procLease   = 750 * time.Millisecond
+)
 
 func (c *ProcConfig) defaults() error {
 	if c.Clients < 1 {
 		return fmt.Errorf("workload: proc cell needs at least 1 client")
 	}
-	if c.MaxSpin <= 0 {
-		c.MaxSpin = core.DefaultMaxSpin
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 64
-	}
-	if c.SleepScale <= 0 {
-		c.SleepScale = time.Millisecond
-	}
 	if c.Watchdog <= 0 {
 		c.Watchdog = 60 * time.Second
-	}
-	if c.Lease <= 0 {
-		// Chaos detection depends on this: the pid probe usually fires
-		// first, but the lease must be short enough that a cell where
-		// probes lie still converges well inside the watchdog.
-		c.Lease = 750 * time.Millisecond
-	}
-	if c.PaySize > 0 && c.Blocks <= 0 {
-		// Enough slots per class that every client can hold a request and
-		// a reply block simultaneously, with headroom for in-flight ones.
-		c.Blocks = 4 * (c.Clients + 1)
-		if c.Blocks < 32 {
-			c.Blocks = 32
-		}
-	}
-	if c.Exe == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("workload: cannot locate worker binary: %w", err)
-		}
-		c.Exe = exe
 	}
 	return nil
 }
@@ -123,20 +84,13 @@ func (c *ProcConfig) defaults() error {
 // procWireCfg is the parent→worker configuration, serialised into the
 // environment. Durations travel as nanoseconds.
 type procWireCfg struct {
-	Alg         string `json:"alg"`
-	Clients     int    `json:"clients"`
-	Msgs        int    `json:"msgs"`
-	ClientID    int    `json:"client_id"`
-	MaxSpin     int    `json:"max_spin"`
-	SpinIters   int    `json:"spin_iters"`
-	SleepNs     int64  `json:"sleep_ns"`
-	WaitNs      int64  `json:"wait_ns"`
-	HeartbeatNs int64  `json:"heartbeat_ns"`
-	SweepNs     int64  `json:"sweep_ns"`
-	LeaseNs     int64  `json:"lease_ns"`
-	WatchdogNs  int64  `json:"watchdog_ns"`
-	PaySize     int    `json:"pay_size,omitempty"`
-	PayCopy     bool   `json:"pay_copy,omitempty"`
+	Alg        string `json:"alg"`
+	Clients    int    `json:"clients"`
+	Msgs       int    `json:"msgs"`
+	ClientID   int    `json:"client_id"`
+	WatchdogNs int64  `json:"watchdog_ns"`
+	PaySize    int    `json:"pay_size,omitempty"`
+	PayCopy    bool   `json:"pay_copy,omitempty"`
 }
 
 // procWorkerResult is the worker→parent report: one JSON line on
@@ -200,15 +154,11 @@ func runProcWorker(role, cfgJSON string) int {
 
 	m := &metrics.Proc{Name: role}
 	opts := livebind.ProcOptions{
-		Alg:            alg,
-		MaxSpin:        wire.MaxSpin,
-		SpinIters:      wire.SpinIters,
-		SleepScale:     time.Duration(wire.SleepNs),
-		WaitSlice:      time.Duration(wire.WaitNs),
-		HeartbeatEvery: time.Duration(wire.HeartbeatNs),
-		SweepEvery:     time.Duration(wire.SweepNs),
-		Lease:          time.Duration(wire.LeaseNs),
-		M:              m,
+		Alg:        alg,
+		MaxSpin:    core.DefaultMaxSpin,
+		SleepScale: time.Millisecond,
+		Lease:      procLease,
+		M:          m,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(wire.WatchdogNs))
 	defer cancel()
@@ -468,6 +418,70 @@ func spawnProcWorker(exe, role string, wire procWireCfg, segFile *os.File) (*pro
 	return w, nil
 }
 
+// procCell is the parent side of one running cross-process cell: the
+// segment and its workers, each re-executing this binary.
+type procCell struct {
+	seg     *shm.Seg
+	segFile *os.File
+	server  *procWorker
+	clients []*procWorker
+}
+
+// startProcCell creates the cell's memfd segment and spawns its server
+// and client workers on it. The caller closes the cell.
+func startProcCell(cfg ProcConfig, name string) (*procCell, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("workload: cannot locate worker binary: %w", err)
+	}
+	seg, segFile, err := shm.CreateMemfdSeg(name, shm.SegConfig{
+		Clients: cfg.Clients, RingCap: procRingCap, Blocks: paySlots(cfg.PaySize, cfg.Clients),
+	})
+	if err != nil {
+		return nil, err
+	}
+	p := &procCell{seg: seg, segFile: segFile, clients: make([]*procWorker, cfg.Clients)}
+	wire := procWireCfg{
+		Alg:        cfg.Alg.String(),
+		Clients:    cfg.Clients,
+		Msgs:       cfg.Msgs,
+		WatchdogNs: int64(cfg.Watchdog),
+		PaySize:    cfg.PaySize,
+		PayCopy:    cfg.PayCopy,
+	}
+	if p.server, err = spawnProcWorker(exe, procRoleServer, wire, segFile); err != nil {
+		p.close()
+		return nil, err
+	}
+	for i := range p.clients {
+		wire.ClientID = i
+		if p.clients[i], err = spawnProcWorker(exe, procRoleClient, wire, segFile); err != nil {
+			p.server.kill()
+			for _, c := range p.clients[:i] {
+				c.kill()
+			}
+			p.close()
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+func (p *procCell) close() {
+	p.segFile.Close()
+	p.seg.Close()
+}
+
+// segLeaks audits the segment once every worker is gone: the refs missing
+// from its node pool and the blocks missing from its payload arena.
+func segLeaks(v *shm.SegView) (pool, blocks int64) {
+	pool = int64(v.Config().Nodes) - v.Pool.FreeCount()
+	if v.Blocks != nil {
+		blocks = int64(v.Blocks.Capacity()) - v.Blocks.TotalFree()
+	}
+	return pool, blocks
+}
+
 // wait reaps the worker with a deadline and parses its report. A
 // worker that outlives the deadline is killed and reported as hung.
 func (w *procWorker) wait(d time.Duration) (procWorkerResult, error) {
@@ -531,25 +545,6 @@ type ProcResult struct {
 	Clients     []ProcClientResult
 }
 
-// sumProcMetrics folds a worker's counters into the cell total.
-func sumProcMetrics(all *metrics.Snapshot, s metrics.Snapshot) {
-	all.Yields += s.Yields
-	all.SemP += s.SemP
-	all.SemV += s.SemV
-	all.Blocks += s.Blocks
-	all.Wakeups += s.Wakeups
-	all.Sleeps += s.Sleeps
-	all.Timeouts += s.Timeouts
-	all.Cancels += s.Cancels
-	all.PeerDeaths += s.PeerDeaths
-	all.OrphanMsgs += s.OrphanMsgs
-	all.OrphanBlocks += s.OrphanBlocks
-	all.WakeRescues += s.WakeRescues
-	all.BlockRefills += s.BlockRefills
-	all.BlockSpills += s.BlockSpills
-	all.BlockFails += s.BlockFails
-}
-
 // RunProcCell runs one clean cross-process cell: one server process,
 // cfg.Clients client processes, cfg.Msgs echoes each, through a memfd
 // segment. On platforms without a mapping backend it returns
@@ -561,54 +556,17 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 	if cfg.Msgs <= 0 {
 		cfg.Msgs = 1000
 	}
-	seg, segFile, err := shm.CreateMemfdSeg("ulipc-proc", shm.SegConfig{
-		Clients: cfg.Clients, Nodes: cfg.Nodes, RingCap: cfg.RingCap,
-		Blocks: cfg.Blocks,
-	})
+	p, err := startProcCell(cfg, "ulipc-proc")
 	if err != nil {
 		return nil, err
 	}
-	defer seg.Close()
-	defer segFile.Close()
-
-	wire := procWireCfg{
-		Alg:         cfg.Alg.String(),
-		Clients:     cfg.Clients,
-		Msgs:        cfg.Msgs,
-		MaxSpin:     cfg.MaxSpin,
-		SpinIters:   cfg.SpinIters,
-		SleepNs:     int64(cfg.SleepScale),
-		WaitNs:      int64(cfg.WaitSlice),
-		HeartbeatNs: int64(cfg.HeartbeatEvery),
-		SweepNs:     int64(cfg.SweepEvery),
-		LeaseNs:     int64(cfg.Lease),
-		WatchdogNs:  int64(cfg.Watchdog),
-		PaySize:     cfg.PaySize,
-		PayCopy:     cfg.PayCopy,
-	}
-	server, err := spawnProcWorker(cfg.Exe, procRoleServer, wire, segFile)
-	if err != nil {
-		return nil, err
-	}
-	clients := make([]*procWorker, cfg.Clients)
-	for i := range clients {
-		cw := wire
-		cw.ClientID = i
-		clients[i], err = spawnProcWorker(cfg.Exe, procRoleClient, cw, segFile)
-		if err != nil {
-			server.kill()
-			for _, c := range clients[:i] {
-				c.kill()
-			}
-			return nil, err
-		}
-	}
+	defer p.close()
 
 	res := &ProcResult{}
 	var failures []error
 	deadline := cfg.Watchdog + 10*time.Second
 	var maxElapsed int64
-	for i, c := range clients {
+	for i, c := range p.clients {
 		r, err := c.wait(deadline)
 		if err != nil {
 			failures = append(failures, fmt.Errorf("client %d: %w", i, err))
@@ -617,23 +575,21 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 		}
 		res.Backend = r.Backend
 		res.Sent += r.Sent
-		if r.ElapsedNs > maxElapsed {
-			maxElapsed = r.ElapsedNs
-		}
-		sumProcMetrics(&res.All, r.Metrics)
+		maxElapsed = max(maxElapsed, r.ElapsedNs)
+		res.All.Add(r.Metrics)
 		res.Clients = append(res.Clients, ProcClientResult{
 			ID: i, Sent: r.Sent, ElapsedNs: r.ElapsedNs,
 			PeerDead: r.PeerDead, Hung: r.Hung, Err: r.Err,
 		})
 	}
-	sr, err := server.wait(deadline)
+	sr, err := p.server.wait(deadline)
 	if err != nil {
 		failures = append(failures, fmt.Errorf("server: %w", err))
 	} else if sr.Err != "" {
 		failures = append(failures, fmt.Errorf("server: %s", sr.Err))
 	}
 	res.Served = sr.Served
-	sumProcMetrics(&res.All, sr.Metrics)
+	res.All.Add(sr.Metrics)
 
 	res.PaySize, res.PayCopy = cfg.PaySize, cfg.PayCopy
 	if maxElapsed > 0 {
@@ -645,18 +601,11 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 				(float64(maxElapsed) / 1e9)
 		}
 	}
-	v, verr := seg.View()
-	if verr == nil {
-		if leaked := int64(v.Config().Nodes) - v.Pool.FreeCount(); leaked != 0 {
-			res.PoolLeaked = leaked
-			failures = append(failures, fmt.Errorf("pool leaked %d refs after clean run", leaked))
-		}
-		if v.Blocks != nil {
-			if leaked := int64(v.Blocks.Capacity()) - v.Blocks.TotalFree(); leaked != 0 {
-				res.BlockLeaked = leaked
-				failures = append(failures, fmt.Errorf("payload arena leaked %d blocks after clean run", leaked))
-			}
-		}
+	if v, err := p.seg.View(); err == nil {
+		res.PoolLeaked, res.BlockLeaked = segLeaks(v)
+	}
+	if res.PoolLeaked != 0 || res.BlockLeaked != 0 {
+		failures = append(failures, fmt.Errorf("leaked %d pool refs and %d payload blocks after clean run", res.PoolLeaked, res.BlockLeaked))
 	}
 	want := int64(cfg.Clients) * int64(cfg.Msgs)
 	if len(failures) == 0 && (res.Sent != want || res.Served != want) {
@@ -719,57 +668,20 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 		PaySize:     cfg.PaySize,
 	}
 
-	seg, segFile, err := shm.CreateMemfdSeg("ulipc-chaos", shm.SegConfig{
-		Clients: cfg.Clients, Nodes: cfg.Nodes, RingCap: cfg.RingCap,
-		Blocks: cfg.Blocks,
-	})
+	p, err := startProcCell(cfg, "ulipc-chaos")
 	if err != nil {
 		return out, err
 	}
-	defer seg.Close()
-	defer segFile.Close()
-
-	wire := procWireCfg{
-		Alg:         cfg.Alg.String(),
-		Clients:     cfg.Clients,
-		Msgs:        0,
-		MaxSpin:     cfg.MaxSpin,
-		SpinIters:   cfg.SpinIters,
-		SleepNs:     int64(cfg.SleepScale),
-		WaitNs:      int64(cfg.WaitSlice),
-		HeartbeatNs: int64(cfg.HeartbeatEvery),
-		SweepNs:     int64(cfg.SweepEvery),
-		LeaseNs:     int64(cfg.Lease),
-		WatchdogNs:  int64(cfg.Watchdog),
-		PaySize:     cfg.PaySize,
-		PayCopy:     cfg.PayCopy,
-	}
-	server, err := spawnProcWorker(cfg.Exe, procRoleServer, wire, segFile)
-	if err != nil {
-		return out, err
-	}
-	clients := make([]*procWorker, cfg.Clients)
-	for i := range clients {
-		cw := wire
-		cw.ClientID = i
-		clients[i], err = spawnProcWorker(cfg.Exe, procRoleClient, cw, segFile)
-		if err != nil {
-			server.kill()
-			for _, c := range clients[:i] {
-				c.kill()
-			}
-			return out, err
-		}
-	}
+	defer p.close()
 
 	// Let traffic flow, then murder the server mid-exchange. kill()
 	// also reaps, so survivors' pid probes see ESRCH immediately.
 	time.Sleep(killAfter)
-	server.kill()
+	p.server.kill()
 
 	var failures []error
 	deadline := cfg.Watchdog + 10*time.Second
-	for i, c := range clients {
+	for i, c := range p.clients {
 		r, err := c.wait(deadline)
 		if err != nil {
 			out.Hung++
@@ -802,7 +714,7 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 
 	// Post-mortem audit: every process is gone, so the parent has
 	// exclusive access. The segment must account for every ref.
-	v, verr := seg.View()
+	v, verr := p.seg.View()
 	if verr != nil {
 		failures = append(failures, verr)
 	} else {
@@ -811,15 +723,9 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 		if rerr != nil {
 			failures = append(failures, rerr)
 		}
-		if leaked := int64(v.Config().Nodes) - v.Pool.FreeCount(); leaked != 0 {
-			out.PoolLeaked = leaked
-			failures = append(failures, fmt.Errorf("pool leaked %d refs after reclaim", leaked))
-		}
-		if v.Blocks != nil {
-			if leaked := int64(v.Blocks.Capacity()) - v.Blocks.TotalFree(); leaked != 0 {
-				out.BlockLeaked = leaked
-				failures = append(failures, fmt.Errorf("payload arena leaked %d blocks after reclaim", leaked))
-			}
+		out.PoolLeaked, out.BlockLeaked = segLeaks(v)
+		if out.PoolLeaked != 0 || out.BlockLeaked != 0 {
+			failures = append(failures, fmt.Errorf("leaked %d pool refs and %d payload blocks after reclaim", out.PoolLeaked, out.BlockLeaked))
 		}
 	}
 	err = errors.Join(failures...)

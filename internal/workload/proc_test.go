@@ -43,6 +43,10 @@ func TestProcCellClean(t *testing.T) {
 			if res.Sent != 600 || res.Served != 600 {
 				t.Fatalf("sent %d served %d, want 600/600", res.Sent, res.Served)
 			}
+			if res.All.MsgsSent < res.Sent || res.All.MsgsReceived < res.Served {
+				t.Fatalf("All undercounts: MsgsSent %d < Sent %d or MsgsReceived %d < Served %d",
+					res.All.MsgsSent, res.Sent, res.All.MsgsReceived, res.Served)
+			}
 			if res.PoolLeaked != 0 {
 				t.Fatalf("pool leaked %d refs", res.PoolLeaked)
 			}
