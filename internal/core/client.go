@@ -154,9 +154,11 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 
 // exchangeCtx enqueues the request, wakes the server and awaits the
 // reply, all under ctx. Once the request is enqueued, a failed wait
-// leaves one reply owed (c.lag). BSWY follows a wake with a hand-off
-// hint, Figure 7's busy_wait "and let it run"; a send that woke nobody
-// has nobody to hand off to.
+// leaves one reply owed (c.lag). The wake is a Grant, not a V: the
+// client blocks on the reply next, so the binding may run the server
+// at once. BSWY follows a wake with a hand-off hint, Figure 7's
+// busy_wait "and let it run"; a send that woke nobody has nobody to
+// hand off to.
 func (c *Client) exchangeCtx(ctx context.Context, m Msg) (Msg, error) {
 	if !ValidAlgorithm(c.Alg) {
 		return Msg{}, ErrUnknownAlgorithm
@@ -165,8 +167,11 @@ func (c *Client) exchangeCtx(ctx context.Context, m Msg) (Msg, error) {
 		return Msg{}, err
 	}
 	c.lag++
-	if c.Alg != BSS && wake(c.Srv, c.A) && c.Alg == BSWY {
-		c.tryHandoff()
+	if c.Alg != BSS && c.Srv.ClaimWake() {
+		c.A.Grant(c.Srv.Sem())
+		if c.Alg == BSWY {
+			c.tryHandoff()
+		}
 	}
 	ans, err := c.RecvReplyCtx(ctx)
 	if err == nil {

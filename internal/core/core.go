@@ -141,9 +141,17 @@ type Actor interface {
 	// semaphore was shut down.
 	PCtx(ctx context.Context, id SemID) error
 
-	// V unblocks a waiter or increments the count; it must NOT force a
-	// rescheduling decision (System V semantics).
+	// V unblocks a waiter or increments the count. V never forces a
+	// rescheduling decision (System V semantics); Grant may.
 	V(SemID)
+
+	// Grant is a V by a caller that waits next: the caller's following
+	// step is to block on its own reply. Unlike V it may force a
+	// rescheduling decision, running the woken waiter at once, which is
+	// the hand-off scheduling the paper's Section 6 proposes for exactly
+	// this case. Implementations without a cheap directed switch treat
+	// it as V. Its only caller is the synchronous send's request wake.
+	Grant(SemID)
 
 	// Handoff suggests running the process that owns the given port
 	// (the Section 6 extension). Implementations without hand-off

@@ -68,6 +68,8 @@ type fakeActor struct {
 	polls     int
 	sleeps    int
 	handoffs  []int
+	vs        []SemID // plain V calls, in order
+	grants    []SemID // Grant calls, in order; a grant also counts up
 
 	onP       func(SemID) // called when P would block (count == 0)
 	onYield   func()
@@ -116,7 +118,9 @@ func (a *fakeActor) P(id SemID) {
 
 func (a *fakeActor) PCtx(_ context.Context, id SemID) error { a.P(id); return nil }
 
-func (a *fakeActor) V(id SemID) { a.sems[id]++ }
+func (a *fakeActor) V(id SemID) { a.vs = append(a.vs, id); a.sems[id]++ }
+
+func (a *fakeActor) Grant(id SemID) { a.grants = append(a.grants, id); a.sems[id]++ }
 
 func (a *fakeActor) Handoff(target int) { a.handoffs = append(a.handoffs, target) }
 

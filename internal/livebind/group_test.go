@@ -636,10 +636,13 @@ func TestBatchSingleServer(t *testing.T) {
 // TestBatchOversizedDeadlockFree sends one batch far larger than the
 // request and reply queues combined: progress then requires the client
 // to interleave reply draining with request feeding, which is exactly
-// what SendBatch's full-queue path does.
+// what SendBatch's full-queue path does. The plain SendBatch naps the
+// flat sleep(1) on a full queue, so the system compresses it to a
+// millisecond: unscaled, a handful of naps took the run past the
+// deadlock bound without any deadlock.
 func TestBatchOversizedDeadlockFree(t *testing.T) {
 	const k = 64
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueCap: 8})
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueCap: 8, SleepScale: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,7 +377,24 @@ func (a *Actor) P(id core.SemID) {
 // spurious wake-up the protocols' token accounting must absorb), or
 // delayed. A crashpoint right before the mutation models a producer
 // dying owing its wake-up — Figure 4's race window, made permanent.
-func (a *Actor) V(id core.SemID) {
+func (a *Actor) V(id core.SemID) { a.v(id) }
+
+// Grant implements core.Actor: V, then, if it woke a waiter, yield the
+// processor to it. The semaphore grants by a send on the waiter's
+// channel, which puts the woken goroutine in this P's runnext slot, so
+// the yield runs it at once — the directed hand-off of the paper's
+// Section 6. On the synchronous send's request wake the server then
+// finds the client's awake flag still set, replies without a V and
+// parks, and the client's first dequeue finds the reply: one park and
+// one wake per round trip instead of two.
+func (a *Actor) Grant(id core.SemID) {
+	if a.v(id) {
+		runtime.Gosched()
+	}
+}
+
+// v is V's body; it reports whether the V woke a sleeper.
+func (a *Actor) v(id core.SemID) bool {
 	if a.M != nil {
 		a.M.SemV.Add(1)
 	}
@@ -386,7 +403,7 @@ func (a *Actor) V(id core.SemID) {
 		a.FH.Crashpoint(fault.PtWake)
 		switch a.FH.WakeOp() {
 		case fault.WakeDrop:
-			return // the V never happens
+			return false // the V never happens
 		case fault.WakeDup:
 			a.sems[id].V()
 		case fault.WakeDelay:
@@ -398,12 +415,15 @@ func (a *Actor) V(id core.SemID) {
 			a.M.Wakeups.Add(1)
 		}
 		a.Obs.Note(obs.EvWake, int64(id))
+		return true
 	}
+	return false
 }
 
-// Handoff implements core.Actor. The Go runtime exposes no hand-off
-// primitive, so the hint degrades to a yield — exactly the fallback the
-// paper's portable implementation uses.
+// Handoff implements core.Actor. The hint names no semaphore to grant
+// on, so it degrades to a yield — exactly the fallback the paper's
+// portable implementation uses. The directed hand-off the Go runtime
+// does offer, a channel grant's runnext slot, is Grant's.
 func (a *Actor) Handoff(target int) { a.Yield() }
 
 // countCtxErr attributes a cancellation outcome to the robustness

@@ -509,6 +509,10 @@ func (a *ProcActor) V(id core.SemID) {
 	}
 }
 
+// Grant implements core.Actor as V: a futex wake cannot run the woken
+// process on this CPU, so there is nothing to hand off.
+func (a *ProcActor) Grant(id core.SemID) { a.V(id) }
+
 // Handoff implements core.Actor: no cross-process hand-off primitive
 // exists, so the hint degrades to sched_yield — which at least gives
 // the scheduler the chance to run the peer process.

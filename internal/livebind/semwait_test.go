@@ -322,24 +322,31 @@ func TestSemaphoreCloseStopsRegistrations(t *testing.T) {
 
 // BenchmarkSemaphoreHandoff is the V→P hand-off pair through each park
 // path: two goroutines, two semaphores, every V waking the other side.
+// The grant case wakes the peer with Actor.Grant instead: the peer runs
+// at once and its V finds the benchmark loop not yet parked, so a pair
+// parks once where the others park twice.
 func BenchmarkSemaphoreHandoff(b *testing.B) {
 	shared, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	plain := func(s *Semaphore) { s.P() }
 	for _, bc := range []struct {
-		name string
-		wait func(*Semaphore)
+		name  string
+		wait  func(*Semaphore)
+		grant bool
 	}{
-		{"plain", func(s *Semaphore) { s.P() }},
-		{"background", func(s *Semaphore) { s.PCtx(context.Background()) }},
-		{"shared", func(s *Semaphore) { s.PCtx(shared) }},
-		{"percall", func(s *Semaphore) {
+		{name: "plain", wait: plain},
+		{name: "background", wait: func(s *Semaphore) { s.PCtx(context.Background()) }},
+		{name: "shared", wait: func(s *Semaphore) { s.PCtx(shared) }},
+		{name: "percall", wait: func(s *Semaphore) {
 			ctx, cancel := context.WithTimeout(shared, time.Minute)
 			s.PCtx(ctx)
 			cancel()
 		}},
+		{name: "grant", wait: plain, grant: true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ping, pong := NewSemaphore(0), NewSemaphore(0)
+			a := &Actor{sems: []*Semaphore{ping}}
 			done := make(chan struct{})
 			go func() {
 				for i := 0; i < b.N; i++ {
@@ -351,7 +358,11 @@ func BenchmarkSemaphoreHandoff(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ping.V()
+				if bc.grant {
+					a.Grant(0)
+				} else {
+					ping.V()
+				}
 				bc.wait(pong)
 			}
 			<-done

@@ -177,6 +177,10 @@ func (a *Actor) SleepCtx(_ context.Context, s int) error { a.p.SleepSec(s); retu
 // V implements core.Actor.
 func (a *Actor) V(id core.SemID) { a.p.SemV(sim.SemID(id)) }
 
+// Grant implements core.Actor as V, so the simulated protocols keep
+// the paper's System V semantics; the simulator's hand-off is Handoff.
+func (a *Actor) Grant(id core.SemID) { a.V(id) }
+
 // Handoff implements core.Actor, mapping the protocol-level targets onto
 // the kernel's handoff system call.
 func (a *Actor) Handoff(target int) {
