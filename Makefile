@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench lint examples cover chaos xproc overload
+.PHONY: build test race vet bench lint examples cover chaos xproc overload loc
 
 build:
 	$(GO) build ./...
@@ -72,3 +72,14 @@ xproc:
 	$(GO) test -run TestFutex ./internal/protomodel/
 	$(GO) test -race -count=2 -cpu 1,2,4 -run 'Proc|Payload' ./internal/livebind ./internal/core ./internal/workload .
 	$(GO) run -race ./cmd/ipcbench -proc -chaos -seed $(SEED) -paysize 0,1024
+
+# Non-test Go line counts (wc -l) per package directory, then the
+# livebind+queue sum and the total: the count behind every line gate
+# in ROADMAP.md.
+loc:
+	@total=0; for d in $$(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; \
+	lq=$$(find internal/livebind internal/queue -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%7d  livebind+queue\n%7d  total\n' $$lq $$total

@@ -23,52 +23,6 @@ import (
 // (shedding, throttle pacing) and what checks each message (validity,
 // the double-reply audit count) still runs on every message.
 
-// BatchPort is an optional Port extension: an endpoint that can move a
-// burst of messages with one routing/locking decision. TryEnqueueBatch
-// appends a prefix of ms and returns how many were taken (0 when full);
-// TryDequeueBatch removes up to len(dst) queued messages into dst and
-// returns how many (0 when empty). An endpoint used in one direction
-// only reports 0 for the other. Ports without the extension fall back
-// to per-message TryEnqueue/TryDequeue.
-type BatchPort interface {
-	TryEnqueueBatch(ms []Msg) int
-	TryDequeueBatch(dst []Msg) int
-}
-
-// tryEnqueueBatch appends a prefix of ms to q, via the port's vectored
-// path when it has one.
-func tryEnqueueBatch(q SendPort, ms []Msg) int {
-	if bp, ok := q.(BatchPort); ok {
-		return bp.TryEnqueueBatch(ms)
-	}
-	n := 0
-	for _, m := range ms {
-		if !q.TryEnqueue(m) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// tryDequeueBatch fills a prefix of dst from q, via the port's vectored
-// path when it has one.
-func tryDequeueBatch(q Port, dst []Msg) int {
-	if bp, ok := q.(BatchPort); ok {
-		return bp.TryDequeueBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		m, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
-		dst[n] = m
-		n++
-	}
-	return n
-}
-
 // SendBatch sends every message in msgs and returns the replies (in
 // arrival order, which under a sharded server is not necessarily send
 // order). One wake-up is issued per enqueue burst, not per message. It
@@ -125,13 +79,13 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		return out, err
 	}
 	for sent < len(msgs) {
-		if portRefusing(c.Srv) {
+		if c.Srv.Refusing() {
 			return fail(shutdownErr(c.Srv))
 		}
 		if err := ctxErr(ctx); err != nil {
 			return fail(err)
 		}
-		n := tryEnqueueBatch(c.Srv, msgs[sent:])
+		n := c.Srv.TryEnqueueBatch(msgs[sent:])
 		if n > 0 {
 			sent += n
 			c.Budget.credit()
@@ -180,7 +134,7 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 // nothing is queued.
 func (c *Client) collect(out *[]Msg, sent int) bool {
 	o := *out
-	k := tryDequeueBatch(c.Rcv, o[len(o):sent])
+	k := c.Rcv.TryDequeueBatch(o[len(o):sent])
 	*out = o[:len(o)+k]
 	return k > 0
 }
@@ -227,7 +181,7 @@ func (s *Server) ReceiveBatchCtx(ctx context.Context, buf []Msg) (int, error) {
 // a throttle or a shed policy, wake retirement and shedding are no-ops,
 // so the audit count is all that runs per message.
 func (s *Server) drainInto(buf []Msg, from int) int {
-	got := tryDequeueBatch(s.Rcv, buf[from:])
+	got := s.Rcv.TryDequeueBatch(buf[from:])
 	if s.M != nil && got > 0 {
 		s.M.MsgsReceived.Add(int64(got))
 	}
@@ -256,42 +210,10 @@ func (s *Server) drainInto(buf []Msg, from int) int {
 }
 
 // Reply pairs a response message with its destination client for
-// ReplyBatch.
+// ReplyBatchCtx.
 type Reply struct {
 	Client int32
 	Msg    Msg
-}
-
-// ReplyBatch enqueues every reply, then issues at most one wake-up per
-// distinct destination client — the reply-side half of the k-messages-
-// per-V amortisation. Each run of consecutive data replies to one
-// client is copied into scratch and sent by replyRun, the helper the
-// batch serve loop uses on its receive buffer. Control-path replies
-// (connect/disconnect) keep their immediate, throttle-bypassing wake,
-// and replies to invalid client numbers are dropped with their payload
-// lease: both go through scalar Reply.
-func (s *Server) ReplyBatch(batch []Reply) {
-	if len(batch) == 0 {
-		return
-	}
-	s.growReplyScratch(len(batch))
-	for i := 0; i < len(batch); {
-		c, m := batch[i].Client, batch[i].Msg
-		if !s.ValidClient(c) || isControl(m.Op) {
-			s.Reply(c, m)
-			i++
-			continue
-		}
-		run := s.run[:0]
-		for ; i < len(batch) && batch[i].Client == c && !isControl(batch[i].Msg.Op); i++ {
-			run = append(run, batch[i].Msg)
-		}
-		s.replyRunOrDrop(c, run)
-	}
-	if s.Obs.Enabled() {
-		s.Obs.Batch(len(batch))
-	}
-	s.flushWakes()
 }
 
 // replyRun sends run, consecutive data replies to valid client c, with
@@ -303,8 +225,8 @@ func (s *Server) ReplyBatch(batch []Reply) {
 // caller flushes.
 func (s *Server) replyRun(ctx context.Context, c int32, run []Msg) (n int, err error) {
 	q := s.Replies[c]
-	if !portRefusing(q) && ctxErr(ctx) == nil {
-		n = tryEnqueueBatch(q, run)
+	if !q.Refusing() && ctxErr(ctx) == nil {
+		n = q.TryEnqueueBatch(run)
 	}
 	for _, m := range run[n:] {
 		if err = enqueueCtx(ctx, s.Alg, q, s.A, m, s.M, nil, s.Obs); err != nil {
@@ -321,24 +243,19 @@ func (s *Server) replyRun(ctx context.Context, c int32, run []Msg) (n int, err e
 	return n, err
 }
 
-// replyRunOrDrop is replyRun for the plain verbs: a reply the queue
-// refused is dropped with its payload lease, as in scalar Reply.
-func (s *Server) replyRunOrDrop(c int32, run []Msg) {
-	n, err := s.replyRun(context.Background(), c, run)
-	if err != nil {
-		for _, m := range run[n:] {
-			dropPayload(s.Blocks, s.Owner, m)
-		}
-	}
-}
-
-// ReplyBatchCtx is ReplyBatch with deadline/cancellation support and
-// the ReplyCtx misuse audit. Replies with no outstanding request are
-// skipped and reported as ErrDoubleReply after the rest of the batch
-// has been delivered; an enqueue failure (shutdown, context) stops the
-// batch, flushes the wakes already owed, and returns that error. As in
-// ReplyCtx, a reply that failed keeps its payload lease with the
-// server.
+// ReplyBatchCtx enqueues every reply, then issues at most one wake-up
+// per distinct destination client — the reply-side half of the
+// k-messages-per-V amortisation. Each run of consecutive data replies
+// to one client is copied into scratch and sent by replyRun, the helper
+// the batch serve loop uses on its receive buffer; a control-path reply
+// (connect/disconnect) keeps the scalar reply's immediate,
+// throttle-bypassing wake. It carries the ReplyCtx misuse audit:
+// replies with no outstanding request (an invalid client number
+// included) are skipped and reported as ErrDoubleReply after the rest
+// of the batch has been delivered; an enqueue failure (shutdown,
+// context) stops the batch, flushes the wakes already owed, and returns
+// that error. As in ReplyCtx, a reply that failed keeps its payload
+// lease with the server.
 func (s *Server) ReplyBatchCtx(ctx context.Context, batch []Reply) error {
 	if len(batch) == 0 {
 		return nil
@@ -500,7 +417,12 @@ func (s *Server) serveBurst(buf []Msg, work func(*Msg), st *serveState) (stop bo
 			for k < len(ms) && ms[k].Client == c && !isControl(ms[k].Op) {
 				k++
 			}
-			s.replyRunOrDrop(c, ms[:k])
+			// As scalar Reply: a refused reply drops its payload lease.
+			if n, err := s.replyRun(context.Background(), c, ms[:k]); err != nil {
+				for _, m := range ms[n:k] {
+					dropPayload(s.Blocks, s.Owner, m)
+				}
+			}
 		}
 		ms = ms[k:]
 	}

@@ -10,7 +10,7 @@ import (
 // which replies were enqueued.
 type replyLog []Msg
 
-// logPort is a reply port with the vectored extension. Every enqueue,
+// logPort is a reply port with a vectored enqueue. Every enqueue,
 // scalar or vectored, lands in the shared log; batchCalls counts the
 // vectored calls that carried at least one message.
 type logPort struct {
@@ -40,10 +40,6 @@ func (p *logPort) TryEnqueueBatch(ms []Msg) int {
 	}
 	return n
 }
-
-func (p *logPort) TryDequeueBatch([]Msg) int { return 0 }
-
-var _ BatchPort = (*logPort)(nil)
 
 // logHarness is newServerHarness with logPort reply channels.
 func logHarness(clients int) (*serverHarness, []*logPort, *replyLog) {
@@ -171,27 +167,39 @@ func TestServeBatchRepliesInPlace(t *testing.T) {
 	}
 }
 
-// ReplyBatch sends its runs through the same helper: two runs to a
-// sleeping client cost it one wake, a connect reply goes out through
-// scalar Reply, a reply to an invalid client frees its payload, and the
-// audit is settled per run.
+// ReplyBatchCtx sends its runs through the same helper: two runs to a
+// sleeping client cost it one wake, a connect reply goes out as a
+// scalar reply, and the audit is settled per run. A reply to a client
+// with nothing outstanding fails the audit — ErrDoubleReply once the
+// rest of the batch is out — and its payload lease stays with the
+// server.
 func TestReplyBatchRuns(t *testing.T) {
-	h, ports, _ := logHarness(2)
+	h, ports, _ := logHarness(3)
 	store := newFakeStore()
 	h.srv.Blocks, h.srv.Owner = store, 1
 	for _, c := range []int32{0, 0, 0, 1, 1} {
 		h.srv.noteReceived(c)
 	}
 	ports[0].awake = false
-	invalid, _ := payloadMsg(t, store, 5)
-	h.srv.ReplyBatch([]Reply{
+	stray, _ := payloadMsg(t, store, 2)
+	err := h.srv.ReplyBatchCtx(context.Background(), []Reply{
 		{0, Msg{Op: OpEcho, Seq: 1}}, {0, Msg{Op: OpEcho, Seq: 2}},
-		{5, invalid},
+		{2, stray},
 		{1, connectMsg(1)}, {1, Msg{Op: OpEcho, Seq: 3}},
 		{0, Msg{Op: OpEcho, Seq: 4}},
 	})
+	if !errors.Is(err, ErrDoubleReply) {
+		t.Errorf("ReplyBatchCtx = %v, want ErrDoubleReply for the stray reply", err)
+	}
+	if len(ports[2].msgs) != 0 {
+		t.Errorf("stray reply delivered: %+v", ports[2].msgs)
+	}
+	if n := store.outstanding(); n != 1 {
+		t.Errorf("%d blocks outstanding after the refused reply, want its 1", n)
+	}
+	dropPayload(store, h.srv.Owner, stray) // the server still holds the lease
 	if n := store.outstanding(); n != 0 {
-		t.Errorf("%d blocks leaked by the invalid-client reply", n)
+		t.Errorf("%d blocks outstanding after the server dropped the stray reply", n)
 	}
 	if got := len(ports[0].msgs); got != 3 || ports[0].msgs[2].Seq != 4 {
 		t.Errorf("client 0 replies %+v, want seqs 1, 2, 4", ports[0].msgs)

@@ -11,9 +11,10 @@
 //   - BSLS — Both Sides Limited Spin (Figure 9): poll the queue up to
 //     MAX_SPIN times before entering the blocking path.
 //
-// The algorithms are written once against two small interfaces: Port
-// (one endpoint of a shared queue plus its consumer's wake state) and
-// Actor (the process's system-call surface). internal/simbind binds them
+// The algorithms are written once against two interfaces: Port (one
+// endpoint of a shared queue: enqueue and dequeue, single or in bursts,
+// its consumer's wake state and its shutdown state) and Actor (the
+// process's system-call surface). internal/simbind binds them
 // to the discrete-event kernel for the paper's experiments;
 // internal/livebind binds them to real atomics and goroutines for use as
 // a library.
@@ -71,11 +72,21 @@ const (
 type SemID int
 
 // SendPort is the producer's view of a shared one-way queue: enqueue,
-// then claim the right to wake the consumer.
+// then claim the right to wake the consumer. It also carries the
+// queue's depth and its shutdown and peer-death state, which the
+// protocol paths consult on every full-queue and blocking cycle. An
+// endpoint without a capability reports zero: the simulator's ports
+// never refuse, never die and admit everything.
 type SendPort interface {
 	// TryEnqueue attempts to append m; it reports false if the queue
 	// (i.e. the shared free pool) is full.
 	TryEnqueue(m Msg) bool
+
+	// TryEnqueueBatch appends a prefix of ms and returns how many were
+	// taken (0 when full): a burst published with one routing or
+	// locking decision where the queue has one, EnqueueEach otherwise.
+	// An endpoint that is never enqueued on returns 0.
+	TryEnqueueBatch(ms []Msg) int
 
 	// ClaimWake reports whether this producer must issue the wake-up V
 	// after an enqueue. A single-consumer port test-and-sets the awake
@@ -85,6 +96,27 @@ type SendPort interface {
 
 	// Sem identifies the counting semaphore the consumer sleeps on.
 	Sem() SemID
+
+	// Depth is the number of queued messages, the bounded-admission
+	// observable (a racy snapshot). 0 admits everything; an endpoint
+	// that is never enqueued on returns 0.
+	Depth() int
+
+	// Refusing reports that the port accepts no new messages: the
+	// system is draining (producers stop, consumers keep going) or
+	// fully shut down.
+	Refusing() bool
+
+	// Closed reports that the port is fully shut down: queued messages
+	// may still be drained, but no more will arrive and parked
+	// consumers have been (or are being) unblocked.
+	Closed() bool
+
+	// PeerDead reports that the participant on the other side of the
+	// port was declared dead by the recovery sweeper. A dead port is
+	// also closed, so parked waiters unblock; PeerDead makes the *Ctx
+	// paths report ErrPeerDead rather than ErrShutdown.
+	PeerDead() bool
 }
 
 // Port is one process's endpoint view of a shared one-way queue together
@@ -95,6 +127,12 @@ type Port interface {
 
 	// TryDequeue attempts to remove the head message.
 	TryDequeue() (Msg, bool)
+
+	// TryDequeueBatch removes up to len(dst) queued messages into dst
+	// and returns how many (0 when empty), vectored where the queue
+	// allows, DequeueEach otherwise. An endpoint that is never dequeued
+	// from returns 0.
+	TryDequeueBatch(dst []Msg) int
 
 	// Empty is the non-destructive poll used by the BSLS spin loop.
 	Empty() bool
@@ -107,6 +145,30 @@ type Port interface {
 	// first to find the flag clear issues the wake-up; consumers use it
 	// to detect a redundant pending wake-up (the Figure 4 race fixes).
 	TASAwake() bool
+}
+
+// EnqueueEach is TryEnqueueBatch for a port with no vectored enqueue:
+// it appends ms one TryEnqueue at a time until the queue is full.
+func EnqueueEach(q SendPort, ms []Msg) int {
+	for i, m := range ms {
+		if !q.TryEnqueue(m) {
+			return i
+		}
+	}
+	return len(ms)
+}
+
+// DequeueEach is TryDequeueBatch for a port with no vectored dequeue:
+// it fills dst one TryDequeue at a time until the queue is empty.
+func DequeueEach(q Port, dst []Msg) int {
+	for i := range dst {
+		m, ok := q.TryDequeue()
+		if !ok {
+			return i
+		}
+		dst[i] = m
+	}
+	return len(dst)
 }
 
 // Actor is the system-call surface a protocol participant uses. The

@@ -39,29 +39,10 @@ type DuplexHandler struct {
 func (h *DuplexHandler) Receive() Msg { return plainMsg(h.ReceiveCtx(context.Background())) }
 
 // ReceiveCtx is Receive with deadline/cancellation support. Its
-// protocol legs are the Server's, with a plain yield as BSWY's "let
-// the client run".
+// protocol leg is the Server's, with a plain yield as BSWY's "let the
+// client run".
 func (h *DuplexHandler) ReceiveCtx(ctx context.Context) (Msg, error) {
-	var m Msg
-	var err error
-	switch h.Alg {
-	case BSS:
-		m, err = spinDequeueCtx(ctx, h.A, h.Rcv)
-	case BSWY:
-		if got, ok := h.Rcv.TryDequeue(); ok {
-			m = got
-			break
-		}
-		h.A.Yield()
-		m, err = consumerWaitCtx(ctx, h.Rcv, h.A, nil)
-	case BSLS, BSA:
-		spinRcv(h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs)
-		fallthrough
-	case BSW:
-		m, err = consumerWaitCtx(ctx, h.Rcv, h.A, nil)
-	default:
-		return Msg{}, ErrUnknownAlgorithm
-	}
+	m, err := receiveLeg(ctx, h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs, h.A.Yield)
 	if err != nil {
 		return Msg{}, err
 	}

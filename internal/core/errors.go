@@ -79,56 +79,10 @@ func plainMsg(m Msg, err error) Msg {
 	return ShutdownMsg()
 }
 
-// PortState is optionally implemented by ports whose system supports
-// graceful shutdown (livebind). Both predicates must be cheap: the
-// protocol paths consult them on every blocking cycle.
-type PortState interface {
-	// Refusing reports that the port accepts no new messages — the
-	// system is draining (producers stop, consumers keep going) or
-	// fully shut down.
-	Refusing() bool
-
-	// Closed reports that the port is fully shut down: queued messages
-	// may still be drained, but no more will arrive and parked
-	// consumers have been (or are being) unblocked.
-	Closed() bool
-}
-
-// portRefusing reports whether an endpoint refuses new messages.
-// Endpoints that do not implement PortState (the simulator's) never
-// refuse.
-func portRefusing(q any) bool {
-	s, ok := q.(PortState)
-	return ok && s.Refusing()
-}
-
-// portClosed reports whether an endpoint is fully shut down.
-func portClosed(q any) bool {
-	s, ok := q.(PortState)
-	return ok && s.Closed()
-}
-
-// PortHealth is optionally implemented by ports whose system runs a
-// peer-death sweeper (livebind with recovery enabled). A dead port
-// behaves like a closed one — the sweeper sets the closed state too, so
-// parked waiters unblock — and the protocol paths consult PeerDead to
-// report ErrPeerDead rather than ErrShutdown.
-type PortHealth interface {
-	// PeerDead reports that the participant on the other side of this
-	// port has been declared dead by the recovery sweeper.
-	PeerDead() bool
-}
-
-// portDead reports whether an endpoint's peer has been declared dead.
-func portDead(q any) bool {
-	h, ok := q.(PortHealth)
-	return ok && h.PeerDead()
-}
-
 // shutdownErr maps a refusing/closed port to the right sentinel: a port
 // whose peer died reports ErrPeerDead, an orderly teardown ErrShutdown.
-func shutdownErr(q any) error {
-	if portDead(q) {
+func shutdownErr(q SendPort) error {
+	if q.PeerDead() {
 		return ErrPeerDead
 	}
 	return ErrShutdown
@@ -137,8 +91,8 @@ func shutdownErr(q any) error {
 // deadOr upgrades an ErrShutdown that was caused by peer death (the
 // sweeper closes the port's semaphore, so parked waiters surface
 // ErrShutdown) to ErrPeerDead; other errors pass through untouched.
-func deadOr(q any, err error) error {
-	if err == ErrShutdown && portDead(q) {
+func deadOr(q SendPort, err error) error {
+	if err == ErrShutdown && q.PeerDead() {
 		return ErrPeerDead
 	}
 	return err

@@ -34,14 +34,6 @@ import (
 // below plus the shed hook in server.go/batch.go; the shard quarantine
 // circuit lives in livebind/group.go.
 
-// DepthPort is optionally implemented by enqueue endpoints that can
-// report their current queue depth (number of queued messages). The
-// admission check discovers it by assertion; endpoints without it (the
-// simulator's) admit everything.
-type DepthPort interface {
-	Depth() int
-}
-
 // RetryBudget is a token bucket bounding full-queue retries on one
 // handle. Each backoff nap spends one token; each successful enqueue
 // earns Refill back (capped at Cap), so a client that makes progress
@@ -140,9 +132,9 @@ func (b *backoff) reset() { b.nap = 1 }
 // never ends — every plain verb, and the simulator, which has no
 // caller to cancel — it is the paper's flat sleep(1) (Figure 5), so
 // those callers nap exactly as the protocol is written.
-func (b *backoff) wait(ctx context.Context, alg Algorithm, q any, a Actor, budget *RetryBudget, pm *metrics.Proc) error {
+func (b *backoff) wait(ctx context.Context, alg Algorithm, q SendPort, a Actor, budget *RetryBudget, pm *metrics.Proc) error {
 	if alg == BSS {
-		if portClosed(q) {
+		if q.Closed() {
 			return shutdownErr(q)
 		}
 		a.BusyWait()
@@ -164,8 +156,8 @@ func (b *backoff) wait(ctx context.Context, alg Algorithm, q any, a Actor, budge
 }
 
 // admit is the bounded-admission fast check of the send paths:
-// with a HighWater mark configured and a depth-reporting request port,
-// a send observing depth at or above the mark is rejected with
+// with a HighWater mark configured, a send observing a request-port
+// depth at or above the mark is rejected with
 // ErrOverload before anything is enqueued. Disabled (HighWater <= 0,
 // the default) it costs one predictable branch — the bar the
 // interleaved closed-loop A/B cells hold it to. The handshakes (op
@@ -174,7 +166,7 @@ func (c *Client) admit(op int32) error {
 	if c.HighWater <= 0 || isControl(op) {
 		return nil
 	}
-	if d, ok := c.Srv.(DepthPort); ok && d.Depth() >= c.HighWater {
+	if c.Srv.Depth() >= c.HighWater {
 		if c.M != nil {
 			c.M.Overloads.Add(1)
 		}

@@ -108,8 +108,6 @@ type closablePort struct {
 func (p *closablePort) Refusing() bool { return p.refusing }
 func (p *closablePort) Closed() bool   { return p.closed }
 
-var _ PortState = (*closablePort)(nil)
-
 // ---- dropPayload conservation on every Reply drop path ----
 
 // Reply to an out-of-range client number must claim-free the payload:
@@ -352,8 +350,6 @@ type depthPort struct {
 
 func (p *depthPort) Depth() int { return p.depth }
 
-var _ DepthPort = (*depthPort)(nil)
-
 func TestClientAdmit(t *testing.T) {
 	srv := &depthPort{fakePort: fakePort{capacity: 64, awake: true}}
 	c := &Client{ID: 0, Alg: BSW, Srv: srv, M: &metrics.Proc{}}
@@ -497,20 +493,21 @@ func TestBackoffSleep(t *testing.T) {
 	pm := &metrics.Proc{}
 	var bo backoff
 	budget := &RetryBudget{Cap: 2}
+	q := newFakePort(0, 1) // BSS consults its shutdown state
 
 	ctx := context.Background()
-	if err := bo.wait(ctx, BSS, nil, a, budget, pm); err != nil || a.busyWaits != 1 || len(a.sleptFor) != 0 {
+	if err := bo.wait(ctx, BSS, q, a, budget, pm); err != nil || a.busyWaits != 1 || len(a.sleptFor) != 0 {
 		t.Fatalf("BSS wait: err %v, %d busy-waits, naps %v; want one busy-wait, no nap", err, a.busyWaits, a.sleptFor)
 	}
 	for i := 0; i < 2; i++ {
-		if err := bo.wait(ctx, BSW, nil, a, budget, pm); err != nil {
+		if err := bo.wait(ctx, BSW, q, a, budget, pm); err != nil {
 			t.Fatalf("sleep %d: %v", i, err)
 		}
 	}
 	if len(a.sleptFor) != 2 || a.sleptFor[0] != 1 || a.sleptFor[1] != 1 {
 		t.Fatalf("naps %v, want the flat [1 1] under a context that never ends", a.sleptFor)
 	}
-	if err := bo.wait(ctx, BSW, nil, a, budget, pm); !errors.Is(err, ErrOverload) {
+	if err := bo.wait(ctx, BSW, q, a, budget, pm); !errors.Is(err, ErrOverload) {
 		t.Fatalf("sleep on dry budget: %v, want ErrOverload", err)
 	}
 	if got := pm.Retries.Load(); got != 3 {
@@ -520,7 +517,7 @@ func TestBackoffSleep(t *testing.T) {
 		t.Errorf("Overloads = %d, want 1", got)
 	}
 	// Unbounded budget: nil never refuses.
-	if err := bo.wait(ctx, BSW, nil, a, nil, pm); err != nil {
+	if err := bo.wait(ctx, BSW, q, a, nil, pm); err != nil {
 		t.Fatalf("sleep with nil budget: %v", err)
 	}
 }

@@ -22,6 +22,8 @@ func (p *fakePoolPort) TryEnqueue(m Msg) bool {
 	return true
 }
 
+func (p *fakePoolPort) TryEnqueueBatch(ms []Msg) int { return EnqueueEach(p, ms) }
+
 func (p *fakePoolPort) TryDequeue() (Msg, bool) {
 	if len(p.msgs) == 0 {
 		return Msg{}, false
@@ -52,6 +54,11 @@ func (p *fakePoolPort) ClaimWake() bool {
 }
 
 func (p *fakePoolPort) Sem() SemID { return p.sem }
+
+func (p *fakePoolPort) Depth() int     { return 0 }
+func (p *fakePoolPort) Refusing() bool { return false }
+func (p *fakePoolPort) Closed() bool   { return false }
+func (p *fakePoolPort) PeerDead() bool { return false }
 
 var _ PoolPort = (*fakePoolPort)(nil)
 

@@ -24,13 +24,12 @@ import (
 // retry is counted in pm.Retries; each successful enqueue credits the
 // budget. With a hook attached, the queue wait is recorded when (and
 // only when) the first attempt found the queue full, so the
-// uncontended path takes no clock read. The producer side needs only
-// the enqueue operation, so it accepts any endpoint flavour.
-func enqueueCtx(ctx context.Context, alg Algorithm, q interface{ TryEnqueue(Msg) bool }, a Actor, m Msg, pm *metrics.Proc, budget *RetryBudget, h obs.Hook) error {
+// uncontended path takes no clock read.
+func enqueueCtx(ctx context.Context, alg Algorithm, q SendPort, a Actor, m Msg, pm *metrics.Proc, budget *RetryBudget, h obs.Hook) error {
 	var bo backoff
 	var t0 time.Time
 	for {
-		if portRefusing(q) {
+		if q.Refusing() {
 			return shutdownErr(q)
 		}
 		if err := ctxErr(ctx); err != nil {
@@ -137,7 +136,7 @@ func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg,
 		if m, ok := q.TryDequeue(); ok {
 			return m, nil
 		}
-		if portClosed(q) {
+		if q.Closed() {
 			return Msg{}, shutdownErr(q)
 		}
 		if err := ctxErr(ctx); err != nil {
@@ -169,16 +168,39 @@ func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg,
 	}
 }
 
+// receiveLeg is the per-protocol receive of a single-consumer server
+// endpoint, shared by Server and DuplexHandler. BSWY (Figure 7) takes a
+// request that is already queued; otherwise it runs letRun once to let
+// clients run (and possibly enqueue) before entering the blocking path
+// — the server's letClientsRun, a duplex handler's plain Yield. The
+// extra dequeue attempt is what makes the algorithm scale with multiple
+// clients: with several outstanding entries it is more productive to
+// keep processing than to give up the processor after every reply.
+func receiveLeg(ctx context.Context, alg Algorithm, maxSpin int, tuner **Tuner, q Port, a Actor, m *metrics.Proc, h obs.Hook, letRun func()) (Msg, error) {
+	switch alg {
+	case BSS:
+		return spinDequeueCtx(ctx, a, q)
+	case BSWY:
+		if got, ok := q.TryDequeue(); ok {
+			return got, nil
+		}
+		letRun()
+	case BSLS, BSA:
+		spinRcv(alg, maxSpin, tuner, q, a, m, h)
+	case BSW:
+	default:
+		return Msg{}, ErrUnknownAlgorithm
+	}
+	return consumerWaitCtx(ctx, q, a, nil)
+}
+
 // spinDequeueCtx busy-waits a dequeue (the BSS receive leg, Figure 1).
-// It accepts any endpoint flavour (Port or PoolPort).
-func spinDequeueCtx(ctx context.Context, a Actor, q interface {
-	TryDequeue() (Msg, bool)
-}) (Msg, error) {
+func spinDequeueCtx(ctx context.Context, a Actor, q Port) (Msg, error) {
 	for {
 		if m, ok := q.TryDequeue(); ok {
 			return m, nil
 		}
-		if portClosed(q) {
+		if q.Closed() {
 			return Msg{}, shutdownErr(q)
 		}
 		if err := ctxErr(ctx); err != nil {

@@ -44,6 +44,10 @@ func (p *fakePort) TryDequeue() (Msg, bool) {
 	return m, true
 }
 
+func (p *fakePort) TryEnqueueBatch(ms []Msg) int { return EnqueueEach(p, ms) }
+
+func (p *fakePort) TryDequeueBatch(dst []Msg) int { return DequeueEach(p, dst) }
+
 func (p *fakePort) Empty() bool { return len(p.msgs) == 0 }
 
 func (p *fakePort) SetAwake(v bool) { p.awake = v }
@@ -58,6 +62,11 @@ func (p *fakePort) TASAwake() bool {
 func (p *fakePort) ClaimWake() bool { return !p.TASAwake() }
 
 func (p *fakePort) Sem() SemID { return p.sem }
+
+func (p *fakePort) Depth() int     { return 0 }
+func (p *fakePort) Refusing() bool { return false }
+func (p *fakePort) Closed() bool   { return false }
+func (p *fakePort) PeerDead() bool { return false }
 
 // fakeActor is a deterministic Actor: semaphores are plain counters and
 // the onP hook lets a test inject work when the protocol would block.

@@ -7,12 +7,11 @@ import (
 )
 
 // protocolInfo is one row of the protocol registry: the algorithm
-// value, its canonical (paper) name, the lower-case parse alias, and a
-// one-line description for docs and tooling.
+// value and its canonical (paper) name, whose lower-case form is the
+// parse alias.
 type protocolInfo struct {
 	Alg  Algorithm
 	Name string
-	Desc string
 }
 
 // protocols is THE registration table: Algorithms, AlgorithmByName,
@@ -21,11 +20,11 @@ type protocolInfo struct {
 // row here (plus its dispatch arms), not editing N switch statements.
 // Rows must be dense and in Algorithm order — init checks.
 var protocols = [...]protocolInfo{
-	{BSS, "BSS", "Both Sides Spin (Figure 1)"},
-	{BSW, "BSW", "Both Sides Wait (Figure 5)"},
-	{BSWY, "BSWY", "Both Sides Wait and Yield (Figure 7)"},
-	{BSLS, "BSLS", "Both Sides Limited Spin (Figure 9)"},
-	{BSA, "BSA", "Both Sides Adaptive (online spin-budget controller)"},
+	{BSS, "BSS"},   // Both Sides Spin (Figure 1)
+	{BSW, "BSW"},   // Both Sides Wait (Figure 5)
+	{BSWY, "BSWY"}, // Both Sides Wait and Yield (Figure 7)
+	{BSLS, "BSLS"}, // Both Sides Limited Spin (Figure 9)
+	{BSA, "BSA"},   // Both Sides Adaptive (online spin-budget controller)
 }
 
 func init() {
@@ -70,15 +69,6 @@ func (a Algorithm) String() string {
 		return protocols[a].Name
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// Describe returns the registry's one-line description of the protocol
-// (docs and tooling; empty for unregistered values).
-func (a Algorithm) Describe() string {
-	if ValidAlgorithm(a) {
-		return protocols[a].Desc
-	}
-	return ""
 }
 
 // AlgorithmByName parses a protocol name — the canonical upper-case

@@ -61,7 +61,7 @@ type Server struct {
 
 	// Batch-reply scratch: pending-wake marks and the distinct-client
 	// list (every vectored reply path), and the current same-client
-	// reply run (ReplyBatch/ReplyBatchCtx; the batch serve loop replies
+	// reply run (ReplyBatchCtx; the batch serve loop replies
 	// from its receive buffer), reused across calls so the vectored
 	// reply path stays allocation-free.
 	pendWake []bool
@@ -125,32 +125,7 @@ func (s *Server) ReceiveCtx(ctx context.Context) (Msg, error) {
 			// system would deadlock.
 			s.admitOne()
 		}
-		var m Msg
-		var err error
-		switch s.Alg {
-		case BSS:
-			m, err = spinDequeueCtx(ctx, s.A, s.Rcv)
-		case BSWY:
-			// Figure 7: if a request is already queued, take it; otherwise
-			// yield once to let clients run (and possibly enqueue) before
-			// entering the blocking path. The extra dequeue attempt is what
-			// makes the algorithm scale with multiple clients: with several
-			// outstanding entries it is more productive to keep processing
-			// than to give up the processor after every reply.
-			if got, ok := s.Rcv.TryDequeue(); ok {
-				m = got
-				break
-			}
-			s.letClientsRun()
-			m, err = consumerWaitCtx(ctx, s.Rcv, s.A, nil)
-		case BSLS, BSA:
-			spinRcv(s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs)
-			fallthrough
-		case BSW:
-			m, err = consumerWaitCtx(ctx, s.Rcv, s.A, nil)
-		default:
-			return Msg{}, ErrUnknownAlgorithm
-		}
+		m, err := receiveLeg(ctx, s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs, s.letClientsRun)
 		if err != nil {
 			return Msg{}, err
 		}

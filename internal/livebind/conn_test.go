@@ -85,7 +85,7 @@ func TestHandshakesBypassHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := filler.cl.Srv.(core.DepthPort)
+	depth := filler.cl.Srv
 	// atHighWater parks the server in work and leaves one more request
 	// queued behind it, so the request queue sits at the mark; handshake
 	// then runs, and both requests are served once it is queued too.

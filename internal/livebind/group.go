@@ -539,7 +539,7 @@ func (p *pickPort) TryEnqueue(m core.Msg) bool {
 	return true
 }
 
-// TryEnqueueBatch implements core.BatchPort: one shard decision per
+// TryEnqueueBatch implements core.Port: one shard decision per
 // burst, then one lane EnqueueN — the "one routing decision, one index
 // publish, k messages" half of the batching contract.
 func (p *pickPort) TryEnqueueBatch(ms []core.Msg) int {
@@ -558,13 +558,13 @@ func (p *pickPort) TryEnqueueBatch(ms []core.Msg) int {
 // dequeued by clients).
 func (p *pickPort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
 
-// TryDequeueBatch implements core.BatchPort (never dequeued, as above).
+// TryDequeueBatch implements core.Port (never dequeued, as above).
 func (p *pickPort) TryDequeueBatch([]core.Msg) int { return 0 }
 
 // Empty implements core.Port.
 func (p *pickPort) Empty() bool { return p.g.reqLanes[p.bind.cur].Empty() }
 
-// Depth implements core.DepthPort, the admission-control observable: a
+// Depth implements core.Port, the admission-control observable: a
 // sticky client reports its pinned shard's lane depth (that shard is
 // the only place its traffic can go), a non-sticky client the
 // shallowest live shard's (if even the best destination is past high
@@ -613,7 +613,7 @@ func (p *pickPort) ClaimWake() bool { return !p.TASAwake() }
 // Sem implements core.Port.
 func (p *pickPort) Sem() core.SemID { return p.g.recvs[p.bind.cur].id }
 
-// Refusing implements core.PortState: shutdown, a sticky client's
+// Refusing implements core.Port: shutdown, a sticky client's
 // dead pin, or a fully dead group all make new sends fail fast.
 func (p *pickPort) Refusing() bool {
 	if p.g.refusing() {
@@ -625,7 +625,7 @@ func (p *pickPort) Refusing() bool {
 	return p.g.allDead()
 }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *pickPort) Closed() bool {
 	if p.g.recvs[p.pin()].closed.Load() {
 		return true
@@ -633,7 +633,7 @@ func (p *pickPort) Closed() bool {
 	return p.sticky && p.g.dead[p.pin()].Load()
 }
 
-// PeerDead implements core.PortHealth: it decides whether a refused
+// PeerDead implements core.Port: it decides whether a refused
 // send surfaces ErrPeerDead (this client's shard died) rather than
 // ErrShutdown.
 func (p *pickPort) PeerDead() bool {
@@ -660,18 +660,21 @@ type clientRcvPort struct {
 // by clients).
 func (p *clientRcvPort) TryEnqueue(core.Msg) bool { return false }
 
-// TryEnqueueBatch implements core.BatchPort (never enqueued, as above).
+// TryEnqueueBatch implements core.Port (never enqueued, as above).
 func (p *clientRcvPort) TryEnqueueBatch([]core.Msg) int { return 0 }
 
 // TryDequeue implements core.Port.
 func (p *clientRcvPort) TryDequeue() (core.Msg, bool) { return p.lanes.Dequeue() }
 
-// TryDequeueBatch implements core.BatchPort: one lane lock and one
+// TryDequeueBatch implements core.Port: one lane lock and one
 // index publish per shard with replies queued.
 func (p *clientRcvPort) TryDequeueBatch(dst []core.Msg) int { return p.lanes.DequeueN(dst) }
 
 // Empty implements core.Port.
 func (p *clientRcvPort) Empty() bool { return p.lanes.Empty() }
+
+// Depth implements core.Port (never enqueued, as above).
+func (p *clientRcvPort) Depth() int { return 0 }
 
 // SetAwake implements core.Port.
 func (p *clientRcvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
@@ -685,15 +688,15 @@ func (p *clientRcvPort) ClaimWake() bool { return !p.TASAwake() }
 // Sem implements core.Port.
 func (p *clientRcvPort) Sem() core.SemID { return p.ch.id }
 
-// Refusing implements core.PortState.
+// Refusing implements core.Port.
 func (p *clientRcvPort) Refusing() bool { return p.ch.refuse.Load() }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *clientRcvPort) Closed() bool {
 	return p.ch.closed.Load() || p.g.dead[p.bind.cur].Load()
 }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.Port.
 func (p *clientRcvPort) PeerDead() bool {
 	return p.ch.dead.Load() || p.g.dead[p.bind.cur].Load()
 }
@@ -710,17 +713,20 @@ type lanePort struct {
 // TryEnqueue implements core.Port.
 func (p *lanePort) TryEnqueue(m core.Msg) bool { return p.lane.Enqueue(m) }
 
-// TryEnqueueBatch implements core.BatchPort.
+// TryEnqueueBatch implements core.Port.
 func (p *lanePort) TryEnqueueBatch(ms []core.Msg) int { return p.lane.EnqueueN(ms) }
 
 // TryDequeue implements core.Port (producer-only endpoint).
 func (p *lanePort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
 
-// TryDequeueBatch implements core.BatchPort (producer-only endpoint).
+// TryDequeueBatch implements core.Port (producer-only endpoint).
 func (p *lanePort) TryDequeueBatch([]core.Msg) int { return 0 }
 
 // Empty implements core.Port.
 func (p *lanePort) Empty() bool { return p.lane.Empty() }
+
+// Depth implements core.Port.
+func (p *lanePort) Depth() int { return p.lane.Len() }
 
 // SetAwake implements core.Port.
 func (p *lanePort) SetAwake(v bool) { p.c.awake.Store(v) }
@@ -734,13 +740,13 @@ func (p *lanePort) ClaimWake() bool { return !p.TASAwake() }
 // Sem implements core.Port.
 func (p *lanePort) Sem() core.SemID { return p.c.id }
 
-// Refusing implements core.PortState.
+// Refusing implements core.Port.
 func (p *lanePort) Refusing() bool { return p.c.refuse.Load() }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *lanePort) Closed() bool { return p.c.closed.Load() }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.Port.
 func (p *lanePort) PeerDead() bool { return p.c.dead.Load() }
 
 // shardRecvPort is a shard server's receive endpoint: its own lane
@@ -777,7 +783,7 @@ func (p *shardRecvPort) TryDequeue() (core.Msg, bool) {
 	return core.Msg{}, false
 }
 
-// TryDequeueBatch implements core.BatchPort in TryDequeue's order: the
+// TryDequeueBatch implements core.Port in TryDequeue's order: the
 // stash, then the shard's own lanes as one Lanes.DequeueN, and a steal
 // only when both came up dry.
 func (p *shardRecvPort) TryDequeueBatch(dst []core.Msg) int {
@@ -796,7 +802,7 @@ func (p *shardRecvPort) TryDequeueBatch(dst []core.Msg) int {
 	return n
 }
 
-// TryEnqueueBatch implements core.BatchPort (consumer-only endpoint).
+// TryEnqueueBatch implements core.Port (consumer-only endpoint).
 func (p *shardRecvPort) TryEnqueueBatch([]core.Msg) int { return 0 }
 
 // steal takes a bounded batch from the deepest live sibling shard into
@@ -846,6 +852,9 @@ func (p *shardRecvPort) Empty() bool {
 	return p.si >= len(p.stash) && p.lanes.Empty()
 }
 
+// Depth implements core.Port (consumer-only endpoint).
+func (p *shardRecvPort) Depth() int { return 0 }
+
 // SetAwake implements core.Port.
 func (p *shardRecvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
 
@@ -858,31 +867,18 @@ func (p *shardRecvPort) ClaimWake() bool { return !p.TASAwake() }
 // Sem implements core.Port.
 func (p *shardRecvPort) Sem() core.SemID { return p.ch.id }
 
-// Refusing implements core.PortState.
+// Refusing implements core.Port.
 func (p *shardRecvPort) Refusing() bool { return p.ch.refuse.Load() }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *shardRecvPort) Closed() bool { return p.ch.closed.Load() }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.Port.
 func (p *shardRecvPort) PeerDead() bool { return p.ch.dead.Load() }
 
 var (
-	_ core.Port       = (*pickPort)(nil)
-	_ core.PortState  = (*pickPort)(nil)
-	_ core.PortHealth = (*pickPort)(nil)
-	_ core.BatchPort  = (*pickPort)(nil)
-	_ core.DepthPort  = (*pickPort)(nil)
-	_ core.Port       = (*clientRcvPort)(nil)
-	_ core.PortState  = (*clientRcvPort)(nil)
-	_ core.PortHealth = (*clientRcvPort)(nil)
-	_ core.BatchPort  = (*clientRcvPort)(nil)
-	_ core.Port       = (*lanePort)(nil)
-	_ core.PortState  = (*lanePort)(nil)
-	_ core.PortHealth = (*lanePort)(nil)
-	_ core.BatchPort  = (*lanePort)(nil)
-	_ core.Port       = (*shardRecvPort)(nil)
-	_ core.PortState  = (*shardRecvPort)(nil)
-	_ core.PortHealth = (*shardRecvPort)(nil)
-	_ core.BatchPort  = (*shardRecvPort)(nil)
+	_ core.Port = (*pickPort)(nil)
+	_ core.Port = (*clientRcvPort)(nil)
+	_ core.Port = (*lanePort)(nil)
+	_ core.Port = (*shardRecvPort)(nil)
 )

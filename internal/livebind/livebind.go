@@ -42,18 +42,19 @@ type Channel struct {
 	id   core.SemID
 	kind queue.Kind
 
-	// Shutdown state (core.PortState). refuse flips first (producers
-	// stop, consumers drain), closed second (consumers unblock). Both
-	// are written once, at shutdown, and only loaded on blocking/empty
-	// cycles — they share the read-mostly header line by design.
+	// Shutdown state (the ports' Refusing and Closed). refuse flips
+	// first (producers stop, consumers drain), closed second (consumers
+	// unblock). Both are written once, at shutdown, and only loaded on
+	// blocking/empty cycles — they share the read-mostly header line by
+	// design.
 	refuse atomic.Bool
 	closed atomic.Bool
 
 	// dead marks a channel whose peer (its only consumer, or its every
 	// producer) has been declared dead by the recovery sweeper. It
 	// upgrades the closed state's ErrShutdown to core.ErrPeerDead on the
-	// *Ctx paths (core.PortHealth); like refuse/closed it is written
-	// once and loaded only on blocking cycles.
+	// *Ctx paths (the ports' PeerDead); like refuse/closed it is
+	// written once and loaded only on blocking cycles.
 	dead atomic.Bool
 
 	_       [64]byte
@@ -228,6 +229,10 @@ func DrainPort(p core.SendPort) {
 	}
 }
 
+// TryEnqueueBatch implements core.Port (the queue has no vectored
+// enqueue).
+func (p *Port) TryEnqueueBatch(ms []core.Msg) int { return core.EnqueueEach(p, ms) }
+
 // TryDequeue implements core.Port.
 func (p *Port) TryDequeue() (core.Msg, bool) {
 	if p.fh.Enabled() && p.tl != nil {
@@ -236,17 +241,16 @@ func (p *Port) TryDequeue() (core.Msg, bool) {
 	return p.c.q.Dequeue()
 }
 
+// TryDequeueBatch implements core.Port (the queue has no vectored
+// dequeue).
+func (p *Port) TryDequeueBatch(dst []core.Msg) int { return core.DequeueEach(p, dst) }
+
 // Empty implements core.Port.
 func (p *Port) Empty() bool { return p.c.q.Empty() }
 
-// Depth implements core.DepthPort: the channel's queued-message count,
-// the admission-control observable (racy snapshot, like queue Len).
-func (p *Port) Depth() int {
-	if l, ok := p.c.q.(interface{ Len() int }); ok {
-		return l.Len()
-	}
-	return 0
-}
+// Depth implements core.Port: the channel's queued-message count, the
+// admission-control observable (racy snapshot, like queue Len).
+func (p *Port) Depth() int { return p.c.q.Len() }
 
 // SetAwake implements core.Port.
 func (p *Port) SetAwake(v bool) { p.c.awake.Store(v) }
@@ -260,13 +264,13 @@ func (p *Port) ClaimWake() bool { return !p.TASAwake() }
 // Sem implements core.Port.
 func (p *Port) Sem() core.SemID { return p.c.id }
 
-// Refusing implements core.PortState.
+// Refusing implements core.Port.
 func (p *Port) Refusing() bool { return p.c.refuse.Load() }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *Port) Closed() bool { return p.c.closed.Load() }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.Port.
 func (p *Port) PeerDead() bool { return p.c.dead.Load() }
 
 // Actor implements core.Actor over the Go runtime. Each participant
@@ -512,11 +516,8 @@ func (a *Actor) spin(n int) {
 }
 
 var (
-	_ core.Port       = (*Port)(nil)
-	_ core.Actor      = (*Actor)(nil)
-	_ core.PortState  = (*Port)(nil)
-	_ core.PortHealth = (*Port)(nil)
-	_ core.DepthPort  = (*Port)(nil)
+	_ core.Port  = (*Port)(nil)
+	_ core.Actor = (*Actor)(nil)
 )
 
 // PoolPort is a channel endpoint whose consumer side is a worker pool
@@ -531,11 +532,17 @@ func NewPoolPort(c *Channel) *PoolPort { return &PoolPort{c: c} }
 // TryEnqueue implements core.PoolPort.
 func (p *PoolPort) TryEnqueue(m core.Msg) bool { return p.c.q.Enqueue(m) }
 
+// TryEnqueueBatch implements core.PoolPort.
+func (p *PoolPort) TryEnqueueBatch(ms []core.Msg) int { return core.EnqueueEach(p, ms) }
+
 // TryDequeue implements core.PoolPort.
 func (p *PoolPort) TryDequeue() (core.Msg, bool) { return p.c.q.Dequeue() }
 
 // Empty implements core.PoolPort.
 func (p *PoolPort) Empty() bool { return p.c.q.Empty() }
+
+// Depth implements core.PoolPort.
+func (p *PoolPort) Depth() int { return p.c.q.Len() }
 
 // RegisterWaiter implements core.PoolPort.
 func (p *PoolPort) RegisterWaiter() { p.c.waiters.Add(1) }
@@ -549,13 +556,13 @@ func (p *PoolPort) ClaimWake() bool { return decIfPositive(&p.c.waiters) }
 // Sem implements core.PoolPort.
 func (p *PoolPort) Sem() core.SemID { return p.c.id }
 
-// Refusing implements core.PortState.
+// Refusing implements core.PoolPort.
 func (p *PoolPort) Refusing() bool { return p.c.refuse.Load() }
 
-// Closed implements core.PortState.
+// Closed implements core.PoolPort.
 func (p *PoolPort) Closed() bool { return p.c.closed.Load() }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.PoolPort.
 func (p *PoolPort) PeerDead() bool { return p.c.dead.Load() }
 
 // decIfPositive atomically decrements v if it is positive.
@@ -571,8 +578,4 @@ func decIfPositive(v *atomic.Int64) bool {
 	}
 }
 
-var (
-	_ core.PoolPort   = (*PoolPort)(nil)
-	_ core.PortState  = (*PoolPort)(nil)
-	_ core.PortHealth = (*PoolPort)(nil)
-)
+var _ core.PoolPort = (*PoolPort)(nil)

@@ -36,7 +36,7 @@ import (
 //
 //   - server died: the whole segment is dead. State goes SegDead and
 //     every semaphore is poisoned, so every parked client unblocks and
-//     surfaces core.ErrPeerDead through its port's PortHealth.
+//     surfaces core.ErrPeerDead through its port's PeerDead.
 //   - a client died: its semaphore is poisoned, its reply lane (which
 //     lost its only consumer) is drained back to the pool, and the
 //     server receives one compensating V — the client may have died
@@ -338,11 +338,11 @@ func (s *ProcSystem) newActor() *ProcActor {
 	}
 }
 
-// procPort is an endpoint over segment lanes; it implements core.Port,
-// core.PortState and core.PortHealth. An enqueue endpoint has enq set;
-// a dequeue endpoint has deq set (the server's receive endpoint holds
-// every request lane and round-robins). slot/sem name the consumer's
-// wake state, whichever side of the port this process is.
+// procPort is an endpoint over segment lanes; it implements core.Port.
+// An enqueue endpoint has enq set; a dequeue endpoint has deq set (the
+// server's receive endpoint holds every request lane and round-robins).
+// slot/sem name the consumer's wake state, whichever side of the port
+// this process is.
 type procPort struct {
 	v    *shm.SegView
 	pool *shm.SegPool
@@ -390,6 +390,15 @@ func (p *procPort) TryDequeue() (core.Msg, bool) {
 	return core.Msg{}, false
 }
 
+// TryEnqueueBatch implements core.Port (a lane has no vectored push).
+func (p *procPort) TryEnqueueBatch(ms []core.Msg) int { return core.EnqueueEach(p, ms) }
+
+// TryDequeueBatch implements core.Port (a lane has no vectored pop).
+func (p *procPort) TryDequeueBatch(dst []core.Msg) int { return core.DequeueEach(p, dst) }
+
+// Depth implements core.Port: a cross-process send admits everything.
+func (p *procPort) Depth() int { return 0 }
+
 // Empty implements core.Port (the BSLS poll).
 func (p *procPort) Empty() bool {
 	if p.deq == nil {
@@ -425,7 +434,7 @@ func (p *procPort) peerDead() bool {
 	return p.peer >= 0 && p.v.Life[p.peer].State.Load() == shm.LifeDead
 }
 
-// Refusing implements core.PortState. Cross-process shutdown is
+// Refusing implements core.Port. Cross-process shutdown is
 // single-phase (the segment flips straight to Shutdown/Dead), so
 // Refusing and Closed coincide; a port whose specific peer died is
 // refused even while the segment as a whole stays up.
@@ -433,10 +442,10 @@ func (p *procPort) Refusing() bool {
 	return p.v.Hdr.State.Load() >= shm.SegShutdown || p.peerDead()
 }
 
-// Closed implements core.PortState.
+// Closed implements core.Port.
 func (p *procPort) Closed() bool { return p.Refusing() }
 
-// PeerDead implements core.PortHealth.
+// PeerDead implements core.Port.
 func (p *procPort) PeerDead() bool {
 	return p.v.Hdr.State.Load() == shm.SegDead || p.peerDead()
 }
@@ -591,10 +600,8 @@ func (a *ProcActor) spin(n int) {
 }
 
 var (
-	_ core.Port       = (*procPort)(nil)
-	_ core.PortState  = (*procPort)(nil)
-	_ core.PortHealth = (*procPort)(nil)
-	_ core.Actor      = (*ProcActor)(nil)
+	_ core.Port  = (*procPort)(nil)
+	_ core.Actor = (*ProcActor)(nil)
 )
 
 // ProcServer is a core.Server attached to a segment, plus its

@@ -37,6 +37,9 @@ type Queue interface {
 	Empty() bool
 	// Cap returns the maximum number of queued messages.
 	Cap() int
+	// Len returns the number of queued messages (a racy snapshot under
+	// concurrent operations).
+	Len() int
 }
 
 // Kind selects a queue implementation.

@@ -96,6 +96,10 @@ func (sp *Port) TryEnqueue(m core.Msg) bool {
 	return true
 }
 
+// TryEnqueueBatch implements core.Port, one charged TryEnqueue per
+// message.
+func (sp *Port) TryEnqueueBatch(ms []core.Msg) int { return core.EnqueueEach(sp, ms) }
+
 // TryDequeue implements core.Port.
 func (sp *Port) TryDequeue() (core.Msg, bool) {
 	sp.q.headLock.acquire(sp.p, sp.mach.DequeueCost, sp.mach.LockHold)
@@ -107,6 +111,10 @@ func (sp *Port) TryDequeue() (core.Msg, bool) {
 	sp.q.Dequeues++
 	return m, true
 }
+
+// TryDequeueBatch implements core.Port, one charged TryDequeue per
+// message.
+func (sp *Port) TryDequeueBatch(dst []core.Msg) int { return core.DequeueEach(sp, dst) }
 
 // Empty implements core.Port (the BSLS non-destructive poll).
 func (sp *Port) Empty() bool {
@@ -133,6 +141,15 @@ func (sp *Port) ClaimWake() bool { return !sp.TASAwake() }
 
 // Sem implements core.Port.
 func (sp *Port) Sem() core.SemID { return core.SemID(sp.q.sem) }
+
+// Depth, Refusing, Closed and PeerDead implement core.Port for a
+// simulated queue that admits everything, never shuts down and has no
+// recovery sweeper. They read no shared memory, so they charge no
+// simulated time.
+func (sp *Port) Depth() int     { return 0 }
+func (sp *Port) Refusing() bool { return false }
+func (sp *Port) Closed() bool   { return false }
+func (sp *Port) PeerDead() bool { return false }
 
 // Actor adapts a simulated process to core.Actor.
 type Actor struct {
@@ -201,31 +218,15 @@ var (
 
 // PoolPort is a process's endpoint on a simulated shared queue whose
 // consumer side is a worker pool (counted waiters instead of the single
-// awake flag). It implements core.PoolPort.
+// awake flag). It implements core.PoolPort: the queue operations are
+// Port's, the wake claim takes a registered waiter.
 type PoolPort struct {
-	q    *SQueue
-	p    *sim.Proc
-	mach *machine.Model
+	Port
 }
 
 // NewPoolPort returns p's pool-endpoint view of q.
 func NewPoolPort(p *sim.Proc, q *SQueue) *PoolPort {
-	return &PoolPort{q: q, p: p, mach: p.Kernel().Machine()}
-}
-
-// TryEnqueue implements core.PoolPort.
-func (sp *PoolPort) TryEnqueue(m core.Msg) bool {
-	return (&Port{q: sp.q, p: sp.p, mach: sp.mach}).TryEnqueue(m)
-}
-
-// TryDequeue implements core.PoolPort.
-func (sp *PoolPort) TryDequeue() (core.Msg, bool) {
-	return (&Port{q: sp.q, p: sp.p, mach: sp.mach}).TryDequeue()
-}
-
-// Empty implements core.PoolPort.
-func (sp *PoolPort) Empty() bool {
-	return (&Port{q: sp.q, p: sp.p, mach: sp.mach}).Empty()
+	return &PoolPort{Port{q: q, p: p, mach: p.Kernel().Machine()}}
 }
 
 // RegisterWaiter implements core.PoolPort (an atomic increment on shared
@@ -245,17 +246,8 @@ func (sp *PoolPort) TryUnregisterWaiter() bool {
 	return false
 }
 
-// ClaimWake implements core.PoolPort: claim a registered waiter.
-func (sp *PoolPort) ClaimWake() bool {
-	sp.p.Step(sp.mach.TASCost)
-	if sp.q.waiters > 0 {
-		sp.q.waiters--
-		return true
-	}
-	return false
-}
-
-// Sem implements core.PoolPort.
-func (sp *PoolPort) Sem() core.SemID { return core.SemID(sp.q.sem) }
+// ClaimWake implements core.PoolPort: claim a registered waiter, the
+// same atomic decrement-if-positive as TryUnregisterWaiter.
+func (sp *PoolPort) ClaimWake() bool { return sp.TryUnregisterWaiter() }
 
 var _ core.PoolPort = (*PoolPort)(nil)

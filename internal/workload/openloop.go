@@ -364,15 +364,9 @@ func (k *collector) drain() int {
 // the request queue is empty and nothing has arrived for settleNs, or
 // until ctx ends or the run clock passes end.
 func (k *collector) settle(ctx context.Context, c *cell, end int64) {
-	depth := func() int {
-		if d, ok := k.cl.Srv.(core.DepthPort); ok {
-			return d.Depth()
-		}
-		return 0
-	}
 	quietSince := int64(-1)
 	for ctx.Err() == nil && c.nowNs() < end {
-		if k.drain() > 0 || depth() > 0 {
+		if k.drain() > 0 || k.cl.Srv.Depth() > 0 {
 			quietSince = -1
 		} else {
 			now := c.nowNs()

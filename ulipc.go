@@ -263,8 +263,9 @@ type (
 	PickLeastLoaded = livebind.PickLeastLoaded
 )
 
-// Reply pairs a client id with its reply message for Server.ReplyBatch,
-// the vectored reply path (one wake per client per batch).
+// Reply pairs a client id with its reply message for
+// Server.ReplyBatchCtx, the vectored reply path (one wake per client
+// per batch).
 type Reply = core.Reply
 
 // QueueKind selects the shared-queue implementation.
