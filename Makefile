@@ -55,11 +55,11 @@ chaos:
 	$(GO) run ./cmd/ipcbench -chaos -seed $(SEED) -paysize 1024
 
 # Overload doctrine tests under the race detector: deadline shedding,
-# admission, the retry budget, open-loop goodput far past capacity and
-# the SIGKILL-a-client-mid-overload cell — the same step as the CI
-# overload-smoke job (DESIGN.md §14).
+# admission, the retry budget, open-loop goodput far past capacity,
+# payload arena exhaustion and the SIGKILL-a-client-mid-overload cell —
+# the same step as the CI overload-smoke job (DESIGN.md §14).
 overload:
-	$(GO) test -race -count=1 -run 'OpenLoop|Overload|Shed|Admission|Backoff|RetryBudget|Circuit|CopyFallback' ./internal/...
+	$(GO) test -race -count=1 -run 'OpenLoop|Overload|Shed|Admission|Backoff|RetryBudget|StillFailsExhaustion' ./internal/...
 
 # Cross-process smoke, runnable locally: the futex wait/wake model
 # check, the cross-process and payload tests at GOMAXPROCS 1, 2 and 4

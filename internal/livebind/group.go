@@ -6,18 +6,17 @@ import (
 	"sync/atomic"
 
 	"ulipc/internal/core"
-	"ulipc/internal/metrics"
 	"ulipc/internal/queue"
 )
 
 // Server groups: N server shards, each owning one SPSC request lane
-// per client, with client-side shard selection and bounded work
-// stealing. The topology is a full mesh of SPSC rings — request lane
-// req[s][i] (client i -> shard s) and reply lane rep[s][i] (shard s ->
-// client i) — so every ring keeps the provable single-producer/
-// single-consumer contract of PR 1 even though any client can reach
-// any shard and a stealing shard can answer another shard's clients
-// (a thief replies through its OWN rep lane to the client).
+// per client, with a fixed home shard per client (client i sends to
+// shard i mod N) and bounded work stealing. The topology is a full
+// mesh of SPSC rings — request lane req[s][i] (client i -> shard s)
+// and reply lane rep[s][i] (shard s -> client i) — so every ring keeps
+// the provable single-producer/single-consumer contract even though a
+// stealing shard can answer another shard's clients (a thief replies
+// through its OWN rep lane to the client).
 //
 // Wake state is fused per consumer, not per ring: shard s sleeps on
 // one semaphore/awake flag spanning all its request lanes (its Channel
@@ -28,113 +27,14 @@ import (
 // walks the token conservation argument, including the steal residue
 // re-wake.
 
-// ShardView is the read-only load/liveness view a ShardPicker decides
-// from. Depths are racy snapshots (like queue.SPSC.Len).
-type ShardView interface {
-	// Shards returns the group size.
-	Shards() int
-	// Depth returns the total queued requests across shard s's lanes.
-	Depth(s int) int
-	// Alive reports whether shard s has not been declared dead by the
-	// recovery sweeper.
-	Alive(s int) bool
-}
-
-// ShardPicker selects the destination shard for a client's request.
-// Pick receives the client id, the client's previous pick (-1 before
-// the first), and the load view; it runs on the client's goroutine, so
-// implementations shared across clients must be stateless or
-// synchronised. Sticky pickers pin a client to one shard: the system
-// then surfaces ErrPeerDead on new sends when that shard dies (the
-// client's traffic has nowhere else to go), while non-sticky pickers
-// simply route subsequent requests around the dead shard.
-type ShardPicker interface {
-	Pick(client int32, last int, v ShardView) int
-	Sticky() bool
-}
-
-// PickHash pins each client to shard (client mod shards) — the
-// stable, stateless default. Deliberately ignores liveness: a pinned
-// client keeps addressing its home shard after a shard death so the
-// failure surfaces as ErrPeerDead instead of silently migrating.
-type PickHash struct{}
-
-// Pick implements ShardPicker.
-func (PickHash) Pick(client int32, _ int, v ShardView) int {
-	return int(client) % v.Shards()
-}
-
-// Sticky implements ShardPicker.
-func (PickHash) Sticky() bool { return true }
-
-// PickAffinity picks the least-loaded live shard on a client's first
-// request and stays there for the connection's lifetime — load-aware
-// placement with hash-like cache affinity afterwards.
-type PickAffinity struct{}
-
-// Pick implements ShardPicker.
-func (PickAffinity) Pick(client int32, last int, v ShardView) int {
-	if last >= 0 {
-		return last
-	}
-	best, bd := -1, 0
-	for s := 0; s < v.Shards(); s++ {
-		if !v.Alive(s) {
-			continue
-		}
-		if d := v.Depth(s); best < 0 || d < bd {
-			best, bd = s, d
-		}
-	}
-	if best < 0 {
-		return int(client) % v.Shards()
-	}
-	return best
-}
-
-// Sticky implements ShardPicker.
-func (PickAffinity) Sticky() bool { return true }
-
-// PickLeastLoaded re-picks the shallowest live shard on every request
-// (ties keep the previous shard, then the lowest index). Maximum load
-// spreading, no affinity.
-type PickLeastLoaded struct{}
-
-// Pick implements ShardPicker.
-func (PickLeastLoaded) Pick(client int32, last int, v ShardView) int {
-	best, bd := -1, 0
-	for s := 0; s < v.Shards(); s++ {
-		if !v.Alive(s) {
-			continue
-		}
-		d := v.Depth(s)
-		if best < 0 || d < bd || (d == bd && s == last) {
-			best, bd = s, d
-		}
-	}
-	if best < 0 {
-		return int(client) % v.Shards()
-	}
-	return best
-}
-
-// Sticky implements ShardPicker.
-func (PickLeastLoaded) Sticky() bool { return false }
-
 // group is the sharded-topology state hung off a System built with
 // Options.Shards > 0.
 type group struct {
 	s      *System
 	shards int
-	picker ShardPicker
 
 	stealMax int // messages per steal; 0 disables stealing
 	stealMin int // minimum victim depth worth stealing from
-
-	// Quarantine-circuit configuration (Admission; 0 = circuits off).
-	quarAfter    int // consecutive high-water observations to open
-	reprobeAfter int // picks sat out before a half-open trial
-	highWater    int // lane depth considered "high"
 
 	recvs    []*Channel      // shard wake carriers; recvs[s].q == reqLanes[s]
 	reqLanes []*queue.Lanes  // per-shard fan-in over req[s][*]
@@ -142,92 +42,10 @@ type group struct {
 	rep      [][]*queue.SPSC // reply lanes [shard][client]
 
 	dead      []atomic.Bool  // shard declared dead by the sweeper
-	circuits  []shardCircuit // per-shard quarantine state
 	shardActs []atomic.Int32 // actor id serving each shard (-1 until taken)
 
 	mu    sync.Mutex
 	taken []bool // ShardServer(s) issued
-}
-
-// shardCircuit is one shard's quarantine state (DESIGN.md §14): a
-// breaker that opens after quarAfter consecutive picks saw the shard's
-// lanes at or above the high-water mark, sits out reprobeAfter picks,
-// then half-opens for one trial pick whose observation closes or
-// re-opens it. All fields are advisory atomics updated from client
-// goroutines; approximate counts are fine — the circuit bounds
-// sustained saturation, not instantaneous depth.
-type shardCircuit struct {
-	state   atomic.Int32 // circClosed / circOpen / circHalfOpen
-	strikes atomic.Int32 // consecutive high-water observations
-	idle    atomic.Int32 // picks sat out while open
-}
-
-const (
-	circClosed int32 = iota
-	circOpen
-	circHalfOpen
-)
-
-// circuitAllows reports whether shard s is pickable despite its
-// circuit. An open circuit counts the picks routed around it and
-// half-opens after reprobeAfter of them, letting exactly the
-// transitioning pick through as the trial (CAS: one winner).
-func (g *group) circuitAllows(s int) bool {
-	if g.quarAfter <= 0 {
-		return true
-	}
-	c := &g.circuits[s]
-	if c.state.Load() != circOpen {
-		return true
-	}
-	if c.idle.Add(1) >= int32(g.reprobeAfter) {
-		return c.state.CompareAndSwap(circOpen, circHalfOpen)
-	}
-	return false
-}
-
-// observeShard feeds one pick's depth observation of shard sh into its
-// circuit. m (may be nil) receives the Quarantines count when this
-// observation opens the circuit.
-func (g *group) observeShard(sh, depth int, m *metrics.Proc) {
-	if g.quarAfter <= 0 {
-		return
-	}
-	c := &g.circuits[sh]
-	high := depth >= g.highWater
-	switch c.state.Load() {
-	case circHalfOpen:
-		// The trial pick's verdict: drained closes the circuit, still
-		// saturated re-opens it for another sit-out round.
-		if high {
-			c.idle.Store(0)
-			c.state.Store(circOpen)
-		} else {
-			c.strikes.Store(0)
-			c.state.Store(circClosed)
-		}
-	case circClosed:
-		if !high {
-			c.strikes.Store(0)
-			return
-		}
-		if c.strikes.Add(1) >= int32(g.quarAfter) && c.state.CompareAndSwap(circClosed, circOpen) {
-			c.idle.Store(0)
-			if m != nil {
-				m.Quarantines.Add(1)
-			}
-		}
-	}
-}
-
-// Quarantined reports whether shard sh's circuit is currently open or
-// half-open (diagnostics and tests; false on a non-sharded system).
-func (s *System) Quarantined(sh int) bool {
-	g := s.grp
-	if g == nil || g.quarAfter <= 0 || sh < 0 || sh >= g.shards {
-		return false
-	}
-	return g.circuits[sh].state.Load() != circClosed
 }
 
 // newLanesChannel wraps a fan-in lane set as a Channel so the wake
@@ -244,20 +62,15 @@ func newLanesChannel(l *queue.Lanes) *Channel {
 func (s *System) buildGroup() error {
 	o := &s.opts
 	g := &group{
-		s:            s,
-		shards:       o.Shards,
-		picker:       o.Picker,
-		stealMax:     o.StealBatch,
-		stealMin:     o.StealThreshold,
-		quarAfter:    o.Admission.QuarantineAfter,
-		reprobeAfter: o.Admission.ReprobeAfter,
-		highWater:    o.Admission.HighWater,
+		s:        s,
+		shards:   o.Shards,
+		stealMax: o.StealBatch,
+		stealMin: o.StealThreshold,
 	}
 	if o.NoSteal || g.shards < 2 {
 		g.stealMax = 0
 	}
 	g.dead = make([]atomic.Bool, g.shards)
-	g.circuits = make([]shardCircuit, g.shards)
 	g.shardActs = make([]atomic.Int32, g.shards)
 	for i := range g.shardActs {
 		g.shardActs[i].Store(-1)
@@ -305,44 +118,6 @@ func (s *System) buildGroup() error {
 	s.replySPSC, s.replyAuto = true, false
 	s.grp = g
 	return nil
-}
-
-// refusing reports whether the group entered shutdown phase 1. A dead
-// shard's channel also refuses (the sweeper closed it), so the probe
-// reads the first live shard — shutdown refuses all of them, a shard
-// death only its own. The sweeper marks a shard dead before it closes
-// the shard's channel (recovery.recoverLocked), so a shard that looks
-// live here never refuses because it died.
-func (g *group) refusing() bool {
-	for s := range g.recvs {
-		if !g.dead[s].Load() {
-			return g.recvs[s].refuse.Load()
-		}
-	}
-	return true // every shard dead: nothing can accept
-}
-
-// allDead reports whether every shard has been declared dead.
-func (g *group) allDead() bool {
-	for i := range g.dead {
-		if !g.dead[i].Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// shardView adapts group state for ShardPicker. Alive folds the
-// quarantine circuits into the liveness view, so non-sticky pickers
-// route around a saturated shard exactly as they route around a dead
-// one — the probe that half-opens an open circuit reports the shard
-// alive again for its one trial pick.
-type shardView struct{ g *group }
-
-func (v shardView) Shards() int     { return v.g.shards }
-func (v shardView) Depth(s int) int { return v.g.reqLanes[s].Len() }
-func (v shardView) Alive(s int) bool {
-	return !v.g.dead[s].Load() && v.g.circuitAllows(s)
 }
 
 // Shards returns the shard count (0 for a non-sharded system).
@@ -456,20 +231,22 @@ func (s *System) ShardServers() ([]*core.Server, error) {
 	return out, nil
 }
 
-// groupClient builds client i's handle on the sharded topology.
+// groupClient builds client i's handle on the sharded topology: every
+// request, the connect and disconnect handshakes included, goes to its
+// home shard i mod shards, which then owns the connection's
+// bookkeeping and the reply the client waits for.
 func (s *System) groupClient(i int) (*core.Client, error) {
 	g := s.grp
 	a := s.newActor(fmt.Sprintf("client%d", i))
 	home := i % g.shards
-	bind := &clientBind{cur: home, last: -1}
 	s.registerActor(a, []*Channel{s.replies[i]}, g.recvs)
 	return &core.Client{
 		ID:        int32(i),
 		Alg:       s.opts.Alg,
 		MaxSpin:   s.opts.MaxSpin,
 		Tuner:     s.newTuner(fmt.Sprintf("client%d", i), a),
-		Srv:       &pickPort{g: g, id: int32(i), home: home, sticky: g.picker.Sticky(), bind: bind, m: a.M},
-		Rcv:       &clientRcvPort{g: g, ch: s.replies[i], lanes: g.repLanes[i], bind: bind},
+		Srv:       &homePort{g: g, home: home, lane: g.reqLanes[home].Lane(i), ch: g.recvs[home]},
+		Rcv:       &clientRcvPort{g: g, home: home, ch: s.replies[i], lanes: g.repLanes[i]},
 		A:         a,
 		M:         a.M,
 		Obs:       a.Obs,
@@ -480,180 +257,73 @@ func (s *System) groupClient(i int) (*core.Client, error) {
 	}, nil
 }
 
-// clientBind is the shard-binding state one client's two ports share.
-// Owned by the client's goroutine — Srv writes, Rcv reads, never
-// concurrently (a Client handle is single-goroutine by contract).
-type clientBind struct {
-	cur  int // shard owed the in-flight reply (last successful enqueue)
-	last int // last picked shard, -1 before the first pick
-}
-
-// pickPort is a client's request endpoint on a sharded system: every
-// enqueue picks a shard (control ops always go to the hash home, so
-// connect/disconnect bookkeeping stays per-shard coherent) and lands
-// on this client's own SPSC lane to that shard. Wake operations
-// (TASAwake/Sem) address the shard of the most recent enqueue — the
-// protocols call them immediately after a successful enqueue, so the
-// binding is always current.
-type pickPort struct {
-	g      *group
-	id     int32
-	home   int
-	sticky bool
-	bind   *clientBind
-	m      *metrics.Proc // quarantine attribution; may be nil
-}
-
-// pick selects the destination shard for one message and feeds the
-// chosen shard's depth into its quarantine circuit (the "N picks"
-// clock of the breaker runs on actual traffic, so an idle system
-// never quarantines anybody).
-func (p *pickPort) pick(m core.Msg) int {
-	if m.Op == core.OpConnect || m.Op == core.OpDisconnect {
-		return p.home
-	}
-	sh := p.g.picker.Pick(p.id, p.bind.last, shardView{p.g})
-	if sh < 0 || sh >= p.g.shards {
-		sh = p.home
-	}
-	p.bind.last = sh
-	p.g.observeShard(sh, p.g.reqLanes[sh].Len(), p.m)
-	return sh
-}
-
-// pin returns the shard a sticky client is bound to.
-func (p *pickPort) pin() int {
-	if p.bind.last >= 0 {
-		return p.bind.last
-	}
-	return p.home
+// homePort is a client's request endpoint on a sharded system: the
+// client's own SPSC lane into its home shard, with the wake state,
+// shutdown state and death of that shard's fused channel.
+type homePort struct {
+	g    *group
+	home int
+	lane *queue.SPSC // req[home][client]
+	ch   *Channel    // g.recvs[home]
 }
 
 // TryEnqueue implements core.Port.
-func (p *pickPort) TryEnqueue(m core.Msg) bool {
-	sh := p.pick(m)
-	if !p.g.reqLanes[sh].Lane(int(p.id)).Enqueue(m) {
-		return false
-	}
-	p.bind.cur = sh
-	return true
-}
+func (p *homePort) TryEnqueue(m core.Msg) bool { return p.lane.Enqueue(m) }
 
-// TryEnqueueBatch implements core.Port: one shard decision per
-// burst, then one lane EnqueueN — the "one routing decision, one index
-// publish, k messages" half of the batching contract.
-func (p *pickPort) TryEnqueueBatch(ms []core.Msg) int {
-	if len(ms) == 0 {
-		return 0
-	}
-	sh := p.pick(ms[0])
-	n := p.g.reqLanes[sh].Lane(int(p.id)).EnqueueN(ms)
-	if n > 0 {
-		p.bind.cur = sh
-	}
-	return n
-}
+// TryEnqueueBatch implements core.Port: one lane EnqueueN, one index
+// publish for k messages.
+func (p *homePort) TryEnqueueBatch(ms []core.Msg) int { return p.lane.EnqueueN(ms) }
 
 // TryDequeue implements core.Port (request endpoints are never
 // dequeued by clients).
-func (p *pickPort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
+func (p *homePort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
 
 // TryDequeueBatch implements core.Port (never dequeued, as above).
-func (p *pickPort) TryDequeueBatch([]core.Msg) int { return 0 }
+func (p *homePort) TryDequeueBatch([]core.Msg) int { return 0 }
 
 // Empty implements core.Port.
-func (p *pickPort) Empty() bool { return p.g.reqLanes[p.bind.cur].Empty() }
+func (p *homePort) Empty() bool { return p.g.reqLanes[p.home].Empty() }
 
-// Depth implements core.Port, the admission-control observable: a
-// sticky client reports its pinned shard's lane depth (that shard is
-// the only place its traffic can go), a non-sticky client the
-// shallowest live shard's (if even the best destination is past high
-// water, the whole group is saturated). Dead shards are excluded;
-// quarantined ones are not — their depth is real backlog the breaker
-// is draining, and admission should see it.
-// Every depth read also feeds the quarantine circuit: under sustained
-// overload the admission check rejects sends before any pick happens,
-// so the depth probe is the only place a saturated shard is reliably
-// observed — without it the circuit could never open exactly when it
-// matters most.
-func (p *pickPort) Depth() int {
-	g := p.g
-	if p.sticky {
-		sh := p.pin()
-		d := g.reqLanes[sh].Len()
-		g.observeShard(sh, d, p.m)
-		return d
-	}
-	min := -1
-	for s := 0; s < g.shards; s++ {
-		if g.dead[s].Load() {
-			continue
-		}
-		d := g.reqLanes[s].Len()
-		g.observeShard(s, d, p.m)
-		if min < 0 || d < min {
-			min = d
-		}
-	}
-	if min < 0 {
-		return int(^uint(0) >> 1) // every shard dead: nothing admits
-	}
-	return min
-}
+// Depth implements core.Port, the admission-control observable: the
+// home shard's total lane depth, the only place this client's traffic
+// can go.
+func (p *homePort) Depth() int { return p.g.reqLanes[p.home].Len() }
 
 // SetAwake implements core.Port.
-func (p *pickPort) SetAwake(v bool) { p.g.recvs[p.bind.cur].awake.Store(v) }
+func (p *homePort) SetAwake(v bool) { p.ch.awake.Store(v) }
 
 // TASAwake implements core.Port.
-func (p *pickPort) TASAwake() bool { return p.g.recvs[p.bind.cur].awake.Swap(true) }
+func (p *homePort) TASAwake() bool { return p.ch.awake.Swap(true) }
 
 // ClaimWake implements core.Port: the producer's test-and-set.
-func (p *pickPort) ClaimWake() bool { return !p.TASAwake() }
+func (p *homePort) ClaimWake() bool { return !p.TASAwake() }
 
 // Sem implements core.Port.
-func (p *pickPort) Sem() core.SemID { return p.g.recvs[p.bind.cur].id }
+func (p *homePort) Sem() core.SemID { return p.ch.id }
 
-// Refusing implements core.Port: shutdown, a sticky client's
-// dead pin, or a fully dead group all make new sends fail fast.
-func (p *pickPort) Refusing() bool {
-	if p.g.refusing() {
-		return true
-	}
-	if p.sticky && p.g.dead[p.pin()].Load() {
-		return true
-	}
-	return p.g.allDead()
-}
+// Refusing implements core.Port: shutdown or the home shard's death
+// make new sends fail fast. The sweeper marks a shard dead before it
+// closes the shard's channel (recovery.recoverLocked), so a refusing
+// channel on a live shard means shutdown.
+func (p *homePort) Refusing() bool { return p.ch.refuse.Load() || p.g.dead[p.home].Load() }
 
 // Closed implements core.Port.
-func (p *pickPort) Closed() bool {
-	if p.g.recvs[p.pin()].closed.Load() {
-		return true
-	}
-	return p.sticky && p.g.dead[p.pin()].Load()
-}
+func (p *homePort) Closed() bool { return p.ch.closed.Load() || p.g.dead[p.home].Load() }
 
-// PeerDead implements core.Port: it decides whether a refused
-// send surfaces ErrPeerDead (this client's shard died) rather than
-// ErrShutdown.
-func (p *pickPort) PeerDead() bool {
-	if p.sticky && p.g.dead[p.pin()].Load() {
-		return true
-	}
-	return p.g.allDead()
-}
+// PeerDead implements core.Port: it decides whether a refused send
+// surfaces ErrPeerDead (the home shard died) rather than ErrShutdown.
+func (p *homePort) PeerDead() bool { return p.g.dead[p.home].Load() }
 
 // clientRcvPort is a client's reply endpoint: the fan-in over its
 // reply lanes from every shard. Its closed/dead view folds in the
-// death of the shard owed the in-flight reply (bind.cur): Send is
-// synchronous, so at most one reply is outstanding, and it is owed by
-// exactly that shard — when the sweeper declares it dead, the parked
-// wait must end in ErrPeerDead instead of sleeping forever.
+// death of the home shard, which is owed every reply the client waits
+// for — when the sweeper declares it dead, the parked wait must end in
+// ErrPeerDead instead of sleeping forever.
 type clientRcvPort struct {
 	g     *group
+	home  int
 	ch    *Channel
 	lanes *queue.Lanes // ch.q: the client's fan-in over its reply lanes
-	bind  *clientBind
 }
 
 // TryEnqueue implements core.Port (reply endpoints are never enqueued
@@ -693,12 +363,12 @@ func (p *clientRcvPort) Refusing() bool { return p.ch.refuse.Load() }
 
 // Closed implements core.Port.
 func (p *clientRcvPort) Closed() bool {
-	return p.ch.closed.Load() || p.g.dead[p.bind.cur].Load()
+	return p.ch.closed.Load() || p.g.dead[p.home].Load()
 }
 
 // PeerDead implements core.Port.
 func (p *clientRcvPort) PeerDead() bool {
-	return p.ch.dead.Load() || p.g.dead[p.bind.cur].Load()
+	return p.ch.dead.Load() || p.g.dead[p.home].Load()
 }
 
 // lanePort is a shard's reply endpoint to one client: the payload goes
@@ -877,7 +547,7 @@ func (p *shardRecvPort) Closed() bool { return p.ch.closed.Load() }
 func (p *shardRecvPort) PeerDead() bool { return p.ch.dead.Load() }
 
 var (
-	_ core.Port = (*pickPort)(nil)
+	_ core.Port = (*homePort)(nil)
 	_ core.Port = (*clientRcvPort)(nil)
 	_ core.Port = (*lanePort)(nil)
 	_ core.Port = (*shardRecvPort)(nil)

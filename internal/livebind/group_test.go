@@ -12,96 +12,75 @@ import (
 	"ulipc/internal/queue"
 )
 
-// fakeView is a scripted ShardView for picker unit tests.
-type fakeView struct {
-	depths []int
-	alive  []bool
-}
-
-func (v fakeView) Shards() int      { return len(v.depths) }
-func (v fakeView) Depth(s int) int  { return v.depths[s] }
-func (v fakeView) Alive(s int) bool { return v.alive[s] }
-
-// TestPickHashStable: hash pinning is a pure function of the client id
-// — stable across calls, indifferent to load and liveness, and spread
-// across the group.
-func TestPickHashStable(t *testing.T) {
-	v := fakeView{depths: []int{100, 0, 50, 3}, alive: []bool{false, true, true, true}}
-	var p PickHash
-	hit := make(map[int]bool)
-	for c := int32(0); c < 16; c++ {
-		first := p.Pick(c, -1, v)
-		for last := -1; last < 4; last++ {
-			if got := p.Pick(c, last, v); got != first {
-				t.Fatalf("client %d: pick moved %d -> %d (last=%d)", c, first, got, last)
+// TestGroupRoutesToHomeShard: with no server running, every request of
+// client i, whatever verb sent it, waits on lane i of shard i mod 3 and
+// on no other lane of the group.
+func TestGroupRoutesToHomeShard(t *testing.T) {
+	const clients, shards, k = 6, 3, 4
+	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := make([]*core.Client, clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]int, clients) // queued requests per client
+	check := func(phase string) {
+		t.Helper()
+		for sh := 0; sh < shards; sh++ {
+			for i := 0; i < clients; i++ {
+				n := 0
+				if sh == i%shards {
+					n = want[i]
+				}
+				if got := sys.grp.reqLanes[sh].Lane(i).Len(); got != n {
+					t.Fatalf("%s: shard %d lane %d holds %d, want %d", phase, sh, i, got, n)
+				}
 			}
 		}
-		if first != int(c)%4 {
-			t.Fatalf("client %d pinned to %d, want %d", c, first, int(c)%4)
+	}
+	deadline := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 5*time.Millisecond)
+	}
+
+	for i, cl := range cls {
+		cl.SendAsync(core.Msg{Op: core.OpEcho})
+		want[i]++
+	}
+	check("SendAsync")
+
+	// The connect handshake: enqueued, then its wait for the
+	// acknowledgement times out (nobody serves).
+	for i := 0; i < shards; i++ {
+		ctx, cancel := deadline()
+		_, err := cls[i].SendCtx(ctx, core.Msg{Op: core.OpConnect})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("client %d connect = %v, want DeadlineExceeded", i, err)
 		}
-		hit[first] = true
+		want[i]++
 	}
-	if len(hit) != 4 {
-		t.Fatalf("16 clients spread over %d of 4 shards", len(hit))
-	}
-	if !p.Sticky() {
-		t.Fatal("hash picker must be sticky (peer-death surfaces as ErrPeerDead)")
-	}
-}
+	check("connect")
 
-// TestPickAffinitySticky: first touch goes to the least-loaded live
-// shard; every later pick keeps that shard no matter how the load view
-// changes.
-func TestPickAffinitySticky(t *testing.T) {
-	var p PickAffinity
-	v := fakeView{depths: []int{9, 4, 0, 7}, alive: []bool{true, true, true, true}}
-	first := p.Pick(5, -1, v)
-	if first != 2 {
-		t.Fatalf("first pick = %d, want least-loaded shard 2", first)
+	for i := shards; i < clients; i++ {
+		ctx, cancel := deadline()
+		_, err := cls[i].SendBatchCtx(ctx, make([]core.Msg, k))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("client %d batch = %v, want DeadlineExceeded", i, err)
+		}
+		want[i] += k
 	}
-	// Load inverts, shard even goes dead: the binding must not move.
-	v = fakeView{depths: []int{0, 0, 99, 0}, alive: []bool{true, true, false, true}}
-	if got := p.Pick(5, first, v); got != first {
-		t.Fatalf("affinity moved %d -> %d after load shift", first, got)
-	}
-	// Dead shards are skipped on first touch.
-	v = fakeView{depths: []int{5, 0, 1, 2}, alive: []bool{true, false, true, true}}
-	if got := p.Pick(5, -1, v); got != 2 {
-		t.Fatalf("first pick = %d, want 2 (shallowest live; 1 is dead)", got)
-	}
-	if !p.Sticky() {
-		t.Fatal("affinity picker must be sticky")
-	}
-}
+	check("SendBatch")
 
-// TestPickLeastLoadedSkew: under skew the picker always lands on the
-// shallowest live shard; ties prefer the previous shard (then lowest
-// index), and a fully dead view falls back to hash.
-func TestPickLeastLoadedSkew(t *testing.T) {
-	var p PickLeastLoaded
-	v := fakeView{depths: []int{40, 2, 17, 5}, alive: []bool{true, true, true, true}}
-	if got := p.Pick(0, -1, v); got != 1 {
-		t.Fatalf("pick = %d, want shallowest shard 1", got)
-	}
-	v.alive[1] = false
-	if got := p.Pick(0, 1, v); got != 3 {
-		t.Fatalf("pick = %d, want 3 (next-shallowest live)", got)
-	}
-	// Tie: keep the previous shard to avoid pointless bouncing.
-	v = fakeView{depths: []int{3, 3, 3, 3}, alive: []bool{true, true, true, true}}
-	if got := p.Pick(0, 2, v); got != 2 {
-		t.Fatalf("tie pick = %d, want previous shard 2", got)
-	}
-	if got := p.Pick(0, -1, v); got != 0 {
-		t.Fatalf("tie pick with no history = %d, want lowest index 0", got)
-	}
-	v = fakeView{depths: []int{0, 0}, alive: []bool{false, false}}
-	if got := p.Pick(7, 0, v); got != 1 {
-		t.Fatalf("all-dead fallback = %d, want hash home 1", got)
-	}
-	if p.Sticky() {
-		t.Fatal("least-loaded picker must not be sticky (it routes around deaths)")
-	}
+	// Nothing serves the queued requests: Shutdown's drain wait ends on
+	// its deadline, then the system closes anyway.
+	ctx, cancel := deadline()
+	defer cancel()
+	_ = sys.Shutdown(ctx)
 }
 
 // runGroupEcho is the shared harness: shards ServeBatch on their own
@@ -172,30 +151,20 @@ func runGroupEcho(t *testing.T, sys *System, clients, rounds, k int) (served int
 }
 
 // TestGroupEchoBatch: end-to-end vectored echo over a server group, for
-// the two sleep-capable protocols and each built-in picker.
+// the two sleep-capable protocols.
 func TestGroupEchoBatch(t *testing.T) {
 	const clients, shards, rounds, k = 4, 2, 8, 16
 	for _, alg := range []core.Algorithm{core.BSW, core.BSLS} {
-		for _, tc := range []struct {
-			name   string
-			picker ShardPicker
-		}{
-			{"hash", PickHash{}},
-			{"affinity", PickAffinity{}},
-			{"leastloaded", PickLeastLoaded{}},
-		} {
-			t.Run(alg.String()+"/"+tc.name, func(t *testing.T) {
-				sys, err := NewSystemGroup(shards, Options{Alg: alg, Clients: clients},
-					WithShardPicker(tc.picker))
-				if err != nil {
-					t.Fatal(err)
-				}
-				served := runGroupEcho(t, sys, clients, rounds, k)
-				if want := int64(clients * rounds * k); served != want {
-					t.Fatalf("shards served %d, want %d", served, want)
-				}
-			})
-		}
+		t.Run(alg.String(), func(t *testing.T) {
+			sys, err := NewSystemGroup(shards, Options{Alg: alg, Clients: clients})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := runGroupEcho(t, sys, clients, rounds, k)
+			if want := int64(clients * rounds * k); served != want {
+				t.Fatalf("shards served %d, want %d", served, want)
+			}
+		})
 	}
 }
 

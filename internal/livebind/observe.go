@@ -64,8 +64,6 @@ func (s *System) WritePrometheus(w io.Writer) {
 		{"ulipc_overloads", "sends rejected by admission control or a dry retry budget", t.Overloads},
 		{"ulipc_sheds", "expired messages shed at server dequeue", t.Sheds},
 		{"ulipc_expiries", "replies that arrived after their deadline", t.Expiries},
-		{"ulipc_copy_fallbacks", "payload allocations degraded to the heap fallback", t.CopyFallbacks},
-		{"ulipc_quarantines", "shard circuits opened on sustained high water", t.Quarantines},
 		{"ulipc_crashes", "injected crash panics recovered", t.Crashes},
 		{"ulipc_peer_deaths", "actors declared dead by the sweeper", t.PeerDeaths},
 		{"ulipc_lock_reclaims", "robust queue locks revoked from dead holders", t.LockReclaims},

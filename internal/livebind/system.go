@@ -109,10 +109,6 @@ type Options struct {
 	// WithShards/NewSystemGroup.
 	Shards int
 
-	// Picker selects each request's destination shard (group mode
-	// only); nil defaults to PickHash. Prefer WithShardPicker.
-	Picker ShardPicker
-
 	// StealBatch bounds how many messages one steal moves from a
 	// sibling shard (group mode only); 0 defaults to 8 on a
 	// multiprocessor runtime. On GOMAXPROCS=1 the default is no
@@ -135,21 +131,11 @@ type Options struct {
 
 	// Admission configures overload admission control: a request-queue
 	// high-water mark past which client sends fast-reject with
-	// core.ErrOverload, a client retry budget bounding queue-full retry
-	// rounds, and (group mode) the per-shard quarantine circuit. The
-	// zero value keeps the system fully open — no depth checks, no
-	// budget, no circuits — at zero cost on the send path. Prefer
+	// core.ErrOverload and a client retry budget bounding queue-full
+	// retry rounds. The zero value keeps the system fully open — no
+	// depth checks, no budget — at zero cost on the send path. Prefer
 	// WithAdmission.
 	Admission Admission
-
-	// CopyFallback degrades payload allocation instead of failing it:
-	// when the slab arena's size classes are exhausted, Alloc is served
-	// from a mutex-guarded heap overflow table (counted in
-	// CopyFallbacks) rather than returning core.ErrBlocksExhausted.
-	// Slower but lossless — the degraded mode of DESIGN.md §14. Requires
-	// BlockSlots > 0; in-process only (heap blocks cannot cross an
-	// address space). Prefer WithCopyFallback.
-	CopyFallback bool
 }
 
 // Admission is the overload-doctrine configuration (DESIGN.md §14).
@@ -159,10 +145,8 @@ type Admission struct {
 	// sends stop enqueueing and fail fast with core.ErrOverload (a
 	// plain Send returns the OpShutdown marker instead). The connect
 	// and disconnect handshakes are always admitted.
-	// On a sharded system the depth consulted is the pinned shard's
-	// lane depth (sticky pickers) or the shallowest live shard's
-	// (non-sticky — if even the best shard is past high water, the
-	// group is saturated).
+	// On a sharded system the depth consulted is the client's home
+	// shard's lane depth, the only place its requests go.
 	HighWater int
 
 	// RetryCap, when > 0, bounds queue-full retry rounds with a token
@@ -175,18 +159,6 @@ type Admission struct {
 	// RetryRefill is the budget earned back per successful send;
 	// defaults to 0.1 when RetryCap > 0 (ten successes buy one retry).
 	RetryRefill float64
-
-	// QuarantineAfter, when > 0 (group mode), opens a shard's circuit
-	// after that many consecutive picks observed its lane at or above
-	// HighWater: ShardView.Alive reports the shard down, so non-sticky
-	// pickers route around it while it drains. Requires HighWater > 0.
-	QuarantineAfter int
-
-	// ReprobeAfter is how many picks a quarantined shard sits out
-	// before one half-open trial pick re-probes it (close the circuit
-	// if the lane drained, re-open otherwise). Defaults to 64 when
-	// QuarantineAfter > 0.
-	ReprobeAfter int
 }
 
 // Option is a functional setting applied by NewSystem on top of the
@@ -300,12 +272,6 @@ func WithShards(n int) Option {
 	return func(o *Options) { o.Shards = n }
 }
 
-// WithShardPicker sets the client-side shard-selection policy (see
-// Options.Picker).
-func WithShardPicker(p ShardPicker) Option {
-	return func(o *Options) { o.Picker = p }
-}
-
 // WithStealBatch bounds the per-steal message count (see
 // Options.StealBatch).
 func WithStealBatch(n int) Option {
@@ -322,15 +288,9 @@ func WithAdmission(a Admission) Option {
 	return func(o *Options) { o.Admission = a }
 }
 
-// WithCopyFallback degrades exhausted payload allocations to a heap
-// overflow table instead of failing them (see Options.CopyFallback).
-func WithCopyFallback() Option {
-	return func(o *Options) { o.CopyFallback = true }
-}
-
 // NewSystemGroup builds a sharded system: shards server shards, each
-// owning one SPSC request lane per client, with client-side shard
-// selection and bounded work stealing. Equivalent to NewSystem with
+// owning one SPSC request lane per client, client i homed to shard
+// i mod shards, with bounded work stealing. Equivalent to NewSystem with
 // WithShards(shards) appended. shards must be at least 1 — a zero
 // count is rejected rather than silently degrading to an unsharded
 // system (callers wanting that should use NewSystem directly).
@@ -410,9 +370,6 @@ func (o *Options) validate() error {
 		if o.replyKind != nil && *o.replyKind != queue.KindSPSC {
 			return fmt.Errorf("%w: a server group's reply lanes are structurally SPSC; ReplyKind cannot override them", ErrSPSCTopology)
 		}
-		if o.Picker == nil {
-			o.Picker = PickHash{}
-		}
 		if o.StealBatch == 0 && runtime.GOMAXPROCS(0) > 1 {
 			o.StealBatch = 8
 		}
@@ -432,23 +389,8 @@ func (o *Options) validate() error {
 	if o.Admission.RetryRefill < 0 {
 		return fmt.Errorf("%w: negative Admission.RetryRefill %g", ErrBadOption, o.Admission.RetryRefill)
 	}
-	if o.Admission.QuarantineAfter < 0 {
-		return fmt.Errorf("%w: negative Admission.QuarantineAfter %d", ErrBadOption, o.Admission.QuarantineAfter)
-	}
-	if o.Admission.ReprobeAfter < 0 {
-		return fmt.Errorf("%w: negative Admission.ReprobeAfter %d", ErrBadOption, o.Admission.ReprobeAfter)
-	}
-	if o.Admission.QuarantineAfter > 0 && o.Admission.HighWater <= 0 {
-		return fmt.Errorf("%w: Admission.QuarantineAfter needs a HighWater mark to observe", ErrBadOption)
-	}
 	if o.Admission.RetryCap > 0 && o.Admission.RetryRefill == 0 {
 		o.Admission.RetryRefill = 0.1
-	}
-	if o.Admission.QuarantineAfter > 0 && o.Admission.ReprobeAfter == 0 {
-		o.Admission.ReprobeAfter = 64
-	}
-	if o.CopyFallback && o.BlockSlots <= 0 {
-		return fmt.Errorf("%w: CopyFallback degrades the payload arena, which needs BlockSlots > 0", ErrBadOption)
 	}
 	if o.QueueCap == 0 {
 		o.QueueCap = 64
@@ -467,7 +409,6 @@ type System struct {
 	c2s     []*Channel // per-client request channels (Duplex only)
 	sems    []*Semaphore
 	blocks  *shm.BlockPool
-	over    *heapOverflow // CopyFallback overflow table; nil unless enabled
 	ms      *metrics.Set
 	obs     *obs.Observer // nil unless Options.Observer was set
 
@@ -575,9 +516,6 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 			return nil, err
 		}
 		s.blocks = pool
-		if opts.CopyFallback {
-			s.over = newHeapOverflow(pool.MaxBlock())
-		}
 	}
 	s.inj = opts.Faults
 	if opts.Recovery != nil {
@@ -596,57 +534,37 @@ func (s *System) Blocks() *shm.BlockPool { return s.blocks }
 // into the handle's metrics. With AllocBatch > 1 allocations go through
 // a private per-handle BlockCache (one shared-head CAS per batch); the
 // cache's parked blocks are spilled by Shutdown and by the recovery
-// sweeper when the handle's actor dies.
+// sweeper when the handle's actor dies. Get, Lease, Gen, ClaimGen and
+// MaxBlock are the pool's own.
 type blockSource struct {
-	pool  *shm.BlockPool
+	*shm.BlockPool
 	cache *shm.BlockCache // nil: uncached, straight to the pool
-	over  *heapOverflow   // nil: exhaustion fails instead of degrading
 	m     *metrics.Proc
 }
 
-func (b *blockSource) Alloc(n int) (uint32, []byte, bool) {
+// Alloc reports an exhausted arena (BlockFails) to the caller's flow
+// control as a failed allocation.
+func (b *blockSource) Alloc(n int) (ref uint32, buf []byte, ok bool) {
+	refilled := false
 	if b.cache == nil {
-		ref, buf, ok := b.pool.Alloc(n)
-		if !ok {
-			return b.allocFallback(n)
+		ref, buf, ok = b.BlockPool.Alloc(n)
+	} else {
+		ref, buf, ok, refilled = b.cache.Alloc(n)
+	}
+	if b.m != nil {
+		if refilled {
+			b.m.BlockRefills.Add(1)
 		}
-		return ref, buf, ok
-	}
-	ref, buf, ok, refilled := b.cache.Alloc(n)
-	if b.m != nil && refilled {
-		b.m.BlockRefills.Add(1)
-	}
-	if !ok {
-		return b.allocFallback(n)
+		if !ok {
+			b.m.BlockFails.Add(1)
+		}
 	}
 	return ref, buf, ok
 }
 
-// allocFallback is the degraded allocation path: serve the request from
-// the heap overflow table (CopyFallbacks) when the system opted in,
-// otherwise report the failure (BlockFails) to the caller's flow
-// control exactly as before.
-func (b *blockSource) allocFallback(n int) (uint32, []byte, bool) {
-	if b.over != nil {
-		if ref, buf, ok := b.over.alloc(n); ok {
-			if b.m != nil {
-				b.m.CopyFallbacks.Add(1)
-			}
-			return ref, buf, true
-		}
-	}
-	if b.m != nil {
-		b.m.BlockFails.Add(1)
-	}
-	return shm.NilBlock, nil, false
-}
-
 func (b *blockSource) Free(ref uint32) error {
-	if isOverflowRef(ref) {
-		return b.over.free(ref)
-	}
 	if b.cache == nil {
-		return b.pool.Free(ref)
+		return b.BlockPool.Free(ref)
 	}
 	spilled, err := b.cache.Free(ref)
 	if spilled && b.m != nil {
@@ -655,38 +573,6 @@ func (b *blockSource) Free(ref uint32) error {
 	return err
 }
 
-func (b *blockSource) Get(ref uint32) ([]byte, error) {
-	if isOverflowRef(ref) {
-		return b.over.get(ref)
-	}
-	return b.pool.Get(ref)
-}
-
-func (b *blockSource) Lease(ref uint32, owner uint32) error {
-	if isOverflowRef(ref) {
-		return b.over.lease(ref, owner)
-	}
-	return b.pool.Lease(ref, owner)
-}
-
-// Gen and ClaimGen: heap-overflow blocks are never reclaimed by owner,
-// so they stay at generation 0 and claim on the tag alone.
-func (b *blockSource) Gen(ref uint32) uint8 {
-	if isOverflowRef(ref) {
-		return 0
-	}
-	return b.pool.Gen(ref)
-}
-
-func (b *blockSource) ClaimGen(ref uint32, gen uint8, owner uint32) bool {
-	if isOverflowRef(ref) {
-		return b.over.claim(ref, owner)
-	}
-	return b.pool.ClaimGen(ref, gen, owner)
-}
-
-func (b *blockSource) MaxBlock() int { return b.pool.MaxBlock() }
-
 // blockStore builds the payload source for a handle owned by actor a,
 // or returns nil when the system has no arena. The handle's lease owner
 // is the actor id, so the sweeper can attribute a dead actor's leases.
@@ -694,7 +580,7 @@ func (s *System) blockStore(a *Actor) core.BlockStore {
 	if s.blocks == nil {
 		return nil
 	}
-	bs := &blockSource{pool: s.blocks, over: s.over, m: a.M}
+	bs := &blockSource{BlockPool: s.blocks, m: a.M}
 	if s.opts.AllocBatch > 1 {
 		bs.cache = s.blocks.NewBlockCache(s.opts.AllocBatch)
 		s.downMu.Lock()
@@ -1191,8 +1077,3 @@ func (s *System) retryBudget() *core.RetryBudget {
 	}
 	return &core.RetryBudget{Cap: s.opts.Admission.RetryCap, Refill: s.opts.Admission.RetryRefill}
 }
-
-// FallbackLive returns the number of outstanding heap-overflow payload
-// blocks (0 unless WithCopyFallback is on) — the degraded-mode half of
-// the post-run lease audit.
-func (s *System) FallbackLive() int64 { return s.over.live() }

@@ -59,13 +59,10 @@ type Proc struct {
 	Retries  atomic.Int64 // queue-full retry-with-backoff rounds
 
 	// Overload-doctrine statistics (DESIGN.md §14): admission rejects,
-	// server-side deadline sheds, client-observed late replies, payload
-	// heap fallbacks, and shard quarantine trips.
-	Overloads     atomic.Int64 // sends rejected by admission or a dry retry budget
-	Sheds         atomic.Int64 // expired messages dropped at server dequeue
-	Expiries      atomic.Int64 // replies that arrived after their deadline
-	CopyFallbacks atomic.Int64 // payload allocs degraded to the heap fallback
-	Quarantines   atomic.Int64 // shard circuits opened on sustained high water
+	// server-side deadline sheds, and client-observed late replies.
+	Overloads atomic.Int64 // sends rejected by admission or a dry retry budget
+	Sheds     atomic.Int64 // expired messages dropped at server dequeue
+	Expiries  atomic.Int64 // replies that arrived after their deadline
 
 	// Recovery statistics (the chaos/peer-death machinery): what the
 	// sweeper detected and repaired. Attributed to the sweeper's own
@@ -136,8 +133,6 @@ type Snapshot struct {
 	Overloads     int64
 	Sheds         int64
 	Expiries      int64
-	CopyFallbacks int64
-	Quarantines   int64
 	Crashes       int64
 	PeerDeaths    int64
 	LockReclaims  int64
@@ -179,8 +174,6 @@ func (p *Proc) Snapshot() Snapshot {
 		Overloads:     p.Overloads.Load(),
 		Sheds:         p.Sheds.Load(),
 		Expiries:      p.Expiries.Load(),
-		CopyFallbacks: p.CopyFallbacks.Load(),
-		Quarantines:   p.Quarantines.Load(),
 		Crashes:       p.Crashes.Load(),
 		PeerDeaths:    p.PeerDeaths.Load(),
 		LockReclaims:  p.LockReclaims.Load(),
@@ -221,8 +214,6 @@ func (s *Snapshot) Add(other Snapshot) {
 	s.Overloads += other.Overloads
 	s.Sheds += other.Sheds
 	s.Expiries += other.Expiries
-	s.CopyFallbacks += other.CopyFallbacks
-	s.Quarantines += other.Quarantines
 	s.Crashes += other.Crashes
 	s.PeerDeaths += other.PeerDeaths
 	s.LockReclaims += other.LockReclaims

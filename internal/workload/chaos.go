@@ -425,7 +425,7 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 		}(sh, srv)
 	}
 
-	// Client i is homed to shard i%shards by the hash picker. Clients of
+	// Client i is homed to shard i%shards. Clients of
 	// the victim send one warm-up batch (proving the shard served), hold
 	// at a gate while the harness crashes it, then send again — the send
 	// that MUST surface ErrPeerDead. Survivor clients run their scripts

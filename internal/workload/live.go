@@ -60,10 +60,6 @@ type LiveConfig struct {
 
 	// NoSteal disables inter-shard work stealing in group mode.
 	NoSteal bool
-
-	// Picker selects the client-side shard policy in group mode; nil
-	// defaults to hash pinning.
-	Picker livebind.ShardPicker
 }
 
 // tuneFor zeroes the hand-tuned knobs when alg is BSA: the controller
@@ -112,7 +108,7 @@ func RunLive(cfg LiveConfig) (Result, error) {
 		Metrics:    ms,
 	}
 	if cfg.Shards > 0 {
-		opts.NoSteal, opts.Picker = cfg.NoSteal, cfg.Picker
+		opts.NoSteal = cfg.NoSteal
 		sys, err := livebind.NewSystemGroup(cfg.Shards, opts)
 		if err != nil {
 			return Result{}, err

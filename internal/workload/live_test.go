@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ulipc/internal/core"
-	"ulipc/internal/livebind"
 	"ulipc/internal/machine"
 	"ulipc/internal/queue"
 )
@@ -82,7 +81,7 @@ func TestLiveBSSSingleQueueCapOne(t *testing.T) {
 }
 
 // TestLiveGroupSharded drives the group-mode path: sharded system,
-// batched sends, and the default hash picker. TotalMsgs counts replies
+// batched sends, each client on its home shard. TotalMsgs counts replies
 // actually served across all shards.
 func TestLiveGroupSharded(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.BSW, core.BSLS} {
@@ -101,25 +100,15 @@ func TestLiveGroupSharded(t *testing.T) {
 	}
 }
 
-// TestLiveGroupPickersAndNoSteal covers the non-default picker policies
-// and the strict-ownership (NoSteal) configuration end to end.
-func TestLiveGroupPickersAndNoSteal(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  LiveConfig
-	}{
-		{"affinity", LiveConfig{Picker: livebind.PickAffinity{}}},
-		{"leastloaded", LiveConfig{Picker: livebind.PickLeastLoaded{}}},
-		{"nosteal", LiveConfig{NoSteal: true}},
-	}
-	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Alg, cfg.Clients, cfg.Msgs, cfg.Shards, cfg.Batch = core.BSLS, 4, 128, 2, 8
-		cfg.Watchdog = 30 * time.Second
-		res := runLive(t, cfg)
-		if res.TotalMsgs != 4*128 {
-			t.Errorf("%s: total %d, want %d", tc.name, res.TotalMsgs, 4*128)
-		}
+// TestLiveGroupNoSteal covers the strict-ownership (NoSteal)
+// configuration end to end.
+func TestLiveGroupNoSteal(t *testing.T) {
+	res := runLive(t, LiveConfig{
+		Alg: core.BSLS, Clients: 4, Msgs: 128, Shards: 2, Batch: 8, NoSteal: true,
+		Watchdog: 30 * time.Second,
+	})
+	if res.TotalMsgs != 4*128 {
+		t.Errorf("total %d, want %d", res.TotalMsgs, 4*128)
 	}
 }
 

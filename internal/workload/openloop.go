@@ -57,11 +57,10 @@ type OpenLoopConfig struct {
 	Seed uint64
 
 	// Overload doctrine knobs (zero disables each, as in
-	// livebind.Admission): admission high-water mark, client retry
-	// budget, group-mode quarantine circuit.
-	HighWater  int
-	RetryCap   float64
-	Quarantine int
+	// livebind.Admission): admission high-water mark and client retry
+	// budget.
+	HighWater int
+	RetryCap  float64
 
 	// PaySize, when > 0, attaches a payload of that many bytes to every
 	// request (OpWork zero-copy echo): sheds then exercise the
@@ -69,9 +68,9 @@ type OpenLoopConfig struct {
 	// Not supported in group mode.
 	PaySize int
 
-	// Shards, when > 0, runs the cell against a server group (the
-	// quarantine circuit only exists there), one vectored serve loop of
-	// 16-message batches per shard.
+	// Shards, when > 0, runs the cell against a server group, one
+	// vectored serve loop of 16-message batches per shard; admission
+	// then reads each client's home-shard lane depth.
 	Shards int
 
 	// Watchdog bounds the whole cell; default Duration+grace+10s.
@@ -168,9 +167,8 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		BlockSlots: paySlots(cfg.PaySize, cfg.Clients),
 		Metrics:    ms,
 		Admission: livebind.Admission{
-			HighWater:       cfg.HighWater,
-			RetryCap:        cfg.RetryCap,
-			QuarantineAfter: cfg.Quarantine,
+			HighWater: cfg.HighWater,
+			RetryCap:  cfg.RetryCap,
 		},
 	}
 	var (

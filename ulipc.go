@@ -167,32 +167,27 @@ type TunerSnapshot = core.TunerSnapshot
 //		ulipc.WithReplyKind(ulipc.QueueRing),
 //		ulipc.WithAdaptive())
 var (
-	WithReplyKind   = livebind.WithReplyKind
-	WithAllocBatch  = livebind.WithAllocBatch
-	WithTuning      = livebind.WithTuning
-	WithAdaptive    = livebind.WithAdaptive
-	WithDuplex      = livebind.WithDuplex
-	WithObserver    = livebind.WithObserver
-	WithHistograms  = livebind.WithHistograms
-	WithShards      = livebind.WithShards
-	WithShardPicker = livebind.WithShardPicker
-	WithStealBatch  = livebind.WithStealBatch
-	WithNoSteal     = livebind.WithNoSteal
+	WithReplyKind  = livebind.WithReplyKind
+	WithAllocBatch = livebind.WithAllocBatch
+	WithTuning     = livebind.WithTuning
+	WithAdaptive   = livebind.WithAdaptive
+	WithDuplex     = livebind.WithDuplex
+	WithObserver   = livebind.WithObserver
+	WithHistograms = livebind.WithHistograms
+	WithShards     = livebind.WithShards
+	WithStealBatch = livebind.WithStealBatch
+	WithNoSteal    = livebind.WithNoSteal
 
 	// Overload doctrine (DESIGN.md §14): WithAdmission turns on
-	// bounded admission, retry budgets and (group mode) the per-shard
-	// quarantine circuit; WithCopyFallback degrades exhausted payload
-	// allocations to heap blocks instead of failing them.
-	WithAdmission    = livebind.WithAdmission
-	WithCopyFallback = livebind.WithCopyFallback
+	// bounded admission and retry budgets.
+	WithAdmission = livebind.WithAdmission
 )
 
 // Admission is the overload-doctrine configuration applied with
 // WithAdmission. Every field is opt-in — the zero value keeps the
 // system fully open at zero send-path cost: HighWater (request-queue
-// depth past which sends fail fast with ErrOverload), RetryCap /
-// RetryRefill (token bucket bounding queue-full retry rounds), and
-// QuarantineAfter / ReprobeAfter (the per-shard circuit, group mode).
+// depth past which sends fail fast with ErrOverload) and RetryCap /
+// RetryRefill (token bucket bounding queue-full retry rounds).
 type Admission = livebind.Admission
 
 // ShedPolicy configures deadline-aware shedding at the server's
@@ -230,9 +225,9 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 }
 
 // NewSystemGroup builds a sharded system: a group of server shards,
-// each owning one SPSC request lane per client, with client-side shard
-// selection (WithShardPicker) and bounded inter-shard work stealing
-// (WithStealBatch / WithNoSteal). Run each shard's ServeBatch (from
+// each owning one SPSC request lane per client. Client i sends to shard
+// i mod shards; bounded inter-shard work stealing (WithStealBatch /
+// WithNoSteal) spreads a backlog. Run each shard's ServeBatch (from
 // System.ShardServer or System.ShardServers) on its own goroutine:
 //
 //	sys, err := ulipc.NewSystemGroup(4, ulipc.Options{Alg: ulipc.BSW, Clients: 16})
@@ -246,22 +241,6 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 func NewSystemGroup(shards int, opts Options, extra ...Option) (*System, error) {
 	return livebind.NewSystemGroup(shards, opts, extra...)
 }
-
-// ShardPicker selects the destination shard for each request a client
-// sends on a sharded system; ShardView is the load/liveness snapshot a
-// picker decides from.
-type (
-	ShardPicker = livebind.ShardPicker
-	ShardView   = livebind.ShardView
-)
-
-// The built-in shard-selection policies: hash pinning (the default),
-// first-touch least-loaded with affinity, and per-request least-loaded.
-type (
-	PickHash        = livebind.PickHash
-	PickAffinity    = livebind.PickAffinity
-	PickLeastLoaded = livebind.PickLeastLoaded
-)
 
 // Reply pairs a client id with its reply message for
 // Server.ReplyBatchCtx, the vectored reply path (one wake per client
