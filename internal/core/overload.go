@@ -31,8 +31,7 @@ import (
 // loop would never return.
 //
 // The server half — deadline-aware shedding at dequeue — is ShedPolicy
-// below plus the shed hook in server.go/batch.go; the shard quarantine
-// circuit lives in livebind/group.go.
+// below plus the shed hook in server.go/batch.go.
 
 // RetryBudget is a token bucket bounding full-queue retries on one
 // handle. Each backoff nap spends one token; each successful enqueue

@@ -13,8 +13,8 @@ import (
 )
 
 // TestGroupRoutesToHomeShard: with no server running, every request of
-// client i, whatever verb sent it, waits on lane i of shard i mod 3 and
-// on no other lane of the group.
+// client i, whatever verb sent it, waits on client i's lane of shard
+// i mod 3 and on no other lane of the group.
 func TestGroupRoutesToHomeShard(t *testing.T) {
 	const clients, shards, k = 6, 3, 4
 	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients})
@@ -31,13 +31,10 @@ func TestGroupRoutesToHomeShard(t *testing.T) {
 	check := func(phase string) {
 		t.Helper()
 		for sh := 0; sh < shards; sh++ {
-			for i := 0; i < clients; i++ {
-				n := 0
-				if sh == i%shards {
-					n = want[i]
-				}
-				if got := sys.grp.reqLanes[sh].Lane(i).Len(); got != n {
-					t.Fatalf("%s: shard %d lane %d holds %d, want %d", phase, sh, i, got, n)
+			lanes := sys.grp.reqLanes[sh]
+			for j := 0; j < lanes.NumLanes(); j++ {
+				if i := sh + j*shards; lanes.Lane(j).Len() != want[i] {
+					t.Fatalf("%s: shard %d lane %d (client %d) holds %d, want %d", phase, sh, j, i, lanes.Lane(j).Len(), want[i])
 				}
 			}
 		}
@@ -83,10 +80,144 @@ func TestGroupRoutesToHomeShard(t *testing.T) {
 	_ = sys.Shutdown(ctx)
 }
 
+// TestGroupTopologyPartition: the group is a partition, not a mesh.
+// Shard s's fan-in holds exactly the request lanes of its own clients
+// (i mod shards == s), each client's reply path is one ring written by
+// its home shard alone, every other shard's reply port to that client
+// refuses, and the whole group is two rings per client.
+func TestGroupTopologyPartition(t *testing.T) {
+	const clients, shards = 7, 3
+	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs, err := sys.ShardServers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := make([]*core.Client, clients)
+	for i := range cls {
+		if cls[i], err = sys.Client(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rings := make(map[*queue.SPSC]bool)
+	lanesSeen := 0
+	for sh, srv := range srvs {
+		lanes := srv.Rcv.(*shardRecvPort).lanes
+		if lanes != sys.grp.reqLanes[sh] {
+			t.Fatalf("shard %d receives from another shard's fan-in", sh)
+		}
+		for j := 0; j < lanes.NumLanes(); j++ {
+			i := sh + j*shards
+			if i >= clients || cls[i].Srv.(*homePort).lane != lanes.Lane(j) {
+				t.Fatalf("shard %d lane %d is not the request lane of its client %d", sh, j, i)
+			}
+			rings[lanes.Lane(j)] = true
+		}
+		lanesSeen += lanes.NumLanes()
+	}
+	if lanesSeen != clients {
+		t.Fatalf("shards hold %d request lanes, want one per client (%d)", lanesSeen, clients)
+	}
+	for i, cl := range cls {
+		ring := cl.Rcv.(*ringPort).ring
+		if ring != sys.ReplyChannel(i).Queue() {
+			t.Fatalf("client %d reads a ring other than its reply channel's", i)
+		}
+		rings[ring] = true
+		for sh, srv := range srvs {
+			switch p := srv.Replies[i].(type) {
+			case *ringPort:
+				if sh != i%shards || p.ring != ring {
+					t.Fatalf("shard %d writes client %d's replies into the wrong ring", sh, i)
+				}
+			case foreignPort:
+				if sh == i%shards {
+					t.Fatalf("home shard %d cannot reply to its client %d", sh, i)
+				}
+			default:
+				t.Fatalf("shard %d reply port to client %d is a %T", sh, i, p)
+			}
+		}
+	}
+	if len(rings) != 2*clients {
+		t.Fatalf("group has %d rings, want 2 per client (%d)", len(rings), 2*clients)
+	}
+}
+
+// TestGroupForeignReplyRefused: a reply a shard addresses to a client
+// it does not own is refused and dropped with its payload lease, both
+// from the scalar Reply and from the batch serve loop (a work callback
+// re-addressing a request), and no ring of the group changes.
+func TestGroupForeignReplyRefused(t *testing.T) {
+	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: 2, BlockSlots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0, err := sys.ShardServer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl0, err := sys.Client(0) // home shard 0; client 1 is homed to shard 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := func(phase string) {
+		t.Helper()
+		if free, all := sys.Blocks().TotalFree(), sys.Blocks().Capacity(); free != int64(all) {
+			t.Fatalf("%s: arena free %d / %d, the refused reply's lease leaked", phase, free, all)
+		}
+		for i := 0; i < 2; i++ {
+			if n := sys.grp.laneOf(i).Len() + sys.ReplyChannel(i).Queue().Len(); n != 0 {
+				t.Fatalf("%s: client %d's rings hold %d messages, want 0", phase, i, n)
+			}
+			if n := sys.ReplyChannel(i).SemCount(); n != 0 {
+				t.Fatalf("%s: client %d was woken (%d tokens)", phase, i, n)
+			}
+		}
+	}
+
+	p, err := srv0.AllocPayload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0.ReplyPayload(1, core.Msg{Op: core.OpEcho}, p)
+	quiet("Reply")
+
+	if err := cl0.SendAsyncCtx(context.Background(), core.Msg{Op: core.OpWork}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	worked := make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv0.ServeBatchCtx(ctx, func(m *core.Msg) {
+			if p, err := srv0.AllocPayload(64); err != nil {
+				t.Error(err)
+			} else {
+				m.AttachPayload(p)
+			}
+			m.Client = 1
+			close(worked)
+		}, 8)
+		served <- err
+	}()
+	<-worked
+	cancel() // the loop finishes the burst, then its next receive ends
+	if err := <-served; !errors.Is(err, context.Canceled) {
+		t.Fatalf("ServeBatchCtx = %v, want context.Canceled", err)
+	}
+	quiet("ServeBatchCtx")
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runGroupEcho is the shared harness: shards ServeBatch on their own
 // goroutines, every client sends `rounds` batches of k echo requests
-// and checks it got back exactly its own sequence set (stealing may
-// reorder replies, so the check is a multiset, not a sequence).
+// and checks it got back exactly its own sequences, in the order sent
+// (one home shard answers each client through one FIFO ring).
 func runGroupEcho(t *testing.T, sys *System, clients, rounds, k int) (served int64) {
 	t.Helper()
 	srvs, err := sys.ShardServers()
@@ -122,19 +253,9 @@ func runGroupEcho(t *testing.T, sys *System, clients, rounds, k int) (served int
 					t.Errorf("client %d round %d: %d replies, want %d", id, r, len(out), k)
 					return
 				}
-				seen := make(map[int32]bool, k)
-				for _, m := range out {
-					if m.Client != int32(id) {
-						t.Errorf("client %d got a reply addressed to %d", id, m.Client)
-					}
-					if seen[m.Seq] {
-						t.Errorf("client %d round %d: duplicate seq %d", id, r, m.Seq)
-					}
-					seen[m.Seq] = true
-				}
-				for j := 0; j < k; j++ {
-					if !seen[int32(r*k+j)] {
-						t.Errorf("client %d round %d: missing seq %d", id, r, r*k+j)
+				for j, m := range out {
+					if m.Client != int32(id) || m.Seq != int32(r*k+j) {
+						t.Errorf("client %d round %d: reply %d is %+v, want seq %d", id, r, j, m, r*k+j)
 					}
 				}
 			}
@@ -165,135 +286,6 @@ func TestGroupEchoBatch(t *testing.T) {
 				t.Fatalf("shards served %d, want %d", served, want)
 			}
 		})
-	}
-}
-
-// TestGroupStealTakesDeepestAndRewakes drives a shard's receive port by
-// hand: with its own lanes dry it must steal a bounded batch from the
-// deepest sibling, and — because the victim may have parked while the
-// steal held its lane lock — re-wake the victim whenever its lanes are
-// left non-empty.
-func TestGroupStealTakesDeepestAndRewakes(t *testing.T) {
-	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: 2,
-		StealBatch: 4, StealThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.ShardServer(0); err != nil {
-		t.Fatal(err)
-	}
-	srv1, err := sys.ShardServer(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sys.grp
-	for j := 0; j < 6; j++ {
-		if !g.reqLanes[0].Lane(0).Enqueue(core.Msg{Op: core.OpEcho, Seq: int32(j)}) {
-			t.Fatal("seed enqueue failed")
-		}
-	}
-	// Simulate a parked victim: awake false, no token. The steal must
-	// restore the token since it leaves 2 messages behind.
-	g.recvs[0].awake.Store(false)
-
-	var seqs []int32
-	for j := 0; j < 4; j++ {
-		m, ok := srv1.Rcv.TryDequeue()
-		if !ok {
-			t.Fatalf("dequeue %d failed (steal batch should hold 4)", j)
-		}
-		seqs = append(seqs, m.Seq)
-	}
-	if got := g.recvs[0].SemCount(); got != 1 {
-		t.Fatalf("victim sem count after partial steal = %d, want 1 (residue re-wake)", got)
-	}
-	for j := 4; j < 6; j++ {
-		m, ok := srv1.Rcv.TryDequeue()
-		if !ok {
-			t.Fatalf("dequeue %d failed (second steal should take the rest)", j)
-		}
-		seqs = append(seqs, m.Seq)
-	}
-	if _, ok := srv1.Rcv.TryDequeue(); ok {
-		t.Fatal("dequeue fabricated a message")
-	}
-	for j, s := range seqs {
-		if s != int32(j) {
-			t.Fatalf("stolen sequence %v not FIFO", seqs)
-		}
-	}
-	// Victim drained: no further re-wake owed.
-	if got := g.recvs[0].SemCount(); got != 1 {
-		t.Fatalf("victim sem count after full drain = %d, want still 1 (no spurious V)", got)
-	}
-}
-
-// TestGroupStealUnderRace skews all the load onto shard 0 (hash-pinned
-// even clients plus a slow work function) while shard 1 runs hot; run
-// under -race this exercises owner/thief lane handoff and the stolen
-// reply path. Correctness bar: every client gets exactly its own
-// replies, nothing lost, nothing duplicated.
-func TestGroupStealUnderRace(t *testing.T) {
-	const clients, shards, rounds, k = 4, 2, 6, 8
-	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients,
-		StealBatch: 4, StealThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvs, err := sys.ShardServers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // shard 0: slow per-message work -> backlog builds
-		defer wg.Done()
-		total.Add(srvs[0].ServeBatch(func(*core.Msg) { time.Sleep(50 * time.Microsecond) }, k))
-	}()
-	go func() { // shard 1: fast, steals shard 0's backlog between its own
-		defer wg.Done()
-		total.Add(srvs[1].ServeBatch(func(*core.Msg) { time.Sleep(50 * time.Microsecond) }, k))
-	}()
-	var cwg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		cwg.Add(1)
-		go func(id int) {
-			defer cwg.Done()
-			cl, err := sys.Client(id)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			msgs := make([]core.Msg, k)
-			for r := 0; r < rounds; r++ {
-				for j := range msgs {
-					msgs[j] = core.Msg{Op: core.OpWork, Seq: int32(r*k + j)}
-				}
-				out := cl.SendBatch(msgs)
-				if len(out) != k {
-					t.Errorf("client %d round %d: %d replies, want %d", id, r, len(out), k)
-					return
-				}
-				seen := make(map[int32]bool, k)
-				for _, m := range out {
-					if m.Client != int32(id) || seen[m.Seq] {
-						t.Errorf("client %d: bad reply %+v", id, m)
-					}
-					seen[m.Seq] = true
-				}
-			}
-		}(i)
-	}
-	cwg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := sys.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown = %v", err)
-	}
-	wg.Wait()
-	if want := int64(clients * rounds * k); total.Load() != want {
-		t.Fatalf("served %d, want %d", total.Load(), want)
 	}
 }
 
@@ -430,7 +422,6 @@ func TestGroupSendBatchCtxCancelStress(t *testing.T) {
 func TestGroupShardKill(t *testing.T) {
 	const clients, shards, k = 2, 2, 4
 	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients},
-		WithNoSteal(), // strict lane ownership: death strands exactly the dead shard's clients
 		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
@@ -524,6 +515,10 @@ func TestGroupModeGuards(t *testing.T) {
 	if _, err := NewSystemGroup(0, Options{Alg: core.BSW, Clients: 2}); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("NewSystemGroup(0) = %v, want ErrBadOption", err)
 	}
+	// A shard with no clients would have no lanes to serve.
+	if _, err := NewSystemGroup(3, Options{Alg: core.BSW, Clients: 2}); !errors.Is(err, ErrBadOption) {
+		t.Fatalf("3 shards for 2 clients = %v, want ErrBadOption", err)
+	}
 	if _, err := NewSystem(Options{Alg: core.BSW, Clients: 2, Shards: 2},
 		WithReplyKind(queue.KindRing)); !errors.Is(err, ErrSPSCTopology) {
 		t.Fatalf("Shards+ReplyKind = %v, want ErrSPSCTopology", err)
@@ -562,8 +557,7 @@ func TestGroupModeGuards(t *testing.T) {
 
 // TestBatchSingleServer: the vectored API is not shard-only — on the
 // scalar topology SendBatch/ServeBatch move k messages per wake over
-// the shared receive queue, and replies come back in order (no
-// stealing to reorder them).
+// the shared receive queue, and replies come back in order.
 func TestBatchSingleServer(t *testing.T) {
 	const rounds, k = 6, 16
 	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1})

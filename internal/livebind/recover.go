@@ -415,11 +415,10 @@ func (r *recovery) recoverLocked(slot *lifeSlot) {
 	}
 
 	// Server groups: if the dead actor was serving a shard, mark the
-	// shard dead and bounce parked clients so they observe it (see
-	// System.noteActorDead). This must precede closing the shard's
-	// channel below: a group reads a refusing channel of a shard not yet
-	// marked dead as a system shutdown, and would fail survivors' sends
-	// with ErrShutdown in between.
+	// shard dead (see System.noteActorDead). This must precede closing
+	// the shard's channel below: a group reads a refusing channel of a
+	// shard not yet marked dead as a system shutdown, and would fail
+	// survivors' sends with ErrShutdown in between.
 	r.s.noteActorDead(slot.id)
 
 	// Side accounting: when a whole side of a channel is gone, the

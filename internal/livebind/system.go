@@ -3,7 +3,6 @@ package livebind
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,32 +101,14 @@ type Options struct {
 	Recovery *RecoveryOptions
 
 	// Shards, when > 0, builds a server group instead of a single
-	// server: that many shards, each owning one SPSC request lane per
-	// client (see group.go). The group topology replaces the shared
-	// receive queue outright, so it composes with neither Duplex,
-	// WorkerPool, Throttle, nor an explicit ReplyKind. Prefer
-	// WithShards/NewSystemGroup.
+	// server: that many shards partitioning the clients, client i served
+	// by shard i mod Shards alone, over its own SPSC request lane and
+	// reply ring (see group.go). Shards may not exceed Clients, since a
+	// shard without clients would serve nothing. The group topology
+	// replaces the shared receive queue outright, so it composes with
+	// neither Duplex, WorkerPool, Throttle, nor an explicit ReplyKind.
+	// Prefer WithShards/NewSystemGroup.
 	Shards int
-
-	// StealBatch bounds how many messages one steal moves from a
-	// sibling shard (group mode only); 0 defaults to 8 on a
-	// multiprocessor runtime. On GOMAXPROCS=1 the default is no
-	// stealing at all: stealing exists to put an idle processor on a
-	// backlogged lane, and with a single processor there is no idle
-	// one — every probe and residue re-wake is pure overhead (measured
-	// ~35% of group throughput). Set StealBatch explicitly to force
-	// stealing regardless. Prefer WithStealBatch.
-	StealBatch int
-
-	// StealThreshold is the minimum victim lane depth worth stealing
-	// from (group mode only); 0 defaults to 4.
-	StealThreshold int
-
-	// NoSteal disables work stealing between shards (group mode only).
-	// Prefer WithNoSteal. Useful when strict lane-ownership semantics
-	// matter more than load balance — e.g. the shard-kill chaos suite,
-	// where a dead shard must strand exactly its own clients' traffic.
-	NoSteal bool
 
 	// Admission configures overload admission control: a request-queue
 	// high-water mark past which client sends fast-reject with
@@ -272,28 +253,17 @@ func WithShards(n int) Option {
 	return func(o *Options) { o.Shards = n }
 }
 
-// WithStealBatch bounds the per-steal message count (see
-// Options.StealBatch).
-func WithStealBatch(n int) Option {
-	return func(o *Options) { o.StealBatch = n }
-}
-
-// WithNoSteal disables inter-shard work stealing (see Options.NoSteal).
-func WithNoSteal() Option {
-	return func(o *Options) { o.NoSteal = true }
-}
-
 // WithAdmission configures overload admission control (see Admission).
 func WithAdmission(a Admission) Option {
 	return func(o *Options) { o.Admission = a }
 }
 
-// NewSystemGroup builds a sharded system: shards server shards, each
-// owning one SPSC request lane per client, client i homed to shard
-// i mod shards, with bounded work stealing. Equivalent to NewSystem with
-// WithShards(shards) appended. shards must be at least 1 — a zero
-// count is rejected rather than silently degrading to an unsharded
-// system (callers wanting that should use NewSystem directly).
+// NewSystemGroup builds a sharded system: shards server shards
+// partitioning the clients, client i served by shard i mod shards
+// alone. Equivalent to NewSystem with WithShards(shards) appended.
+// shards must be at least 1 — a zero count is rejected rather than
+// silently degrading to an unsharded system (callers wanting that
+// should use NewSystem directly) — and at most opts.Clients.
 func NewSystemGroup(shards int, opts Options, extra ...Option) (*System, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: NewSystemGroup needs at least 1 shard, got %d", ErrBadOption, shards)
@@ -354,12 +324,6 @@ func (o *Options) validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("%w: negative Shards %d", ErrBadOption, o.Shards)
 	}
-	if o.StealBatch < 0 {
-		return fmt.Errorf("%w: negative StealBatch %d", ErrBadOption, o.StealBatch)
-	}
-	if o.StealThreshold < 0 {
-		return fmt.Errorf("%w: negative StealThreshold %d", ErrBadOption, o.StealThreshold)
-	}
 	if o.Shards > 0 {
 		if o.Duplex {
 			return fmt.Errorf("%w: Shards and Duplex are mutually exclusive (a group has no per-connection handler threads)", ErrBadOption)
@@ -368,16 +332,10 @@ func (o *Options) validate() error {
 			return fmt.Errorf("%w: Throttle applies to the single-server wake path, not a server group", ErrBadOption)
 		}
 		if o.replyKind != nil && *o.replyKind != queue.KindSPSC {
-			return fmt.Errorf("%w: a server group's reply lanes are structurally SPSC; ReplyKind cannot override them", ErrSPSCTopology)
+			return fmt.Errorf("%w: a server group's reply rings are structurally SPSC; ReplyKind cannot override them", ErrSPSCTopology)
 		}
-		if o.StealBatch == 0 && runtime.GOMAXPROCS(0) > 1 {
-			o.StealBatch = 8
-		}
-		if o.StealBatch == 0 {
-			o.NoSteal = true
-		}
-		if o.StealThreshold == 0 {
-			o.StealThreshold = 4
+		if o.Shards > o.Clients {
+			return fmt.Errorf("%w: %d shards for %d clients would leave a shard with no clients to serve", ErrBadOption, o.Shards, o.Clients)
 		}
 	}
 	if o.Admission.HighWater < 0 {
@@ -466,8 +424,8 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 	s := &System{opts: opts, ms: opts.Metrics, obs: opts.Observer, duplexTaken: make([]bool, opts.Clients)}
 
 	if opts.Shards > 0 {
-		// Server group: a lane mesh replaces the shared receive queue
-		// and the scalar reply channels (see group.go).
+		// Server group: a ring partition replaces the shared receive
+		// queue and the scalar reply channels (see group.go).
 		if err := s.buildGroup(); err != nil {
 			return nil, err
 		}

@@ -71,11 +71,16 @@ type Event struct {
 	Arg    int64 // kind-specific detail
 }
 
+// slotBusy marks a slot claimed by a writer.
+const slotBusy = ^uint64(0)
+
 // recSlot is one ring entry. Every field is an atomic so concurrent
 // Note/Snapshot stay race-detector clean; the seq field doubles as a
-// seqlock — it is zeroed before the payload is written and restored
-// after, so a reader that observes the same non-zero seq before and
-// after reading the payload holds a consistent event.
+// seqlock and a writer claim. A writer CASes it from the slot's last
+// sequence number to slotBusy before writing the payload and publishes
+// its own sequence number after, so a reader that observes the same
+// published seq before and after reading the payload holds a consistent
+// event.
 type recSlot struct {
 	seq  atomic.Uint64
 	time atomic.Int64
@@ -85,18 +90,18 @@ type recSlot struct {
 
 // FlightRecorder is a bounded in-memory ring of recent IPC events,
 // modeled on internal/trace's Recorder but safe for concurrent writers
-// and allocation-free on the hot path: Note claims a slot with one
-// atomic increment and writes four atomic words. The ring keeps the
-// most recent capacity events; older entries are overwritten. Intended
-// use: attach via Config.RecorderCap, dump on a watchdog trip or
-// SIGQUIT to see the final interleaving before a stall.
+// and allocation-free on the hot path: Note takes a sequence number
+// with one atomic increment, claims its slot with one CAS and writes
+// four atomic words. The ring keeps the most recent capacity events;
+// older entries are overwritten. Intended use: attach via
+// Config.RecorderCap, dump on a watchdog trip or SIGQUIT to see the
+// final interleaving before a stall.
 //
 // Consistency: a slot being overwritten while Snapshot reads it is
 // detected by the per-slot seqlock and skipped or retried. Two writers
-// a full ring apart racing on one slot can in principle interleave
-// their stores; the seqlock detects the torn write unless the stores
-// interleave into a self-consistent view, which requires the ring to
-// wrap during a four-word write — acceptable for a diagnostic ring.
+// a full ring apart never share a slot: the one that finds it claimed
+// by the other, or already holding a newer event, drops its own event
+// (Len still counts it), so no slot mixes the words of two events.
 type FlightRecorder struct {
 	mask  uint64
 	next  atomic.Uint64
@@ -125,7 +130,9 @@ func (r *FlightRecorder) Note(k EventKind, actor int32, arg int64) {
 	}
 	seq := r.next.Add(1)
 	s := &r.slots[seq&r.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
+	if old := s.seq.Load(); old == slotBusy || old > seq || !s.seq.CompareAndSwap(old, slotBusy) {
+		return // another writer holds the slot, or a newer event has it
+	}
 	s.time.Store(time.Since(r.base).Nanoseconds())
 	s.meta.Store(uint64(k)<<32 | uint64(uint32(actor)))
 	s.arg.Store(arg)
@@ -133,7 +140,7 @@ func (r *FlightRecorder) Note(k EventKind, actor int32, arg int64) {
 }
 
 // Len returns the total number of events ever noted (not the ring
-// occupancy).
+// occupancy), a dropped one included.
 func (r *FlightRecorder) Len() uint64 {
 	if r == nil {
 		return 0
@@ -161,7 +168,7 @@ func (r *FlightRecorder) Snapshot() []Event {
 		s := &r.slots[i]
 		for attempt := 0; attempt < 3; attempt++ {
 			s1 := s.seq.Load()
-			if s1 == 0 {
+			if s1 == 0 || s1 == slotBusy {
 				break // empty or being written right now
 			}
 			t := s.time.Load()

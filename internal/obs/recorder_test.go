@@ -101,6 +101,14 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestRecorderNoteAllocFree: the slot claim keeps Note off the heap.
+func TestRecorderNoteAllocFree(t *testing.T) {
+	r := NewFlightRecorder(64)
+	if n := testing.AllocsPerRun(1000, func() { r.Note(EvWake, 1, 2) }); n != 0 {
+		t.Fatalf("Note allocates %.1f times per call, want 0", n)
+	}
+}
+
 func TestRecorderNilSafe(t *testing.T) {
 	var r *FlightRecorder
 	r.Note(EvSend, 0, 1) // must not panic

@@ -12,8 +12,8 @@ import (
 // every ring keeps its single-producer contract), and the consumer
 // scans the lanes round-robin. This is the Torquati-style composition
 // — SPSC rings as the building block, fan-in done by the consumer —
-// that lets a server shard own one wait-free lane per client instead
-// of one contended MPMC queue.
+// that lets a server shard own one wait-free lane per client of its
+// partition instead of one contended MPMC queue.
 //
 // Lanes implements Queue so it can sit behind a livebind Channel and
 // inherit the existing shutdown-drain and recovery machinery, with one
@@ -24,12 +24,11 @@ import (
 // exists to preserve.
 //
 // The consumer side is guarded by a per-lane try-lock so that a
-// bounded work-stealing peer (Steal) — or a shutdown/recovery drainer
-// running while the owner is still live — can dequeue without racing
-// the owner on the ring's consumer-local state (head + cached tail).
-// The lock is an atomic CAS: release(Store) → acquire(CAS) orders the
-// consumer-local writes between alternating dequeuers. Producers never
-// touch the locks.
+// shutdown or recovery drainer running while the owner is still live
+// can dequeue without racing the owner on the ring's consumer-local
+// state (head + cached tail). The lock is an atomic CAS: release(Store)
+// → acquire(CAS) orders the consumer-local writes between alternating
+// dequeuers. Producers never touch the locks.
 type Lanes struct {
 	lanes []*SPSC
 	locks []laneLock
@@ -37,8 +36,8 @@ type Lanes struct {
 }
 
 // laneLock is a padded consumer try-lock, one per lane, each on its
-// own cache line so a thief hammering one lane's lock does not false-
-// share with the owner scanning its neighbours.
+// own cache line so a drainer on one lane's lock does not false-share
+// with the owner scanning its neighbours.
 type laneLock struct {
 	held atomic.Bool
 	_    [63]byte
@@ -85,12 +84,12 @@ func (l *Lanes) Dequeue() (core.Msg, bool) {
 // cursor moves once, past the last lane served, so round-robin holds
 // per burst: a lane left non-empty because dst filled up is the first
 // one the next burst visits, and no lane starves. Lanes that look empty
-// are skipped without touching their lock; a lane whose lock is held (a
-// thief or drainer is on it) is also skipped — the holder is
-// responsible for re-waking this consumer if it leaves messages behind
-// (see the steal protocol in DESIGN.md §10). The scan wraps the lane
-// index with a compare, not a divide, and the cursor is stored only when
-// it moves.
+// are skipped without touching their lock; a lane whose lock is held is
+// also skipped. Only a drainer contends with the owner, and it runs only
+// on a shutdown whose drain deadline expired (the channel closes next)
+// or on a dead owner's lanes, so no wake is owed for what a skip leaves
+// behind. The scan wraps the lane index with a compare, not a divide,
+// and the cursor is stored only when it moves.
 func (l *Lanes) DequeueN(dst []core.Msg) int {
 	n := uint32(len(l.lanes))
 	start := l.next.Load()
@@ -117,38 +116,6 @@ func (l *Lanes) DequeueN(dst []core.Msg) int {
 	return got
 }
 
-// Steal drains up to len(dst) messages from the single deepest lane,
-// provided that lane holds at least min messages, and reports how many
-// were taken. It is the bounded work-stealing primitive: a sibling
-// shard whose own lanes ran dry calls it on the victim's Lanes. The
-// caller must re-wake the victim if the stolen lane (or any other)
-// still holds messages afterwards — the victim may have parked while
-// this steal held the lane lock, consuming the producer's wake token
-// without seeing the message it announced.
-func (l *Lanes) Steal(dst []core.Msg, min int) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	best, depth := -1, min-1
-	for i, ln := range l.lanes {
-		if d := ln.Len(); d > depth {
-			best, depth = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	if !l.locks[best].held.CompareAndSwap(false, true) {
-		return 0
-	}
-	n := l.lanes[best].DequeueN(dst)
-	l.locks[best].held.Store(false)
-	return n
-}
-
 // Empty reports whether every lane appears empty.
 func (l *Lanes) Empty() bool {
 	for _, ln := range l.lanes {
@@ -160,8 +127,7 @@ func (l *Lanes) Empty() bool {
 }
 
 // Len returns the total queued messages across lanes (racy, like the
-// underlying SPSC.Len; used for depth-based shard selection and steal
-// victim choice).
+// underlying SPSC.Len; a shard's admission-control depth).
 func (l *Lanes) Len() int {
 	n := 0
 	for _, ln := range l.lanes {

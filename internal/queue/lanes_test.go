@@ -93,40 +93,6 @@ func TestLanesRoundRobin(t *testing.T) {
 	}
 }
 
-// TestLanesSteal checks victim selection (deepest lane), the min
-// threshold, and the dst bound.
-func TestLanesSteal(t *testing.T) {
-	l := mkLanes(t, 3, 16)
-	for j := 0; j < 2; j++ {
-		l.Lane(0).Enqueue(core.Msg{Seq: int32(j), MsgMeta: core.MsgMeta{Client: 0}})
-	}
-	for j := 0; j < 6; j++ {
-		l.Lane(2).Enqueue(core.Msg{Seq: int32(j), MsgMeta: core.MsgMeta{Client: 2}})
-	}
-	dst := make([]core.Msg, 4)
-	if n := l.Steal(dst, 7); n != 0 {
-		t.Fatalf("Steal with min above every depth took %d", n)
-	}
-	n := l.Steal(dst, 3)
-	if n != 4 {
-		t.Fatalf("Steal = %d, want 4 (dst bound)", n)
-	}
-	for i := 0; i < n; i++ {
-		if dst[i].Client != 2 {
-			t.Fatalf("stole from lane %d, want deepest lane 2", dst[i].Client)
-		}
-		if dst[i].Seq != int32(i) {
-			t.Fatalf("stolen messages out of FIFO order: got seq %d at %d", dst[i].Seq, i)
-		}
-	}
-	if got := l.Lane(2).Len(); got != 2 {
-		t.Fatalf("victim lane depth after steal = %d, want 2", got)
-	}
-	if got := l.Lane(0).Len(); got != 2 {
-		t.Fatalf("bystander lane touched: depth %d, want 2", got)
-	}
-}
-
 // TestLanesDequeueNFIFO drains three lanes with bursts of every size
 // from 1 to 7: every message comes out exactly once, and each lane's
 // messages in the order they were enqueued, however the bursts split
@@ -252,12 +218,13 @@ func TestLanesDequeueNWrap(t *testing.T) {
 	}
 }
 
-// TestLanesConcurrent runs producers on their own lanes, the owning
-// consumer on the fan-in, and a thief stealing in a loop — the -race
+// TestLanesConcurrent runs producers on their own lanes and two
+// consumers on the fan-in, the owner and a drainer (a shutdown or
+// recovery drain runs while the owner may still be live) — the -race
 // check that the per-lane consumer locks actually serialise the
-// consumer-local ring state between owner and thief.
+// consumer-local ring state between them.
 func TestLanesConcurrent(t *testing.T) {
-	runLanesWithThief(t, func(l *Lanes, buf []core.Msg) int {
+	runLanesTwoConsumers(t, func(l *Lanes, buf []core.Msg, _ *rand.Rand) int {
 		m, ok := l.Dequeue()
 		if !ok {
 			return 0
@@ -267,21 +234,20 @@ func TestLanesConcurrent(t *testing.T) {
 	})
 }
 
-// TestLanesDequeueNConcurrentSteal is TestLanesConcurrent with the
-// owner taking random-sized bursts: a burst and a steal on the same
-// lane must serialise on the lane lock, so every message is delivered
-// exactly once.
+// TestLanesDequeueNConcurrentSteal is TestLanesConcurrent with both
+// consumers taking random-sized bursts, each stealing whole lane bursts
+// from under the other: two bursts on the same lane must serialise on
+// the lane lock, so every message is delivered exactly once.
 func TestLanesDequeueNConcurrentSteal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	runLanesWithThief(t, func(l *Lanes, buf []core.Msg) int {
+	runLanesTwoConsumers(t, func(l *Lanes, buf []core.Msg, rng *rand.Rand) int {
 		return l.DequeueN(buf[:1+rng.Intn(len(buf))])
 	})
 }
 
-// runLanesWithThief drives four producers, an owning consumer taking
-// messages with take (into a buffer of 16), and a thief, and checks
-// every message arrives exactly once.
-func runLanesWithThief(t *testing.T, take func(l *Lanes, buf []core.Msg) int) {
+// runLanesTwoConsumers drives four producers and two consumers, each
+// taking messages with take (into a buffer of 16, with a generator of
+// its own), and checks every message arrives exactly once.
+func runLanesTwoConsumers(t *testing.T, take func(l *Lanes, buf []core.Msg, rng *rand.Rand) int) {
 	const lanes, per = 4, 2000
 	l := mkLanes(t, lanes, 64)
 	total := lanes * per
@@ -301,40 +267,28 @@ func runLanesWithThief(t *testing.T, take func(l *Lanes, buf []core.Msg) int) {
 	results := make(chan core.Msg, total)
 	done := make(chan struct{})
 	var cg sync.WaitGroup
-	cg.Add(2)
-	go func() { // owning consumer
-		defer cg.Done()
-		buf := make([]core.Msg, 16)
-		for {
-			if n := take(l, buf); n > 0 {
-				for _, m := range buf[:n] {
-					results <- m
+	for c := int64(0); c < 2; c++ {
+		cg.Add(1)
+		go func() {
+			defer cg.Done()
+			buf := make([]core.Msg, 16)
+			rng := rand.New(rand.NewSource(c))
+			for {
+				if n := take(l, buf, rng); n > 0 {
+					for _, m := range buf[:n] {
+						results <- m
+					}
+					continue
 				}
-				continue
+				select {
+				case <-done:
+					return
+				default:
+					runtime.Gosched()
+				}
 			}
-			select {
-			case <-done:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	go func() { // thief
-		defer cg.Done()
-		buf := make([]core.Msg, 8)
-		for {
-			n := l.Steal(buf, 2)
-			for i := 0; i < n; i++ {
-				results <- buf[i]
-			}
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
-	}()
+		}()
+	}
 
 	wg.Wait()
 	seen := make(map[[2]int32]bool, total)

@@ -363,14 +363,14 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 }
 
 // RunChaosShardKill runs the server-group fault cell: a sharded system
-// (strict lane ownership — stealing is off, so a dead thief cannot
-// strand a live victim's messages) in which one shard is crashed
-// mid-run. The cell passes when the blast radius is exactly the dead
-// shard: every client homed to it observes ErrPeerDead (its parked
-// send released by the recovery layer's compensating wake), every
-// other client completes its full script through the surviving shards,
-// and the dead shard's request lanes are drained by the sweeper's
-// orphan pass. Deadlock anywhere fails the cell.
+// (every shard the only consumer of its own clients) in which one shard
+// is crashed mid-run. The cell passes when the blast radius is exactly
+// the dead shard: every client homed to it observes ErrPeerDead (a
+// parked send is released when the sweeper marks its reply channel,
+// whose one producer was the dead shard, peer-dead), every other
+// client completes its full script through the surviving shards, and
+// the dead shard's request lanes are drained by the sweeper's orphan
+// pass. Deadlock anywhere fails the cell.
 func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return ChaosResult{}, err
@@ -384,7 +384,6 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	const batch = 8
 	ms := metrics.NewSet()
 	opts := cfg.options(ms)
-	opts.NoSteal = true
 	sys, err := livebind.NewSystemGroup(shards, opts,
 		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
 	)

@@ -47,19 +47,16 @@ type LiveConfig struct {
 	Watchdog time.Duration
 
 	// Shards, when > 0, runs the cell against a server group of that
-	// many shards (livebind.Options.Shards): per-client SPSC request
-	// lanes, client-side shard selection, bounded work stealing, and
+	// many shards (livebind.Options.Shards): each client served by its
+	// home shard over its own SPSC request lane and reply ring, through
 	// the vectored SendBatch/ServeBatch paths. QueueKind, ReplyKind and
-	// Throttle do not apply in group mode (the lane mesh is
+	// Throttle do not apply in group mode (the group's rings are
 	// structurally SPSC).
 	Shards int
 
 	// Batch is the vectored transfer size in group mode (messages per
 	// SendBatch / per ServeBatch receive buffer); default 16.
 	Batch int
-
-	// NoSteal disables inter-shard work stealing in group mode.
-	NoSteal bool
 }
 
 // tuneFor zeroes the hand-tuned knobs when alg is BSA: the controller
@@ -108,7 +105,6 @@ func RunLive(cfg LiveConfig) (Result, error) {
 		Metrics:    ms,
 	}
 	if cfg.Shards > 0 {
-		opts.NoSteal = cfg.NoSteal
 		sys, err := livebind.NewSystemGroup(cfg.Shards, opts)
 		if err != nil {
 			return Result{}, err
@@ -215,10 +211,9 @@ func (c *cell) check(served, total int64) error {
 // runLiveGroup is the server-group variant of RunLive: every shard runs
 // a vectored ServeBatchCtx loop on its own goroutine, every client
 // pushes its messages in SendBatchCtx bursts of cfg.Batch. The harness
-// skips the connect/disconnect handshake — shard membership is static
-// and work stealing may carry a control op's bookkeeping to the wrong
-// shard — so shards exit on the Shutdown marker once every client is
-// done. Replies are validated as a per-batch multiset (echoBatch).
+// skips the connect/disconnect handshake — shard membership is static —
+// so shards exit on the Shutdown marker once every client is done.
+// Replies are validated in order, batch by batch (echoBatch).
 func runLiveGroup(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, error) {
 	batch := cfg.Batch
 	if batch < 1 {
@@ -278,10 +273,9 @@ func runLiveGroup(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result
 }
 
 // echoBatch sends the echoes base..base+k-1 as one vectored batch,
-// built in buf, and checks the replies as a multiset: work stealing
-// means another shard may answer, and answers may interleave across
-// shards, but the client must get exactly its own sequences back. A
-// bitmask keeps the check allocation-free for batches up to 64.
+// built in buf, and checks the replies in order: the client's home
+// shard alone answers it, through one FIFO ring, so reply j must carry
+// sequence base+j.
 func echoBatch(ctx context.Context, cl *core.Client, buf []core.Msg, base, k int) error {
 	buf = buf[:0]
 	for q := base; q < base+k; q++ {
@@ -294,27 +288,10 @@ func echoBatch(ctx context.Context, cl *core.Client, buf []core.Msg, base, k int
 	if len(out) != k {
 		return fmt.Errorf("%d replies, want %d", len(out), k)
 	}
-	var seen uint64
-	var seenBig map[int32]bool
-	if k > 64 {
-		seenBig = make(map[int32]bool, k)
-	}
-	for _, m := range out {
-		if m.Client != cl.ID || m.Seq < int32(base) || m.Seq >= int32(base+k) || m.Val != float64(m.Seq) {
-			return fmt.Errorf("bad reply %+v", m)
+	for j, m := range out {
+		if q := int32(base + j); m.Client != cl.ID || m.Seq != q || m.Val != float64(q) {
+			return fmt.Errorf("reply %d is %+v, want seq %d", j, m, q)
 		}
-		if seenBig != nil {
-			if seenBig[m.Seq] {
-				return fmt.Errorf("duplicate reply %+v", m)
-			}
-			seenBig[m.Seq] = true
-			continue
-		}
-		bit := uint64(1) << uint(m.Seq-int32(base))
-		if seen&bit != 0 {
-			return fmt.Errorf("duplicate reply %+v", m)
-		}
-		seen |= bit
 	}
 	return nil
 }

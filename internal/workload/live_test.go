@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,34 +82,31 @@ func TestLiveBSSSingleQueueCapOne(t *testing.T) {
 }
 
 // TestLiveGroupSharded drives the group-mode path: sharded system,
-// batched sends, each client on its home shard. TotalMsgs counts replies
-// actually served across all shards.
+// batched sends, each client on its home shard, every reply checked in
+// order. TotalMsgs counts replies actually served across all shards.
 func TestLiveGroupSharded(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.BSW, core.BSLS} {
-		for _, shards := range []int{2, 3} {
+	for _, tc := range []struct {
+		alg                 core.Algorithm
+		shards, batch, msgs int
+	}{
+		{core.BSW, 2, 16, 192},
+		{core.BSW, 3, 16, 192},
+		{core.BSLS, 2, 16, 192},
+		{core.BSLS, 3, 16, 192},
+		{core.BSLS, 2, 8, 128},
+	} {
+		t.Run(fmt.Sprintf("%s/%dshards/batch%d", tc.alg, tc.shards, tc.batch), func(t *testing.T) {
 			res := runLive(t, LiveConfig{
-				Alg: alg, Clients: 4, Msgs: 192, Shards: shards, Batch: 16,
+				Alg: tc.alg, Clients: 4, Msgs: tc.msgs, Shards: tc.shards, Batch: tc.batch,
 				Watchdog: 30 * time.Second,
 			})
-			if res.TotalMsgs != 4*192 {
-				t.Errorf("group %s/%ds: total %d, want %d", alg, shards, res.TotalMsgs, 4*192)
+			if res.TotalMsgs != int64(4*tc.msgs) {
+				t.Errorf("total %d, want %d", res.TotalMsgs, 4*tc.msgs)
 			}
 			if res.Throughput <= 0 {
-				t.Errorf("group %s/%ds: throughput %.2f", alg, shards, res.Throughput)
+				t.Errorf("throughput %.2f", res.Throughput)
 			}
-		}
-	}
-}
-
-// TestLiveGroupNoSteal covers the strict-ownership (NoSteal)
-// configuration end to end.
-func TestLiveGroupNoSteal(t *testing.T) {
-	res := runLive(t, LiveConfig{
-		Alg: core.BSLS, Clients: 4, Msgs: 128, Shards: 2, Batch: 8, NoSteal: true,
-		Watchdog: 30 * time.Second,
-	})
-	if res.TotalMsgs != 4*128 {
-		t.Errorf("total %d, want %d", res.TotalMsgs, 4*128)
+		})
 	}
 }
 

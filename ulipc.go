@@ -175,8 +175,6 @@ var (
 	WithObserver   = livebind.WithObserver
 	WithHistograms = livebind.WithHistograms
 	WithShards     = livebind.WithShards
-	WithStealBatch = livebind.WithStealBatch
-	WithNoSteal    = livebind.WithNoSteal
 
 	// Overload doctrine (DESIGN.md §14): WithAdmission turns on
 	// bounded admission and retry budgets.
@@ -224,10 +222,10 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 	return livebind.NewSystem(opts, extra...)
 }
 
-// NewSystemGroup builds a sharded system: a group of server shards,
-// each owning one SPSC request lane per client. Client i sends to shard
-// i mod shards; bounded inter-shard work stealing (WithStealBatch /
-// WithNoSteal) spreads a backlog. Run each shard's ServeBatch (from
+// NewSystemGroup builds a sharded system: a group of server shards
+// partitioning the clients. Client i is served by shard i mod shards
+// alone, over its own SPSC request lane and reply ring; shards may not
+// outnumber clients. Run each shard's ServeBatch (from
 // System.ShardServer or System.ShardServers) on its own goroutine:
 //
 //	sys, err := ulipc.NewSystemGroup(4, ulipc.Options{Alg: ulipc.BSW, Clients: 16})
