@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"ulipc/internal/obs"
 )
@@ -62,12 +61,11 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		return nil, err
 	}
 	obsOn := c.Obs.Enabled()
-	var t0 time.Time
 	if obsOn {
 		c.Obs.Note(obs.EvSend, int64(msgs[0].Seq))
-		t0 = time.Now()
 		c.Obs.Batch(len(msgs))
 	}
+	t0 := c.Obs.Stamp()
 	out := make([]Msg, 0, len(msgs))
 	sent := 0
 	var bo backoff
@@ -120,7 +118,7 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		c.M.MsgsSent.Add(int64(sent))
 	}
 	if obsOn {
-		c.Obs.RTT(time.Since(t0))
+		c.Obs.RTT(obs.Since(t0))
 		if len(out) > 0 {
 			c.Obs.Note(obs.EvRecv, int64(out[len(out)-1].Seq))
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"ulipc/internal/metrics"
 	"ulipc/internal/obs"
@@ -127,12 +126,11 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 	if err := c.admit(m.Op); err != nil {
 		return Msg{}, false, err
 	}
-	var t0 time.Time
 	obsOn := c.Obs.Enabled()
 	if obsOn {
 		c.Obs.Note(obs.EvSend, int64(m.Seq))
-		t0 = time.Now()
 	}
+	t0 := c.Obs.Stamp()
 	ans, err := c.exchangeCtx(ctx, m)
 	if err != nil {
 		// The drain above left nothing owed, so a reply owed now is
@@ -140,7 +138,7 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 		return Msg{}, c.lag > 0, err
 	}
 	if obsOn {
-		c.Obs.RTT(time.Since(t0))
+		c.Obs.RTT(obs.Since(t0))
 		c.Obs.Note(obs.EvRecv, int64(ans.Seq))
 	}
 	if m.Op == OpDisconnect {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"ulipc/internal/metrics"
 	"ulipc/internal/obs"
@@ -27,7 +26,7 @@ import (
 // uncontended path takes no clock read.
 func enqueueCtx(ctx context.Context, alg Algorithm, q SendPort, a Actor, m Msg, pm *metrics.Proc, budget *RetryBudget, h obs.Hook) error {
 	var bo backoff
-	var t0 time.Time
+	var t0 int64 // obs.Now stamp of the first full queue; 0 = none
 	for {
 		if q.Refusing() {
 			return shutdownErr(q)
@@ -37,13 +36,13 @@ func enqueueCtx(ctx context.Context, alg Algorithm, q SendPort, a Actor, m Msg, 
 		}
 		if q.TryEnqueue(m) {
 			budget.credit()
-			if !t0.IsZero() {
-				h.QueueWait(time.Since(t0))
+			if t0 != 0 {
+				h.QueueWait(obs.Since(t0))
 			}
 			return nil
 		}
-		if alg != BSS && t0.IsZero() && h.Enabled() {
-			t0 = time.Now()
+		if alg != BSS && t0 == 0 && h.Enabled() {
+			t0 = obs.Now()
 			h.Note(obs.EvRetry, int64(m.Client))
 		}
 		if isControl(m.Op) {
@@ -242,9 +241,9 @@ func spinRcv(alg Algorithm, maxSpin int, tuner **Tuner, q interface{ Empty() boo
 // last-iteration arrival as a sleep. The poll needs only the
 // non-destructive empty check, so it accepts any endpoint flavour.
 func spinPoll(q interface{ Empty() bool }, a Actor, budget int, t *Tuner, m *metrics.Proc, h obs.Hook) {
-	var t0 time.Time
+	var t0 int64
 	if h.H != nil {
-		t0 = time.Now()
+		t0 = obs.Now()
 	}
 	if m != nil {
 		m.SpinLoops.Add(1)
@@ -266,6 +265,6 @@ func spinPoll(q interface{ Empty() bool }, a Actor, budget int, t *Tuner, m *met
 		m.SpinFallThrus.Add(1)
 	}
 	if h.H != nil {
-		h.Spin(time.Since(t0))
+		h.Spin(obs.Since(t0))
 	}
 }

@@ -20,16 +20,22 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 	shared, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, tc := range []struct {
-		name string
-		alg  core.Algorithm
-		ctx  context.Context // nil: the v1 Send/Serve verbs
+		name     string
+		alg      core.Algorithm
+		ctx      context.Context // nil: the v1 Send/Serve verbs
+		observed bool            // WithHistograms: the phase stamps and records
 	}{
-		{"BSW/SendCtx/shared", core.BSW, shared},
-		{"BSW/SendCtx/background", core.BSW, context.Background()},
-		{"BSLS/Send", core.BSLS, nil},
+		{"BSW/SendCtx/shared", core.BSW, shared, false},
+		{"BSW/SendCtx/background", core.BSW, context.Background(), false},
+		{"BSW/SendCtx/observed", core.BSW, shared, true},
+		{"BSLS/Send", core.BSLS, nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := NewSystem(Options{Alg: tc.alg, Clients: 1})
+			var opts []Option
+			if tc.observed {
+				opts = append(opts, WithHistograms())
+			}
+			sys, err := NewSystem(Options{Alg: tc.alg, Clients: 1}, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,6 +71,12 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(2000, send); n != 0 {
 				t.Errorf("%v allocations per round trip, want 0", n)
+			}
+			if tc.observed {
+				h := sys.Observer().Proto(int(tc.alg))
+				if h.RTT.Snapshot().Count == 0 || h.Sleep.Snapshot().Count == 0 {
+					t.Error("the observed round trips recorded no RTT or no sleep phase")
+				}
 			}
 			if err := sys.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)

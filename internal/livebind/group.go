@@ -164,7 +164,7 @@ func (s *System) ShardServer(sh int) (*core.Server, error) {
 	for i, ch := range s.replies {
 		replies[i] = foreignPort{}
 		if i%g.shards == sh {
-			replies[i] = newRingPort(ch)
+			replies[i] = NewPort(ch)
 			owned = append(owned, ch)
 		}
 	}
@@ -214,7 +214,7 @@ func (s *System) groupClient(i int) (*core.Client, error) {
 		MaxSpin:   s.opts.MaxSpin,
 		Tuner:     s.newTuner(fmt.Sprintf("client%d", i), a),
 		Srv:       &homePort{lane: g.laneOf(i), lanes: g.reqLanes[home], ch: g.recvs[home], dead: &g.dead[home]},
-		Rcv:       newRingPort(s.replies[i]),
+		Rcv:       NewPort(s.replies[i]),
 		A:         a,
 		M:         a.M,
 		Obs:       a.Obs,
@@ -265,56 +265,6 @@ func (p *homePort) Closed() bool { return p.ch.closed.Load() || p.dead.Load() }
 // PeerDead implements core.SendPort: it decides whether a refused send
 // surfaces ErrPeerDead (the home shard died) rather than ErrShutdown.
 func (p *homePort) PeerDead() bool { return p.dead.Load() }
-
-// ringPort is one end of a client's reply ring: the home shard's
-// producer view and the client's consumer view. Both directions are
-// vectored — SPSC.EnqueueN/DequeueN, one index publish per burst — and
-// the wake, shutdown and peer-death state are the reply channel's.
-type ringPort struct {
-	ring *queue.SPSC
-	c    *Channel
-}
-
-func newRingPort(c *Channel) *ringPort { return &ringPort{ring: c.q.(*queue.SPSC), c: c} }
-
-// TryEnqueue implements core.Port.
-func (p *ringPort) TryEnqueue(m core.Msg) bool { return p.ring.Enqueue(m) }
-
-// TryEnqueueBatch implements core.Port.
-func (p *ringPort) TryEnqueueBatch(ms []core.Msg) int { return p.ring.EnqueueN(ms) }
-
-// TryDequeue implements core.Port.
-func (p *ringPort) TryDequeue() (core.Msg, bool) { return p.ring.Dequeue() }
-
-// TryDequeueBatch implements core.Port.
-func (p *ringPort) TryDequeueBatch(dst []core.Msg) int { return p.ring.DequeueN(dst) }
-
-// Empty implements core.Port.
-func (p *ringPort) Empty() bool { return p.ring.Empty() }
-
-// Depth implements core.Port.
-func (p *ringPort) Depth() int { return p.ring.Len() }
-
-// SetAwake implements core.Port.
-func (p *ringPort) SetAwake(v bool) { p.c.awake.Store(v) }
-
-// TASAwake implements core.Port.
-func (p *ringPort) TASAwake() bool { return p.c.awake.Swap(true) }
-
-// ClaimWake implements core.Port: the producer's test-and-set.
-func (p *ringPort) ClaimWake() bool { return !p.TASAwake() }
-
-// Sem implements core.Port.
-func (p *ringPort) Sem() core.SemID { return p.c.id }
-
-// Refusing implements core.Port.
-func (p *ringPort) Refusing() bool { return p.c.refuse.Load() }
-
-// Closed implements core.Port.
-func (p *ringPort) Closed() bool { return p.c.closed.Load() }
-
-// PeerDead implements core.Port.
-func (p *ringPort) PeerDead() bool { return p.c.dead.Load() }
 
 // foreignPort is a shard's reply endpoint to a client homed on another
 // shard. A shard receives requests only from its own clients, so such a
@@ -387,7 +337,6 @@ func (p *shardRecvPort) PeerDead() bool { return p.ch.dead.Load() }
 
 var (
 	_ core.SendPort = (*homePort)(nil)
-	_ core.Port     = (*ringPort)(nil)
 	_ core.Port     = foreignPort{}
 	_ core.Port     = (*shardRecvPort)(nil)
 )

@@ -121,14 +121,14 @@ func TestGroupTopologyPartition(t *testing.T) {
 		t.Fatalf("shards hold %d request lanes, want one per client (%d)", lanesSeen, clients)
 	}
 	for i, cl := range cls {
-		ring := cl.Rcv.(*ringPort).ring
+		ring := cl.Rcv.(*Port).ring
 		if ring != sys.ReplyChannel(i).Queue() {
 			t.Fatalf("client %d reads a ring other than its reply channel's", i)
 		}
 		rings[ring] = true
 		for sh, srv := range srvs {
 			switch p := srv.Replies[i].(type) {
-			case *ringPort:
+			case *Port:
 				if sh != i%shards || p.ring != ring {
 					t.Fatalf("shard %d writes client %d's replies into the wrong ring", sh, i)
 				}

@@ -145,6 +145,7 @@ func (c *Channel) PeerDead() bool { return c.dead.Load() }
 // invisible to the pool's flow control.
 type Port struct {
 	c     *Channel
+	ring  *queue.SPSC    // non-nil iff the channel's queue is an SPSC ring
 	tl    *queue.TwoLock // non-nil iff cache is non-nil or fh is enabled
 	cache *shm.PoolCache
 	m     *metrics.Proc // optional: batching statistics
@@ -159,13 +160,18 @@ type Port struct {
 }
 
 // NewPort returns an endpoint view of the channel.
-func NewPort(c *Channel) *Port { return &Port{c: c, owner: queue.AnonOwner} }
+func NewPort(c *Channel) *Port {
+	p := &Port{c: c, owner: queue.AnonOwner}
+	p.ring, _ = c.q.(*queue.SPSC)
+	return p
+}
 
 // newBatchedPort returns a producer endpoint with a private allocation
 // cache of the given batch size when the channel's queue supports it
 // (two-lock only — the other kinds have no shared node pool to batch).
 func newBatchedPort(c *Channel, batch int, m *metrics.Proc) *Port {
-	p := &Port{c: c, m: m, owner: queue.AnonOwner}
+	p := NewPort(c)
+	p.m = m
 	if tl, ok := c.q.(*queue.TwoLock); ok && batch > 1 {
 		p.tl = tl
 		p.cache = tl.Pool().NewCache(batch)
@@ -229,9 +235,14 @@ func DrainPort(p core.SendPort) {
 	}
 }
 
-// TryEnqueueBatch implements core.Port (the queue has no vectored
-// enqueue).
-func (p *Port) TryEnqueueBatch(ms []core.Msg) int { return core.EnqueueEach(p, ms) }
+// TryEnqueueBatch implements core.Port: vectored over an SPSC ring
+// (one index publish per burst), one TryEnqueue at a time otherwise.
+func (p *Port) TryEnqueueBatch(ms []core.Msg) int {
+	if p.ring != nil {
+		return p.ring.EnqueueN(ms)
+	}
+	return core.EnqueueEach(p, ms)
+}
 
 // TryDequeue implements core.Port.
 func (p *Port) TryDequeue() (core.Msg, bool) {
@@ -241,9 +252,14 @@ func (p *Port) TryDequeue() (core.Msg, bool) {
 	return p.c.q.Dequeue()
 }
 
-// TryDequeueBatch implements core.Port (the queue has no vectored
-// dequeue).
-func (p *Port) TryDequeueBatch(dst []core.Msg) int { return core.DequeueEach(p, dst) }
+// TryDequeueBatch implements core.Port: vectored over an SPSC ring, one
+// TryDequeue at a time otherwise.
+func (p *Port) TryDequeueBatch(dst []core.Msg) int {
+	if p.ring != nil {
+		return p.ring.DequeueN(dst)
+	}
+	return core.DequeueEach(p, dst)
+}
 
 // Empty implements core.Port.
 func (p *Port) Empty() bool { return p.c.q.Empty() }
@@ -349,27 +365,21 @@ func (a *Actor) PollDelay() { a.BusyWait() }
 // P implements core.Actor. When the call actually sleeps it is counted
 // as a block; with observability attached the parked duration lands in
 // the sleep-phase histogram and an EvBlock event (arg: blocked ns) on
-// the flight recorder. The non-blocking path takes no timestamps.
+// the flight recorder (Hook.Slept). An enabled hook stamps the clock
+// before every P, since only the semaphore knows whether it will park;
+// a disabled hook takes no clock read.
 func (a *Actor) P(id core.SemID) {
 	if a.M != nil {
 		a.M.SemP.Add(1)
 	}
 	a.beat()
 	a.FH.Crashpoint(fault.PtBlock)
-	if !a.Obs.Enabled() {
-		if a.sems[id].P() && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		return
-	}
-	t0 := time.Now()
+	t0 := a.Obs.Stamp()
 	if a.sems[id].P() {
-		d := time.Since(t0)
 		if a.M != nil {
 			a.M.Blocks.Add(1)
 		}
-		a.Obs.Sleep(d)
-		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
+		a.Obs.Slept(t0)
 	}
 }
 
@@ -458,23 +468,13 @@ func (a *Actor) PCtx(ctx context.Context, id core.SemID) error {
 	}
 	a.beat()
 	a.FH.Crashpoint(fault.PtBlock)
-	if !a.Obs.Enabled() {
-		slept, err := a.sems[id].PCtx(ctx)
-		if slept && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.countCtxErr(err)
-		return err
-	}
-	t0 := time.Now()
+	t0 := a.Obs.Stamp()
 	slept, err := a.sems[id].PCtx(ctx)
 	if slept {
-		d := time.Since(t0)
 		if a.M != nil {
 			a.M.Blocks.Add(1)
 		}
-		a.Obs.Sleep(d)
-		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
+		a.Obs.Slept(t0)
 	}
 	a.countCtxErr(err)
 	return err

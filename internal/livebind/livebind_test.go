@@ -113,6 +113,71 @@ func TestPortQueueOps(t *testing.T) {
 	}
 }
 
+// A port over an SPSC ring moves bursts with the ring's vectored
+// EnqueueN/DequeueN: a burst larger than the free space takes exactly
+// the free space, FIFO, across the wrap, and the batch dequeue drains
+// it in order. The scalar topology's default reply ports take this
+// path on both ends.
+func TestPortSPSCBatch(t *testing.T) {
+	c, err := newSPSCChannel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, cons := NewPort(c), NewPort(c)
+	if prod.ring == nil || cons.ring == nil {
+		t.Fatal("port over an SPSC channel did not resolve the ring")
+	}
+	if !prod.TryEnqueue(core.Msg{Seq: 0}) {
+		t.Fatal("enqueue failed")
+	}
+	if m, ok := cons.TryDequeue(); !ok || m.Seq != 0 {
+		t.Fatalf("dequeue: %+v %v", m, ok)
+	}
+	if !prod.TryEnqueue(core.Msg{Seq: 1}) { // the burst below wraps
+		t.Fatal("enqueue failed")
+	}
+	burst := make([]core.Msg, 6)
+	for i := range burst {
+		burst[i] = core.Msg{Seq: int32(i + 2)}
+	}
+	if n := prod.TryEnqueueBatch(burst); n != 3 {
+		t.Fatalf("burst of 6 into 3 free slots took %d", n)
+	}
+	if n := prod.TryEnqueueBatch(burst[3:]); n != 0 {
+		t.Fatalf("burst into a full ring took %d", n)
+	}
+	dst := make([]core.Msg, 8)
+	n := cons.TryDequeueBatch(dst)
+	if n != 4 {
+		t.Fatalf("drained %d, want 4", n)
+	}
+	for i, m := range dst[:n] {
+		if m.Seq != int32(i+1) {
+			t.Fatalf("slot %d holds seq %d, want %d", i, m.Seq, i+1)
+		}
+	}
+	if n := cons.TryDequeueBatch(dst); n != 0 || !cons.Empty() {
+		t.Fatalf("drained ring gave %d more", n)
+	}
+
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown(context.Background())
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := cl.Rcv.(*Port); !ok || p.ring == nil {
+		t.Fatalf("client reply port %T is not a vectored ring port", cl.Rcv)
+	}
+	rp := sys.Server().Replies[0]
+	if p, ok := rp.(*Port); !ok || p.ring == nil {
+		t.Fatalf("server reply port %T is not a vectored ring port", rp)
+	}
+}
+
 func TestSystemValidation(t *testing.T) {
 	if _, err := NewSystem(Options{Clients: 0}); err == nil {
 		t.Error("zero clients accepted")

@@ -1,10 +1,13 @@
 package livebind
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ulipc/internal/core"
 	"ulipc/internal/metrics"
@@ -207,5 +210,83 @@ func TestPublishExpvarDuplicate(t *testing.T) {
 	}
 	if err := sys.PublishExpvar(name); err == nil {
 		t.Fatal("duplicate publish did not error")
+	}
+}
+
+// TestObservedSleepAttribution pins the sleep phase on both actor
+// kinds and both verbs: a P that finds a token records no sleep and no
+// EvBlock; one that parks records exactly one of each, with a positive
+// duration.
+func TestObservedSleepAttribution(t *testing.T) {
+	kinds := []struct {
+		name  string
+		build func(t *testing.T, h obs.Hook) (a core.Actor, parked func() bool)
+	}{
+		{"Actor", func(t *testing.T, h obs.Hook) (core.Actor, func() bool) {
+			s := NewSemaphore(0)
+			return &Actor{sems: []*Semaphore{s}, Obs: h},
+				func() bool { return int64(s.Waiters())+s.Sleeping() == 1 }
+		}},
+		{"ProcActor", func(t *testing.T, h obs.Hook) (core.Actor, func() bool) {
+			s := newTestSem(t)
+			return &ProcActor{sems: []*ProcSem{s}, Obs: h},
+				func() bool { return s.Waiters() == 1 }
+		}},
+	}
+	verbs := []struct {
+		name string
+		p    func(a core.Actor) error
+	}{
+		{"P", func(a core.Actor) error { a.P(0); return nil }},
+		{"PCtx", func(a core.Actor) error { return a.PCtx(context.Background(), 0) }},
+	}
+	for _, k := range kinds {
+		for _, v := range verbs {
+			for _, park := range []bool{false, true} {
+				name := k.name + "/" + v.name + "/token"
+				if park {
+					name = k.name + "/" + v.name + "/park"
+				}
+				t.Run(name, func(t *testing.T) {
+					ob := obs.New(obs.Config{RecorderCap: 64})
+					a, parked := k.build(t, ob.Hook(int(core.BSW), ob.RegisterActor("a")))
+					if !park {
+						a.V(0)
+						if err := v.p(a); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						done := make(chan error, 1)
+						go func() { done <- v.p(a) }()
+						for deadline := time.Now().Add(5 * time.Second); !parked(); runtime.Gosched() {
+							if time.Now().After(deadline) {
+								t.Fatal("the waiter never parked")
+							}
+						}
+						a.V(0)
+						if err := <-done; err != nil {
+							t.Fatal(err)
+						}
+					}
+					sleep := ob.Proto(int(core.BSW)).Sleep.Snapshot()
+					var blocks []obs.Event
+					for _, e := range ob.Recorder().Snapshot() {
+						if e.Kind == obs.EvBlock {
+							blocks = append(blocks, e)
+						}
+					}
+					want := uint64(0)
+					if park {
+						want = 1
+					}
+					if sleep.Count != want || uint64(len(blocks)) != want {
+						t.Fatalf("%d sleep observations and %d EvBlock events, want %d of each", sleep.Count, len(blocks), want)
+					}
+					if park && (sleep.Sum == 0 || blocks[0].Arg <= 0) {
+						t.Fatalf("parked duration %d ns, EvBlock arg %d, want both positive", sleep.Sum, blocks[0].Arg)
+					}
+				})
+			}
+		}
 	}
 }

@@ -488,20 +488,12 @@ func (a *ProcActor) P(id core.SemID) {
 	if a.M != nil {
 		a.M.SemP.Add(1)
 	}
-	if !a.Obs.Enabled() {
-		if a.sems[id].P() && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		return
-	}
-	t0 := time.Now()
+	t0 := a.Obs.Stamp()
 	if a.sems[id].P() {
-		d := time.Since(t0)
 		if a.M != nil {
 			a.M.Blocks.Add(1)
 		}
-		a.Obs.Sleep(d)
-		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
+		a.Obs.Slept(t0)
 	}
 }
 
@@ -532,20 +524,13 @@ func (a *ProcActor) PCtx(ctx context.Context, id core.SemID) error {
 	if a.M != nil {
 		a.M.SemP.Add(1)
 	}
-	t0 := time.Time{}
-	if a.Obs.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := a.Obs.Stamp()
 	slept, err := a.sems[id].PCtx(ctx)
 	if slept {
 		if a.M != nil {
 			a.M.Blocks.Add(1)
 		}
-		if !t0.IsZero() {
-			d := time.Since(t0)
-			a.Obs.Sleep(d)
-			a.Obs.Note(obs.EvBlock, d.Nanoseconds())
-		}
+		a.Obs.Slept(t0)
 	}
 	a.countCtxErr(err)
 	return err

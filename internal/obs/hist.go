@@ -11,7 +11,8 @@
 // allocation-free, so the disabled configuration costs exactly one
 // pointer nil-check per hook site — the paper's measurement discipline
 // (explain every RTT through counters) without a measurable tax on the
-// fast path it measures.
+// fast path it measures. Every phase is timed on one timebase, Now:
+// monotonic nanoseconds, one clock read per phase boundary.
 package obs
 
 import (

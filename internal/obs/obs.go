@@ -238,6 +238,19 @@ func (o *Observer) ProtoNames() []string {
 	return append([]string(nil), o.names...)
 }
 
+// epoch is the package timebase, backdated by a nanosecond so that a
+// Now stamp is always positive and 0 can mean "no stamp taken".
+var epoch = time.Now().Add(-1)
+
+// Now returns monotonic nanoseconds since the package epoch. It is the
+// one clock every phase boundary uses, and it reads the clock once:
+// time.Now reads it twice (wall and monotonic) and no phase uses the
+// wall reading. Stamps are comparable across goroutines of one process.
+func Now() int64 { return int64(time.Since(epoch)) }
+
+// Since returns the time elapsed since a Now stamp (one clock read).
+func Since(t0 int64) time.Duration { return time.Duration(Now() - t0) }
+
 // Hook is the per-handle observability context the protocol code
 // carries: which protocol's histograms to record into, the flight
 // recorder to note events on, and the actor id for attribution. The
@@ -251,6 +264,32 @@ type Hook struct {
 
 // Enabled reports whether any observation is attached.
 func (h Hook) Enabled() bool { return h.H != nil || h.R != nil }
+
+// Stamp opens a timed phase: Now when the hook is enabled, else 0 with
+// no clock read.
+func (h Hook) Stamp() int64 {
+	if !h.Enabled() {
+		return 0
+	}
+	return Now()
+}
+
+// Slept closes a park that began at the Stamp t0: the parked time goes
+// to the sleep-phase histogram and an EvBlock event (arg: blocked ns)
+// to the flight recorder. A disabled hook does nothing.
+func (h Hook) Slept(t0 int64) {
+	if h.Enabled() {
+		h.slept(t0)
+	}
+}
+
+// slept is Slept's body, kept out of line so that Slept inlines to its
+// nil checks at every P.
+func (h Hook) slept(t0 int64) {
+	d := Since(t0)
+	h.Sleep(d)
+	h.Note(EvBlock, int64(d))
+}
 
 // RTT records a whole round-trip duration.
 func (h Hook) RTT(d time.Duration) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // EventKind classifies a flight-recorder event.
@@ -105,7 +104,7 @@ type recSlot struct {
 type FlightRecorder struct {
 	mask  uint64
 	next  atomic.Uint64
-	base  time.Time
+	base  int64 // Now stamp at creation
 	slots []recSlot
 }
 
@@ -118,7 +117,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	}
 	return &FlightRecorder{
 		mask:  uint64(n - 1),
-		base:  time.Now(),
+		base:  Now(),
 		slots: make([]recSlot, n),
 	}
 }
@@ -133,7 +132,7 @@ func (r *FlightRecorder) Note(k EventKind, actor int32, arg int64) {
 	if old := s.seq.Load(); old == slotBusy || old > seq || !s.seq.CompareAndSwap(old, slotBusy) {
 		return // another writer holds the slot, or a newer event has it
 	}
-	s.time.Store(time.Since(r.base).Nanoseconds())
+	s.time.Store(Now() - r.base)
 	s.meta.Store(uint64(k)<<32 | uint64(uint32(actor)))
 	s.arg.Store(arg)
 	s.seq.Store(seq)
