@@ -11,7 +11,9 @@ import (
 
 // RunQueues is ablation A2: the live runtime's round-trip throughput
 // over the three queue implementations (the paper's two-lock Michael &
-// Scott queue, the lock-free M&S queue, and a bounded MPMC ring). Run on
+// Scott queue, the lock-free M&S queue, and the bounded MPMC ring that is
+// the live runtime's default receive queue). Each kind is set
+// explicitly, so the ablation does not follow the default. Run on
 // the host, so absolute numbers depend on the machine executing the
 // suite; the comparison across kinds is the point.
 func RunQueues(opt Options) (*Report, error) {

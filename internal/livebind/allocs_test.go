@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ulipc/internal/core"
+	"ulipc/internal/queue"
 )
 
 // The round trip allocates nothing once warm: no waiter, channel or
@@ -38,6 +39,9 @@ func TestZeroAllocRoundTrip(t *testing.T) {
 			sys, err := NewSystem(Options{Alg: tc.alg, Clients: 1}, opts...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, ok := sys.ReceiveChannel().Queue().(*queue.Ring); !ok {
+				t.Fatalf("receive queue is %T, want the default *queue.Ring", sys.ReceiveChannel().Queue())
 			}
 			srv := sys.Server()
 			served := make(chan struct{})

@@ -9,6 +9,7 @@ import (
 
 	"ulipc/internal/core"
 	"ulipc/internal/metrics"
+	"ulipc/internal/queue"
 )
 
 // TestCancelRacingWakeup drives SendCtx with deadlines straddling the
@@ -109,9 +110,11 @@ func TestCancelRacingWakeup(t *testing.T) {
 func TestShutdownUnblocksParkedClients(t *testing.T) {
 	const clients = 3
 	ms := metrics.NewSet()
+	// The allocation cache exists only on a two-lock queue's node pool.
 	sys, err := NewSystem(Options{
 		Alg:        core.BSLS,
 		Clients:    clients,
+		QueueKind:  queue.KindTwoLock,
 		SleepScale: time.Millisecond,
 		AllocBatch: 8,
 		Metrics:    ms,

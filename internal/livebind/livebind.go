@@ -137,10 +137,11 @@ func (c *Channel) PeerDead() bool { return c.dead.Load() }
 
 // Port is a process's endpoint on a channel; it implements core.Port.
 //
-// A port built by System with Options.AllocBatch > 1 over a two-lock
-// queue carries a private shm.PoolCache: TryEnqueue then draws nodes
-// from the cache (refilled from the shared pool in batches) instead of
-// CASing the pool head per message. Such a port must be Closed (or
+// A port built by System with Options.AllocBatch > 1 over a queue set
+// to queue.KindTwoLock carries a private shm.PoolCache (the default ring
+// has no node pool, so its ports never cache): TryEnqueue then draws
+// nodes from the cache (refilled from the shared pool in batches)
+// instead of CASing the pool head per message. Such a port must be Closed (or
 // passed to DrainPort) when its owner retires, or the cached refs stay
 // invisible to the pool's flow control.
 type Port struct {
@@ -168,7 +169,8 @@ func NewPort(c *Channel) *Port {
 
 // newBatchedPort returns a producer endpoint with a private allocation
 // cache of the given batch size when the channel's queue supports it
-// (two-lock only — the other kinds have no shared node pool to batch).
+// (two-lock only — the ring and the other kinds have no shared node
+// pool to batch).
 func newBatchedPort(c *Channel, batch int, m *metrics.Proc) *Port {
 	p := NewPort(c)
 	p.m = m

@@ -9,6 +9,7 @@ import (
 	"ulipc/internal/core"
 	"ulipc/internal/fault"
 	"ulipc/internal/metrics"
+	"ulipc/internal/queue"
 	"ulipc/internal/shm"
 )
 
@@ -292,16 +293,17 @@ func TestServerCrashRecovery(t *testing.T) {
 	plan.Crash[fault.PtDequeueLocked] = 1.0
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms},
 		WithFaults(inj),
 		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The receive queue is the system's only two-lock queue (replies are
-	// SPSC rings), so the armed dequeue crashpoint can only fire in the
-	// server — deterministically, on its first dequeue.
+	// The receive queue, pinned to KindTwoLock, is the system's only
+	// two-lock queue (replies are SPSC rings), so the armed dequeue
+	// crashpoint can only fire in the server — deterministically, on its
+	// first dequeue.
 	srv := sys.Server()
 	crashed := make(chan struct{})
 	go func() {
@@ -376,7 +378,8 @@ func TestServerCrashReclaimsPendingRef(t *testing.T) {
 	plan.Crash[fault.PtBeforeFree] = 1.0
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
+	// The pending ref is a node of the two-lock queue's pool.
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms},
 		WithFaults(inj),
 		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
 	if err != nil {
@@ -444,7 +447,8 @@ func TestServerCrashReclaimsHeldPayload(t *testing.T) {
 	plan.Crash[fault.PtBeforeFree] = 1.0
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4, Metrics: ms},
+	// The post-unlock crashpoint lies in the two-lock queue's dequeue.
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, BlockSlots: 4, Metrics: ms},
 		WithFaults(inj),
 		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
 	if err != nil {

@@ -21,7 +21,7 @@ type Options struct {
 	MaxSpin   int        // BSLS MAX_SPIN (core.DefaultMaxSpin if zero)
 	Clients   int        // number of client slots (reply queues)
 	QueueCap  int        // per-queue capacity; default 64
-	QueueKind queue.Kind // shared receive-queue implementation; default two-lock
+	QueueKind queue.Kind // shared receive queue; zero = MPMC ring, KindTwoLock for crashpoints/AllocBatch
 	SpinIters int        // >0: multiprocessor busy_wait flavour
 	Throttle  int        // server wake throttle (0 = unlimited)
 
@@ -35,8 +35,9 @@ type Options struct {
 	// constructors fail (or panic, for the error-less Server) on any
 	// acquisition that would attach a second producer to an SPSC
 	// channel, and WorkerPool — whose workers all produce into every
-	// reply queue — transparently falls back to QueueKind when the SPSC
-	// default is in effect (or errors if SPSC was requested explicitly).
+	// reply queue — transparently falls back to QueueKind (the ring,
+	// unless set) when the SPSC default is in effect (or errors if SPSC
+	// was requested explicitly).
 	// Select an MPMC kind to restore the old shared-queue behaviour.
 	// QueueKind may NOT be KindSPSC: the receive queue is shared by all
 	// clients.
@@ -58,10 +59,13 @@ type Options struct {
 	// AllocBatch, when > 1, gives each producer port a private cache of
 	// that many free-pool refs, refilled/spilled in batched operations —
 	// one Treiber-stack CAS per AllocBatch messages instead of one per
-	// message (two-lock queues only; the other kinds have no shared node
-	// pool). Trade-off: cached refs are invisible to other producers, so
-	// flow control turns conservative — a queue can report full while up
-	// to (producers-1)*AllocBatch refs sit in caches. 0 disables.
+	// message. The node cache applies only to queues set explicitly to
+	// queue.KindTwoLock: the default ring and the other kinds have no
+	// shared node pool, so their ports stay uncached. (The payload
+	// arena's per-handle block cache uses AllocBatch on every kind.)
+	// Trade-off: cached refs are invisible to other producers, so flow
+	// control turns conservative — a queue can report full while up to
+	// (producers-1)*AllocBatch refs sit in caches. 0 disables.
 	// Worker-pool reply ports never batch (w workers x k refs would
 	// strand most of a reply pool).
 	AllocBatch int

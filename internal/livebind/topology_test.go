@@ -1,6 +1,7 @@
 package livebind
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -124,6 +125,48 @@ func TestWorkerPoolRebuildsAutoSPSCReplies(t *testing.T) {
 	}
 	if _, err := sys.PoolClient(0); err != nil {
 		t.Fatalf("PoolClient after WorkerPool: %v", err)
+	}
+}
+
+// TestDefaultReceiveQueueIsRing pins the default topology: a zero
+// QueueKind builds the shared receive queue as the MPMC ring, and a
+// worker pool's MPMC reply fallback is the ring too. An explicit
+// KindTwoLock is still honoured on both.
+func TestDefaultReceiveQueueIsRing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind queue.Kind
+		want queue.Kind
+	}{
+		{"default", 0, queue.KindRing},
+		{"explicit-two-lock", queue.KindTwoLock, queue.KindTwoLock},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(what string, ch *Channel) {
+				t.Helper()
+				_, ring := ch.Queue().(*queue.Ring)
+				_, twoLock := ch.Queue().(*queue.TwoLock)
+				if ch.Kind() != c.want || ring != (c.want == queue.KindRing) || twoLock != (c.want == queue.KindTwoLock) {
+					t.Fatalf("%s is %v (%T), want %v", what, ch.Kind(), ch.Queue(), c.want)
+				}
+			}
+			sys, err := NewSystem(Options{Clients: 2, QueueKind: c.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("receive channel", sys.ReceiveChannel())
+
+			pool, err := NewSystem(Options{Clients: 2, QueueKind: c.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pool.WorkerPool(2); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				check(fmt.Sprintf("pool reply channel %d", i), pool.ReplyChannel(i))
+			}
+		})
 	}
 }
 

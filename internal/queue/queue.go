@@ -1,12 +1,15 @@
 // Package queue implements the concurrent FIFO queues the live runtime
 // layers the IPC protocols over:
 //
+//   - Ring — a bounded MPMC ring buffer with per-slot sequence numbers,
+//     the live runtime's default shared receive queue (KindRing is the
+//     zero Kind).
 //   - TwoLock — the Michael & Scott two-lock queue the paper's evaluation
 //     uses ("the evaluation software uses a common implementation of the
-//     Michael and Scott two-lock queue").
+//     Michael and Scott two-lock queue"). It stays selectable for the
+//     paper's figures (ablation A2) and for the chaos cells, which need
+//     its robust locks and node pool.
 //   - LockFree — the Michael & Scott non-blocking queue (ablation A2).
-//   - Ring — a bounded MPMC ring buffer with per-slot sequence numbers
-//     (ablation A2).
 //   - SPSC — a cache-line-padded Lamport single-producer/single-consumer
 //     ring with cached indices, the live runtime's fast path for
 //     per-client reply channels. Unlike the other kinds it is NOT safe
@@ -42,13 +45,14 @@ type Queue interface {
 	Len() int
 }
 
-// Kind selects a queue implementation.
+// Kind selects a queue implementation. The zero Kind is KindRing, so a
+// zero Options or LiveConfig gets the ring.
 type Kind int
 
 const (
-	KindTwoLock Kind = iota
+	KindRing Kind = iota
+	KindTwoLock
 	KindLockFree
-	KindRing
 	KindSPSC
 )
 
@@ -66,15 +70,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// KindByName parses a queue kind name.
+// KindByName parses a queue kind name; "" is the default, KindRing.
 func KindByName(s string) (Kind, error) {
 	switch s {
-	case "two-lock", "twolock", "2lock", "":
+	case "ring", "mpmc", "":
+		return KindRing, nil
+	case "two-lock", "twolock", "2lock":
 		return KindTwoLock, nil
 	case "lock-free", "lockfree", "msq":
 		return KindLockFree, nil
-	case "ring", "mpmc":
-		return KindRing, nil
 	case "spsc", "lamport":
 		return KindSPSC, nil
 	}

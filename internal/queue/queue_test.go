@@ -1,10 +1,12 @@
 package queue
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ulipc/internal/core"
 )
@@ -235,8 +237,12 @@ func TestKindNames(t *testing.T) {
 	if _, err := KindByName("bogus"); err == nil {
 		t.Error("bad kind accepted")
 	}
-	if k, err := KindByName(""); err != nil || k != KindTwoLock {
-		t.Error("empty kind must default to two-lock")
+	if k, err := KindByName(""); err != nil || k != KindRing {
+		t.Error("empty kind must default to the ring")
+	}
+	var zero Kind
+	if zero != KindRing {
+		t.Errorf("zero Kind is %s, want ring", zero)
 	}
 }
 
@@ -249,12 +255,93 @@ func TestNewValidatesCapacity(t *testing.T) {
 }
 
 func TestRingCapacityRounding(t *testing.T) {
-	r, err := NewRing(5)
+	for _, c := range []struct{ ask, want int }{{1, 2}, {2, 2}, {5, 8}} {
+		r, err := NewRing(c.ask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cap() != c.want {
+			t.Fatalf("NewRing(%d).Cap() = %d, want %d", c.ask, r.Cap(), c.want)
+		}
+	}
+}
+
+// TestCapacityOne fills a queue built with capacity 1 and drains it: no
+// message may be overwritten and the queue must report full. A ring with
+// one slot cannot tell a published slot from a free one, so it
+// overwrites and its Dequeue spins forever; each kind therefore runs
+// under a deadline that fails the test instead of hanging it.
+func TestCapacityOne(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		q := mustNew(t, kind, 1)
+		done := make(chan string, 1)
+		go func() {
+			// Offer one message more than Cap and drain what was
+			// accepted before judging the count, so an overwrite shows
+			// up as a lost or hung dequeue.
+			n := 0
+			for n <= q.Cap() && q.Enqueue(core.Msg{Seq: int32(n)}) {
+				n++
+			}
+			for i := 0; i < n; i++ {
+				m, ok := q.Dequeue()
+				if !ok || m.Seq != int32(i) {
+					done <- fmt.Sprintf("dequeue %d of %d: %+v, %v", i, n, m, ok)
+					return
+				}
+			}
+			if n < 1 || n > q.Cap() {
+				done <- fmt.Sprintf("accepted %d messages, want 1..Cap() = %d", n, q.Cap())
+				return
+			}
+			if _, ok := q.Dequeue(); ok || !q.Empty() {
+				done <- "drained queue not empty"
+				return
+			}
+			done <- ""
+		}()
+		select {
+		case msg := <-done:
+			if msg != "" {
+				t.Fatal(msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("capacity-1 queue hung")
+		}
+	})
+}
+
+// TestRingUnpublishedSlotHidesLater claims slot 0 without publishing it
+// and publishes slot 1: the consumer must see an empty ring (the hole
+// hides the later message) until slot 0 is published, and then both
+// messages in FIFO order.
+func TestRingUnpublishedSlotHidesLater(t *testing.T) {
+	r, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cap() != 8 {
-		t.Fatalf("cap = %d, want 8", r.Cap())
+	if !r.enq.CompareAndSwap(0, 1) {
+		t.Fatal("claim of slot 0 failed")
+	}
+	if !r.Enqueue(core.Msg{Seq: 1}) {
+		t.Fatal("enqueue into slot 1 failed")
+	}
+	if _, ok := r.Dequeue(); ok {
+		t.Fatal("dequeue past an unpublished slot succeeded")
+	}
+	if !r.Empty() {
+		t.Fatal("ring with an unpublished head slot not empty")
+	}
+	r.slots[0].msg = core.Msg{Seq: 0}
+	r.slots[0].seq.Store(1)
+	for want := int32(0); want < 2; want++ {
+		m, ok := r.Dequeue()
+		if !ok || m.Seq != want {
+			t.Fatalf("dequeue: %+v, %v; want seq %d", m, ok, want)
+		}
+	}
+	if !r.Empty() {
+		t.Fatal("drained ring not empty")
 	}
 }
 

@@ -7,9 +7,12 @@ import (
 )
 
 // Ring is a bounded multi-producer multi-consumer ring buffer with
-// per-slot sequence numbers (Vyukov's MPMC queue). Unlike the list-based
-// queues it needs no node pool and no locks, but its capacity is fixed
-// at a power of two. Ablation counterpart A2.
+// per-slot sequence numbers (Vyukov's MPMC queue), the live runtime's
+// default shared receive queue. It needs no node pool and no locks, but
+// its capacity is fixed at a power of two. A claimed but unpublished
+// slot hides later slots from consumers until it is published; the
+// protocols tolerate this because each producer wakes the consumer only
+// after its own publish (DESIGN.md §6).
 type Ring struct {
 	mask  uint64
 	slots []ringSlot
@@ -32,11 +35,14 @@ type ringSlot struct {
 }
 
 // NewRing builds a ring holding at least capacity messages. The
-// capacity is rounded UP to the next power of two — Cap() reports the
-// effective value, which may exceed the request (flow-control
-// experiments that need an exact bound must request a power of two).
+// capacity is rounded UP to the next power of two, and to at least two
+// slots: with one slot, "published at pos" and "free for pos+1" would be
+// the same sequence value, so a second Enqueue would overwrite an
+// unconsumed message. Cap() reports the effective value, which may
+// exceed the request (flow-control experiments that need an exact bound
+// must request a power of two of at least 2).
 func NewRing(capacity int) (*Ring, error) {
-	n := 1
+	n := 2
 	for n < capacity {
 		n <<= 1
 	}

@@ -7,9 +7,11 @@
 //
 // Two bindings execute the same protocol code:
 //
-//   - The live runtime (NewSystem) runs over real atomics, Michael &
-//     Scott two-lock queues in an offset-addressed arena, and counting
-//     semaphores — this is the API a Go program uses.
+//   - The live runtime (NewSystem) runs over real atomics, a bounded
+//     lock-free MPMC ring as the shared receive queue (the paper's
+//     Michael & Scott two-lock queue stays selectable with
+//     QueueTwoLock), and counting semaphores — this is the API a Go
+//     program uses.
 //   - The discrete-event simulator (internal/sim + internal/experiment,
 //     driven by cmd/ipcbench and cmd/ipcsim) reproduces the paper's
 //     evaluation: scheduler interactions, context-switch accounting, and
@@ -245,15 +247,19 @@ func NewSystemGroup(shards int, opts Options, extra ...Option) (*System, error) 
 // per batch).
 type Reply = core.Reply
 
-// QueueKind selects the shared-queue implementation.
+// QueueKind selects the shared-queue implementation. Its zero value is
+// QueueRing, so Options{} builds the shared receive queue as a bounded
+// lock-free MPMC ring.
 type QueueKind = queue.Kind
 
-// Queue implementations: the paper's two-lock Michael & Scott queue, the
-// lock-free M&S queue, a bounded MPMC ring, and a Lamport SPSC ring.
-// QueueSPSC is only valid for the per-client reply channels — set with
-// WithReplyKind, where it is already the default — because those are
-// the one place the system can prove the single-producer/
-// single-consumer topology it requires.
+// Queue implementations: a bounded MPMC ring (the default), the paper's
+// two-lock Michael & Scott queue, the lock-free M&S queue, and a
+// Lamport SPSC ring. QueueTwoLock is the queue of the paper's figures
+// and the one fault injection's queue crashpoints and WithAllocBatch's
+// node cache act on. QueueSPSC is only valid for the per-client reply
+// channels — set with WithReplyKind, where it is already the default —
+// because those are the one place the system can prove the
+// single-producer/single-consumer topology it requires.
 const (
 	QueueTwoLock  = queue.KindTwoLock
 	QueueLockFree = queue.KindLockFree
