@@ -11,6 +11,7 @@
 package ulipc_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -221,6 +222,7 @@ func BenchmarkLiveAsyncBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			cl.Send(ulipc.Msg{Op: ulipc.OpConnect})
+			ctx := context.Background()
 			b.ResetTimer()
 			sent := 0
 			for sent < b.N {
@@ -229,10 +231,10 @@ func BenchmarkLiveAsyncBatch(b *testing.B) {
 					n = b.N - sent
 				}
 				for i := 0; i < n; i++ {
-					cl.SendAsync(ulipc.Msg{Op: ulipc.OpEcho})
+					cl.SendAsyncCtx(ctx, ulipc.Msg{Op: ulipc.OpEcho})
 				}
 				for i := 0; i < n; i++ {
-					cl.RecvReply()
+					cl.RecvReplyCtx(ctx)
 				}
 				sent += n
 			}
@@ -355,7 +357,7 @@ func BenchmarkLiveDuplexRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	done := make(chan struct{})
-	go func() { h.ServeConn(nil); close(done) }()
+	go func() { h.ServeConnCtx(context.Background(), nil); close(done) }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.Send(ulipc.Msg{Op: ulipc.OpEcho})
@@ -446,23 +448,23 @@ func BenchmarkLiveConnect(b *testing.B) {
 	srv := sys.Server()
 	done := make(chan struct{})
 	go func() { srv.Serve(nil); close(done) }()
-	anchor, err := sys.Connect()
+	anchor, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := sys.Connect()
+		c, err := sys.ConnectCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Send(ulipc.Msg{Op: ulipc.OpEcho}); err != nil {
+		if _, err := c.SendCtx(context.Background(), ulipc.Msg{Op: ulipc.OpEcho}); err != nil {
 			b.Fatal(err)
 		}
-		c.Close()
+		c.CloseCtx(context.Background())
 	}
 	b.StopTimer()
-	anchor.Close()
+	anchor.CloseCtx(context.Background())
 	<-done
 }
 
@@ -482,15 +484,19 @@ func benchLive(b *testing.B, cfg workload.LiveConfig) {
 	b.ReportMetric(res.Throughput*1e3, "msgs/s")
 }
 
-// BenchmarkLiveReplyKind isolates the reply leg: identical workloads
-// that differ only in the reply-queue implementation.
+// BenchmarkLiveReplyKind isolates the reply leg: identical ring
+// workloads whose reply queues are SPSC rings (the library default) or,
+// with MPMCReplies, rings like the receive queue.
 func BenchmarkLiveReplyKind(b *testing.B) {
-	for _, reply := range []ulipc.QueueKind{ulipc.QueueSPSC, ulipc.QueueRing, ulipc.QueueTwoLock} {
-		reply := reply
-		b.Run(reply.String(), func(b *testing.B) {
+	for _, spsc := range []bool{true, false} {
+		name := "SPSC"
+		if !spsc {
+			name = "Ring"
+		}
+		b.Run(name, func(b *testing.B) {
 			benchLive(b, workload.LiveConfig{
 				Alg: ulipc.BSLS, Clients: 1,
-				QueueKind: ulipc.QueueRing, ReplyKind: &reply,
+				QueueKind: ulipc.QueueRing, SPSCReplies: spsc,
 			})
 		})
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -57,21 +58,24 @@ func main() {
 			// Block references travel in the dedicated integer Ref field
 			// (they used to be bit-packed into Val's float64, which NaN
 			// canonicalization could silently corrupt).
+			ctx := context.Background()
 			docs := map[int32]uint64{}
 			for {
-				m := h.Receive()
+				m, err := h.ReceiveCtx(ctx)
+				if err != nil {
+					log.Fatalf("handler: %v", err)
+				}
 				switch m.Op {
 				case opStore:
 					docs[m.Seq] = m.Ref // keep the packed block ref
-					h.Reply(m)
 				case opLoad:
 					m.Ref = docs[m.Seq]
-					h.Reply(m)
-				case ulipc.OpDisconnect:
-					h.Reply(m)
+				}
+				if err := h.ReplyCtx(ctx, m); err != nil {
+					log.Fatalf("handler: %v", err)
+				}
+				if m.Op == ulipc.OpDisconnect {
 					return
-				default:
-					h.Reply(m)
 				}
 			}
 		}(handler)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -49,6 +50,7 @@ func main() {
 	}
 	master.Send(ulipc.Msg{Op: ulipc.OpConnect})
 
+	ctx := context.Background()
 	sum := 0.0
 	seq := int32(0)
 	for issued := 0; issued < slices; {
@@ -59,11 +61,17 @@ func main() {
 		// Enqueue the whole batch without waiting: one wake-up suffices
 		// if the worker is sleeping, zero if it is already draining.
 		for i := 0; i < n; i++ {
-			master.SendAsync(ulipc.Msg{Op: ulipc.OpWork, Seq: seq, Val: float64(issued+i) * width})
+			if err := master.SendAsyncCtx(ctx, ulipc.Msg{Op: ulipc.OpWork, Seq: seq, Val: float64(issued+i) * width}); err != nil {
+				log.Fatal(err)
+			}
 			seq++
 		}
 		for i := 0; i < n; i++ {
-			sum += master.RecvReply().Val
+			r, err := master.RecvReplyCtx(ctx)
+			if err != nil {
+				log.Fatal(err)
+			}
+			sum += r.Val
 		}
 		issued += n
 	}

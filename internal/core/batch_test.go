@@ -53,14 +53,11 @@ func logHarness(clients int) (*serverHarness, []*logPort, *replyLog) {
 	return h, ports, log
 }
 
-// batchServes runs a test against both batch serve loops.
+// batchServes runs a test against the batch serve loop.
 var batchServes = []struct {
 	name  string
 	serve func(s *Server, work func(*Msg), batch int) (int64, error)
 }{
-	{"ServeBatch", func(s *Server, work func(*Msg), batch int) (int64, error) {
-		return s.ServeBatch(work, batch), nil
-	}},
 	{"ServeBatchCtx", func(s *Server, work func(*Msg), batch int) (int64, error) {
 		return s.ServeBatchCtx(context.Background(), work, batch)
 	}},
@@ -178,7 +175,7 @@ func TestReplyBatchRuns(t *testing.T) {
 	store := newFakeStore()
 	h.srv.Blocks, h.srv.Owner = store, 1
 	for _, c := range []int32{0, 0, 0, 1, 1} {
-		h.srv.noteReceived(c)
+		h.srv.audit.received(c, len(h.srv.Replies))
 	}
 	ports[0].awake = false
 	stray, _ := payloadMsg(t, store, 2)
@@ -224,35 +221,28 @@ func TestReplyBatchRuns(t *testing.T) {
 // an expired request queued behind the head is dropped with its lease,
 // counted, and the burst comes up one shorter.
 func TestReceiveBatchShedsBehindHead(t *testing.T) {
-	for _, ctxVerb := range []bool{false, true} {
-		h, now := shedHarness(t, BSW, 1)
-		store := newFakeStore()
-		h.srv.Blocks, h.srv.Owner = store, 1
-		*now = 100
-		expired, _ := payloadMsg(t, store, 0)
-		expired.Seq, expired.Val = 2, 50
-		h.push(Msg{Op: OpEcho, Seq: 1, Val: 200})
-		h.push(expired)
-		h.push(Msg{Op: OpEcho, Seq: 3, Val: 200})
-		buf := make([]Msg, 8)
-		var n int
-		if ctxVerb {
-			var err error
-			if n, err = h.srv.ReceiveBatchCtx(context.Background(), buf); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			n = h.srv.ReceiveBatch(buf)
-		}
-		if n != 2 || buf[0].Seq != 1 || buf[1].Seq != 3 {
-			t.Errorf("ctx=%v: burst %+v, want seqs 1 and 3", ctxVerb, buf[:n])
-		}
-		if got := h.srv.M.Sheds.Load(); got != 1 {
-			t.Errorf("ctx=%v: Sheds = %d, want 1", ctxVerb, got)
-		}
-		if got := store.outstanding(); got != 0 {
-			t.Errorf("ctx=%v: %d blocks leaked by the shed", ctxVerb, got)
-		}
+	h, now := shedHarness(t, BSW, 1)
+	store := newFakeStore()
+	h.srv.Blocks, h.srv.Owner = store, 1
+	*now = 100
+	expired, _ := payloadMsg(t, store, 0)
+	expired.Seq, expired.Val = 2, 50
+	h.push(Msg{Op: OpEcho, Seq: 1, Val: 200})
+	h.push(expired)
+	h.push(Msg{Op: OpEcho, Seq: 3, Val: 200})
+	buf := make([]Msg, 8)
+	n, err := h.srv.ReceiveBatchCtx(context.Background(), buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || buf[0].Seq != 1 || buf[1].Seq != 3 {
+		t.Errorf("burst %+v, want seqs 1 and 3", buf[:n])
+	}
+	if got := h.srv.M.Sheds.Load(); got != 1 {
+		t.Errorf("Sheds = %d, want 1", got)
+	}
+	if got := store.outstanding(); got != 0 {
+		t.Errorf("%d blocks leaked by the shed", got)
 	}
 }
 
@@ -267,16 +257,16 @@ func TestReceiveBatchRetiresDeferredWakes(t *testing.T) {
 	for i := 0; i < interval; i++ {
 		h.push(Msg{Op: OpEcho, Seq: int32(i)})
 	}
-	if n := h.srv.ReceiveBatch(make([]Msg, interval)); n != interval {
-		t.Fatalf("burst of %d, want %d", n, interval)
+	if n, err := h.srv.ReceiveBatchCtx(context.Background(), make([]Msg, interval)); n != interval || err != nil {
+		t.Fatalf("burst of %d (%v), want %d", n, err, interval)
 	}
-	if h.srv.PendingWakes() != 0 || h.a.sems[2] != 1 {
+	if len(h.srv.deferred) != 0 || h.a.sems[2] != 1 {
 		t.Errorf("pending %d, client 1 sem %d: the drained receives did not re-admit the parked client",
-			h.srv.PendingWakes(), h.a.sems[2])
+			len(h.srv.deferred), h.a.sems[2])
 	}
 }
 
-// SendBatch on a full request queue takes the same full-queue leg as a
+// SendBatchCtx on a full request queue takes the same full-queue leg as a
 // scalar send: BSS busy-waits (Figure 1), it never naps.
 func TestSendBatchBSSBusyWaitsFullQueue(t *testing.T) {
 	srv, rcv := newFakePort(0, 1), newFakePort(1, 1)

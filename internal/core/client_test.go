@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // harness wires a client against fake ports with a scripted "server"
 // that runs inside the actor hooks.
@@ -163,8 +166,12 @@ func TestClientHandoffTargetsServer(t *testing.T) {
 func TestClientAsyncSendDoesNotWait(t *testing.T) {
 	h := newHarness(BSW, 0)
 	h.srvQ.awake = false
-	h.cl.SendAsync(Msg{Op: OpWork, Seq: 1})
-	h.cl.SendAsync(Msg{Op: OpWork, Seq: 2})
+	ctx := context.Background()
+	for seq := int32(1); seq <= 2; seq++ {
+		if err := h.cl.SendAsyncCtx(ctx, Msg{Op: OpWork, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if len(h.srvQ.msgs) != 2 {
 		t.Fatalf("queued = %d, want 2", len(h.srvQ.msgs))
 	}
@@ -175,8 +182,11 @@ func TestClientAsyncSendDoesNotWait(t *testing.T) {
 	// Echo both and collect.
 	h.echoOnce()
 	h.echoOnce()
-	r1 := h.cl.RecvReply()
-	r2 := h.cl.RecvReply()
+	r1, err1 := h.cl.RecvReplyCtx(ctx)
+	r2, err2 := h.cl.RecvReplyCtx(ctx)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if r1.Seq != 1 || r2.Seq != 2 {
 		t.Fatalf("replies out of order: %d, %d", r1.Seq, r2.Seq)
 	}
@@ -184,7 +194,9 @@ func TestClientAsyncSendDoesNotWait(t *testing.T) {
 
 func TestClientAsyncBSSDoesNotWake(t *testing.T) {
 	h := newHarness(BSS, 0)
-	h.cl.SendAsync(Msg{Op: OpWork})
+	if err := h.cl.SendAsyncCtx(context.Background(), Msg{Op: OpWork}); err != nil {
+		t.Fatal(err)
+	}
 	if h.a.sems[0] != 0 {
 		t.Fatal("BSS async send must not V")
 	}

@@ -19,11 +19,12 @@
 // internal/livebind binds them to real atomics and goroutines for use as
 // a library.
 //
-// Each verb has one body, the context-threaded one (SendCtx, ReceiveCtx,
-// ReplyCtx, ServeCtx and their batch forms): it is the protocol. The
-// plain verbs (Send, Receive, Reply, Serve, ...) run that body under
-// context.Background() and map its errors to the OpShutdown marker
-// message they have always returned (see plainMsg in errors.go).
+// Each verb has one form, the context-threaded one (SendCtx, ReceiveCtx,
+// ReplyCtx, ServeCtx and their batch forms): it is the protocol. Four
+// plain wrappers remain, Client.Send and Server.Receive, Reply and
+// Serve: each is a one-line call of its Ctx verb under
+// context.Background(), mapping errors to the OpShutdown marker message
+// (see plainMsg in errors.go).
 package core
 
 import "context"

@@ -87,15 +87,27 @@ func TestReplyCtxDoubleReply(t *testing.T) {
 	}
 }
 
-// A plain Reply the queue refuses must not credit the audit: a later
-// ReplyCtx with nothing outstanding is still a double reply.
+// A reply the queue refuses must not settle the audit: the request
+// stays outstanding, so the retried reply goes out and only a reply
+// beyond it is a double reply.
 func TestDuplexReplyRefusedKeepsAudit(t *testing.T) {
+	ctx := context.Background()
+	rcv := newFakePort(0, 4)
 	snd := &closablePort{fakePort: *newFakePort(1, 4), refusing: true}
-	h := &DuplexHandler{Alg: BSW, Rcv: newFakePort(0, 4), Snd: snd, A: newFakeActor(2)}
-	h.Reply(Msg{Op: OpEcho})
+	h := &DuplexHandler{Alg: BSW, Rcv: rcv, Snd: snd, A: newFakeActor(2)}
+	rcv.TryEnqueue(Msg{Op: OpEcho})
+	if _, err := h.ReceiveCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReplyCtx(ctx, Msg{Op: OpEcho}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("ReplyCtx on a refusing queue = %v, want ErrShutdown", err)
+	}
 	snd.refusing = false
-	if err := h.ReplyCtx(context.Background(), Msg{Op: OpEcho}); !errors.Is(err, ErrDoubleReply) {
-		t.Fatalf("ReplyCtx after a refused Reply = %v, want ErrDoubleReply", err)
+	if err := h.ReplyCtx(ctx, Msg{Op: OpEcho}); err != nil {
+		t.Fatalf("ReplyCtx after a refused reply = %v, want it delivered", err)
+	}
+	if err := h.ReplyCtx(ctx, Msg{Op: OpEcho}); !errors.Is(err, ErrDoubleReply) {
+		t.Fatalf("second delivered reply = %v, want ErrDoubleReply", err)
 	}
 }
 

@@ -28,19 +28,14 @@ type DuplexHandler struct {
 	M       *metrics.Proc
 	Obs     obs.Hook // optional phase histograms + flight recorder
 
-	// pending counts requests received and not yet replied to — the
-	// double-reply audit consulted by ReplyCtx.
-	pending int
+	// audit counts requests received and not yet replied to; the
+	// connection's one client is its entry 0.
+	audit replyAudit
 }
 
-// Receive returns the connection's next request, or the OpShutdown
-// marker message once the system is shut down and the queue drained. It
-// is ReceiveCtx under context.Background().
-func (h *DuplexHandler) Receive() Msg { return plainMsg(h.ReceiveCtx(context.Background())) }
-
-// ReceiveCtx is Receive with deadline/cancellation support. Its
-// protocol leg is the Server's, with a plain yield as BSWY's "let the
-// client run".
+// ReceiveCtx returns the connection's next request; ErrShutdown once
+// the system is shut down and the queue drained. Its protocol leg is the
+// Server's, with a plain yield as BSWY's "let the client run".
 func (h *DuplexHandler) ReceiveCtx(ctx context.Context) (Msg, error) {
 	m, err := receiveLeg(ctx, h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs, h.A.Yield)
 	if err != nil {
@@ -49,50 +44,34 @@ func (h *DuplexHandler) ReceiveCtx(ctx context.Context) (Msg, error) {
 	if h.M != nil {
 		h.M.MsgsReceived.Add(1)
 	}
-	h.pending++
+	h.audit.received(0, 1)
 	return m, nil
 }
 
-// Reply sends the response on the connection: ReplyCtx under
-// context.Background() without the double-reply audit. A reply the
-// queue refused (shutdown) is dropped.
-func (h *DuplexHandler) Reply(m Msg) { _ = h.reply(context.Background(), m) }
-
-// ReplyCtx is Reply with deadline/cancellation support and the
-// double-reply audit: replying with no request outstanding returns
+// ReplyCtx sends the response on the connection and wakes the client
+// if needed; replying with no request outstanding returns
 // ErrDoubleReply.
 func (h *DuplexHandler) ReplyCtx(ctx context.Context, m Msg) error {
-	if h.pending <= 0 {
+	if h.audit.outstanding(0) <= 0 {
 		return ErrDoubleReply
 	}
-	return h.reply(ctx, m)
-}
-
-// reply enqueues m on the connection, settles the audit and wakes the
-// client.
-func (h *DuplexHandler) reply(ctx context.Context, m Msg) error {
 	if err := enqueueCtx(ctx, h.Alg, h.Snd, h.A, m, h.M, nil, h.Obs); err != nil {
 		return err
 	}
-	if h.pending > 0 {
-		h.pending--
-	}
+	h.audit.replied(0, 1)
 	if h.Alg != BSS {
 		wake(h.Snd, h.A)
 	}
 	return nil
 }
 
-// ServeConn runs the echo loop for one connection until the client
+// ServeConnCtx runs the echo loop for one connection until the client
 // disconnects (or the system shuts down), returning the number of data
-// requests served. It is ServeConnCtx under context.Background().
-func (h *DuplexHandler) ServeConn(work func(*Msg)) (served int64) {
-	served, _ = h.ServeConnCtx(context.Background(), work)
-	return served
-}
-
-// ServeConnCtx is ServeConn with deadline/cancellation support.
+// requests served, and ctx.Err() when the context ends first. Replies go
+// out under context.Background(); one the queue refused (shutdown) is
+// dropped.
 func (h *DuplexHandler) ServeConnCtx(ctx context.Context, work func(*Msg)) (served int64, err error) {
+	reply := func(m Msg) { _ = h.ReplyCtx(context.Background(), m) }
 	for {
 		m, err := h.ReceiveCtx(ctx)
 		if err == ErrShutdown {
@@ -103,21 +82,21 @@ func (h *DuplexHandler) ServeConnCtx(ctx context.Context, work func(*Msg)) (serv
 		}
 		switch m.Op {
 		case OpDisconnect:
-			h.Reply(m)
+			reply(m)
 			return served, nil
 		case OpWork:
 			if work != nil {
-				w := m // see Server.Serve
+				w := m // see Server.ServeCtx
 				work(&w)
 				m = w
 			}
 			served++
-			h.Reply(m)
+			reply(m)
 		default:
 			if m.Op != OpConnect {
 				served++
 			}
-			h.Reply(m)
+			reply(m)
 		}
 	}
 }

@@ -3,8 +3,9 @@ package core
 import "errors"
 
 // Sentinel errors of the v2 (error-returning, context-threaded) API
-// surface. The plain verbs keep their original signatures: each runs its
-// *Ctx body under context.Background() and maps these sentinels through
+// surface. The plain wrappers (Client.Send, Server.Receive) keep their
+// original signatures: each runs its *Ctx verb under
+// context.Background() and maps these sentinels through
 // plainMsg — it panics with ErrUnknownAlgorithm (a programming error)
 // and returns an OpShutdown-marked message for every other error
 // (system teardown, which must not crash a process that merely
@@ -50,10 +51,10 @@ var (
 )
 
 // OpShutdown is the control opcode the plain (error-less) blocking verbs
-// return when the system is shut down underneath them: Receive hands
-// Serve a Msg{Op: OpShutdown, MsgMeta: MsgMeta{Client: -1}} so the loop can exit instead
-// of panicking, and a plain Send unblocked by shutdown returns the
-// same marker as its "reply". It is negative so it can never collide
+// return when the system is shut down underneath them: Receive hands its
+// loop a Msg{Op: OpShutdown, MsgMeta: MsgMeta{Client: -1}} so the loop
+// can exit instead of panicking, and a plain Send unblocked by shutdown
+// returns the same marker as its "reply". It is negative so it can never collide
 // with application opcodes (which grow upward from OpEcho).
 const OpShutdown int32 = -1
 
@@ -61,7 +62,7 @@ const OpShutdown int32 = -1
 // unblocked by a system shutdown.
 func ShutdownMsg() Msg { return Msg{Op: OpShutdown, MsgMeta: MsgMeta{Client: -1}} }
 
-// plainMsg maps a *Ctx verb's result to its plain twin's:
+// plainMsg maps a *Ctx verb's result to its plain wrapper's:
 //
 //	nil                   the message itself
 //	ErrUnknownAlgorithm   panic (a programming error)

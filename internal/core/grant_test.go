@@ -83,8 +83,10 @@ func TestOtherWakesStayV(t *testing.T) {
 
 	h := newHarness(BSW, 0)
 	h.srvQ.awake = false
-	h.cl.SendAsync(Msg{Op: OpWork})
-	check("SendAsync", h.a, 0)
+	if err := h.cl.SendAsyncCtx(context.Background(), Msg{Op: OpWork}); err != nil {
+		t.Fatal(err)
+	}
+	check("SendAsyncCtx", h.a, 0)
 
 	h = newHarness(BSW, 0)
 	h.srvQ.awake = false
@@ -96,6 +98,8 @@ func TestOtherWakesStayV(t *testing.T) {
 
 	sh := newServerHarness(BSW, 1, 0)
 	sh.replies[0].awake = false
+	sh.push(Msg{Op: OpEcho})
+	sh.srv.Receive()
 	sh.srv.Reply(0, Msg{Op: OpEcho})
 	check("Server.Reply", sh.a, 1)
 
@@ -106,13 +110,22 @@ func TestOtherWakesStayV(t *testing.T) {
 	w := &PoolWorker{Alg: BSW, Rcv: q, Replies: []Port{reply}, A: a, C: &PoolCoordinator{Workers: 2}}
 	q.TryEnqueue(Msg{Op: OpConnect, MsgMeta: MsgMeta{Client: 0}})
 	q.TryEnqueue(Msg{Op: OpDisconnect, MsgMeta: MsgMeta{Client: 0}})
-	w.Serve(nil)
+	if err := w.ServeCtx(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	check("PoolWorker", a, 1, 0)
 
 	snd := newFakePort(1, 4)
 	snd.awake = false
 	a = newFakeActor(2)
-	d := &DuplexHandler{Alg: BSW, Rcv: newFakePort(0, 4), Snd: snd, A: a}
-	d.Reply(Msg{Op: OpEcho})
-	check("DuplexHandler.Reply", a, 1)
+	rcv := newFakePort(0, 4)
+	rcv.TryEnqueue(Msg{Op: OpEcho})
+	d := &DuplexHandler{Alg: BSW, Rcv: rcv, Snd: snd, A: a}
+	if _, err := d.ReceiveCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReplyCtx(context.Background(), Msg{Op: OpEcho}); err != nil {
+		t.Fatal(err)
+	}
+	check("DuplexHandler.ReplyCtx", a, 1)
 }

@@ -17,7 +17,7 @@ package core
 // SetBlock stores a shared-memory block reference and payload length
 // (below 1<<24) in the message's Ref field, at generation 0. Payloads
 // attached through the lease surface (AttachPayload, SendPayload,
-// ReplyPayload) carry their block's current generation instead.
+// ReplyPayloadCtx) carry their block's current generation instead.
 func (m *Msg) SetBlock(ref uint32, n int) { m.setBlock(ref, 0, n) }
 
 func (m *Msg) setBlock(ref uint32, gen uint8, n int) {

@@ -137,7 +137,7 @@ func TestReplyDeadChannelFreesPayload(t *testing.T) {
 	dead := &closablePort{fakePort: fakePort{capacity: 4, awake: true, sem: 1}, refusing: true}
 	h.srv.Replies[0] = dead
 	m, _ := payloadMsg(t, store, 0)
-	h.srv.Reply(0, m)
+	h.reply(0, m)
 	if len(dead.msgs) != 0 {
 		t.Fatal("reply enqueued onto a refusing channel")
 	}
@@ -157,9 +157,27 @@ func TestReplyBSSSpinAbortFreesPayload(t *testing.T) {
 	full := &closablePort{fakePort: fakePort{capacity: 0, awake: true, sem: 1}, closed: true}
 	h.srv.Replies[0] = full
 	m, _ := payloadMsg(t, store, 0)
-	h.srv.Reply(0, m)
+	h.reply(0, m)
 	if n := store.outstanding(); n != 0 {
 		t.Errorf("%d blocks leaked by BSS spin-abort drop", n)
+	}
+}
+
+// Reply runs the double-reply audit too: a reply with no request
+// outstanding is not enqueued, and its payload lease is freed rather
+// than stranded with the server.
+func TestReplyWithoutRequestFreesPayload(t *testing.T) {
+	h := newServerHarness(BSW, 1, 0)
+	store := newFakeStore()
+	h.srv.Blocks = store
+	h.srv.Owner = 1
+	m, _ := payloadMsg(t, store, 0)
+	h.srv.Reply(0, m)
+	if len(h.replies[0].msgs) != 0 {
+		t.Fatal("reply with nothing outstanding was enqueued")
+	}
+	if n := store.outstanding(); n != 0 {
+		t.Errorf("%d blocks leaked by the audited drop", n)
 	}
 }
 
@@ -171,7 +189,7 @@ func TestReplyDeliveredKeepsPayloadLease(t *testing.T) {
 	h.srv.Blocks = store
 	h.srv.Owner = 1
 	m, ref := payloadMsg(t, store, 0)
-	h.srv.Reply(0, m)
+	h.reply(0, m)
 	if len(h.replies[0].msgs) != 1 {
 		t.Fatal("reply not delivered")
 	}

@@ -65,7 +65,7 @@ type BlockStore interface {
 // Payload is a leased view of a shared-memory block: the full class
 // storage plus the current payload length. The holder may read and
 // write Bytes() in place; the view is dead after Release or after the
-// lease is transferred by SendPayload/ReplyPayload.
+// lease is transferred by SendPayload/ReplyPayloadCtx.
 type Payload struct {
 	store BlockStore
 	ref   uint32
@@ -191,7 +191,7 @@ func (c *Client) AllocPayload(n int) (p *Payload, err error) {
 }
 
 // Payload resolves (claims) the payload of a reply returned by
-// SendCtx/Send. The caller owns the lease: Release it, or keep the
+// SendCtx. The caller owns the lease: Release it, or keep the
 // block for a later SendPayload.
 func (c *Client) Payload(m Msg) (p *Payload, err error) {
 	v, err := resolvePayload(c.Blocks, c.Owner, m)
@@ -254,7 +254,7 @@ func (c *Client) sendPayload(ctx context.Context, m Msg, p *Payload) (Msg, Paylo
 
 // Payload resolves (claims) the payload of a received request. The
 // server owns the lease: Release it before an empty reply, or re-lease
-// it for the response via ReplyPayload / Msg.AttachPayload.
+// it for the response via ReplyPayloadCtx / Msg.AttachPayload.
 func (s *Server) Payload(m Msg) (p *Payload, err error) {
 	v, err := resolvePayload(s.Blocks, s.Owner, m)
 	if err == nil {
@@ -272,23 +272,11 @@ func (s *Server) AllocPayload(n int) (p *Payload, err error) {
 	return
 }
 
-// ReplyPayload replies to client with m carrying p's lease (p nil
-// clears any stale reference instead). After the call the server no
-// longer owns p — the receiving client claims it.
-func (s *Server) ReplyPayload(client int32, m Msg, p *Payload) {
-	if p != nil {
-		s.Obs.Payload(p.n)
-		m.setBlock(p.ref, p.gen, p.n)
-		p.store = nil
-	} else {
-		m.ClearBlock()
-	}
-	s.Reply(client, m)
-}
-
-// ReplyPayloadCtx is ReplyPayload with deadline/cancellation support
-// and the double-reply audit. On error the lease stays with the server
-// (p remains valid and must still be released or retried).
+// ReplyPayloadCtx is ReplyCtx with m carrying p's lease (p nil clears
+// any stale reference instead). After a successful reply the server no
+// longer owns p — the receiving client claims it — and its size is
+// recorded in the Payload histogram. On error the lease stays with the
+// server (p remains valid and must still be released or retried).
 func (s *Server) ReplyPayloadCtx(ctx context.Context, client int32, m Msg, p *Payload) error {
 	if p != nil {
 		m.setBlock(p.ref, p.gen, p.n)
@@ -299,6 +287,7 @@ func (s *Server) ReplyPayloadCtx(ctx context.Context, client int32, m Msg, p *Pa
 		return err
 	}
 	if p != nil {
+		s.Obs.Payload(p.n)
 		p.store = nil
 	}
 	return nil

@@ -92,34 +92,9 @@ type PoolWorker struct {
 	M       *metrics.Proc
 	Obs     obs.Hook // optional phase histograms + flight recorder
 
-	// outstanding[i] counts requests this worker received from client i
-	// and has not yet replied to — the double-reply audit consulted by
-	// ReplyCtx. A worker handle is single-goroutine, so plain ints
-	// suffice (each request is received and replied by the same worker).
-	outstanding []int32
-}
-
-func (w *PoolWorker) noteReceived(client int32) {
-	if client < 0 || int(client) >= len(w.Replies) {
-		return
-	}
-	if w.outstanding == nil {
-		w.outstanding = make([]int32, len(w.Replies))
-	}
-	w.outstanding[client]++
-}
-
-func (w *PoolWorker) noteReplied(client int32) {
-	if w.outstanding != nil && w.outstanding[client] > 0 {
-		w.outstanding[client]--
-	}
-}
-
-// Receive returns the next request, or false when the pool has shut
-// down: ReceiveCtx under context.Background().
-func (w *PoolWorker) Receive() (Msg, bool) {
-	m, err := w.ReceiveCtx(context.Background())
-	return m, err == nil
+	// audit counts the requests this worker received and has not yet
+	// replied to (each request is received and replied by one worker).
+	audit replyAudit
 }
 
 // ReceiveCtx returns the next request. It returns ErrShutdown once the
@@ -178,57 +153,39 @@ func (w *PoolWorker) received(m Msg) Msg {
 	if w.M != nil {
 		w.M.MsgsReceived.Add(1)
 	}
-	w.noteReceived(m.Client)
+	w.audit.received(m.Client, len(w.Replies))
 	return m
 }
 
-// Reply sends a response to the client and wakes it if needed: the body
-// of ReplyCtx under context.Background() without the double-reply
-// audit. Replies to an invalid channel, or refused by a shut-down queue,
-// are dropped. Reply queues have a single consumer each, so the paper's
-// flag protocol applies unchanged; a synchronous client has at most one
-// outstanding request, so no two workers touch the same reply queue
-// concurrently.
-func (w *PoolWorker) Reply(client int32, m Msg) {
-	if client >= 0 && int(client) < len(w.Replies) {
-		_ = w.reply(context.Background(), client, m)
-	}
-}
-
-// ReplyCtx is Reply with deadline/cancellation support and the
-// double-reply audit: replying to a client this worker has no received
-// request outstanding for returns ErrDoubleReply.
+// ReplyCtx sends a response to the client and wakes it if needed.
+// Replying to a client this worker has no received request outstanding
+// for (an invalid channel number included) returns ErrDoubleReply. Reply
+// queues have a single consumer each, so the paper's flag protocol
+// applies unchanged; a synchronous client has at most one outstanding
+// request, so no two workers touch the same reply queue concurrently.
 func (w *PoolWorker) ReplyCtx(ctx context.Context, client int32, m Msg) error {
-	if client < 0 || int(client) >= len(w.Replies) || w.outstanding == nil || w.outstanding[client] <= 0 {
+	if w.audit.outstanding(client) <= 0 {
 		return ErrDoubleReply
 	}
-	return w.reply(ctx, client, m)
-}
-
-// reply enqueues m on a valid client's reply queue, settles the audit
-// and wakes the client.
-func (w *PoolWorker) reply(ctx context.Context, client int32, m Msg) error {
 	q := w.Replies[client]
 	if err := enqueueCtx(ctx, w.Alg, q, w.A, m, w.M, nil, w.Obs); err != nil {
 		return err
 	}
-	w.noteReplied(client)
+	w.audit.replied(client, 1)
 	if w.Alg != BSS {
 		wake(q, w.A)
 	}
 	return nil
 }
 
-// Serve runs this worker's echo loop until the pool shuts down (all
-// clients disconnected): ServeCtx under context.Background(). The worker
-// that processes the last disconnect broadcasts shutdown by waking every
-// sibling.
-func (w *PoolWorker) Serve(work func(*Msg)) { _ = w.ServeCtx(context.Background(), work) }
-
-// ServeCtx is Serve with deadline/cancellation support: it returns nil
-// when the pool stops (last disconnect or graceful system shutdown) and
-// ctx.Err() when the context ends first.
+// ServeCtx runs this worker's echo loop until the pool shuts down: it
+// returns nil when the pool stops (last disconnect or graceful system
+// shutdown) and ctx.Err() when the context ends first. The worker that
+// processes the last disconnect broadcasts shutdown by waking every
+// sibling. Replies go out under context.Background(); one the queue
+// refused (shutdown) is dropped.
 func (w *PoolWorker) ServeCtx(ctx context.Context, work func(*Msg)) error {
+	reply := func(m Msg) { _ = w.ReplyCtx(context.Background(), m.Client, m) }
 	for {
 		m, err := w.ReceiveCtx(ctx)
 		if err == ErrShutdown {
@@ -244,10 +201,10 @@ func (w *PoolWorker) ServeCtx(ctx context.Context, work func(*Msg)) error {
 		case OpConnect:
 			w.C.connected.Add(1)
 			w.C.ever.Store(true)
-			w.Reply(m.Client, m)
+			reply(m)
 		case OpDisconnect:
 			left := w.C.connected.Add(-1)
-			w.Reply(m.Client, m)
+			reply(m)
 			if w.C.ever.Load() && left == 0 {
 				w.C.stop.Store(true)
 				// Shutdown broadcast: unconditional Vs so parked
@@ -259,15 +216,15 @@ func (w *PoolWorker) ServeCtx(ctx context.Context, work func(*Msg)) error {
 			}
 		case OpWork:
 			if work != nil {
-				w := m // see Server.Serve
+				w := m // see Server.ServeCtx
 				work(&w)
 				m = w
 			}
 			w.C.served.Add(1)
-			w.Reply(m.Client, m)
+			reply(m)
 		default: // OpEcho
 			w.C.served.Add(1)
-			w.Reply(m.Client, m)
+			reply(m)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+)
 
 // fakePoolPort is a deterministic in-memory PoolPort.
 type fakePoolPort struct {
@@ -110,9 +114,9 @@ func TestPoolWorkerReceiveDrainsQueueFirst(t *testing.T) {
 	coord := &PoolCoordinator{Workers: 1}
 	w := &PoolWorker{Alg: BSW, Rcv: q, Replies: nil, A: a, C: coord}
 	q.TryEnqueue(Msg{Seq: 1})
-	m, ok := w.Receive()
-	if !ok || m.Seq != 1 {
-		t.Fatalf("got %+v %v", m, ok)
+	m, err := w.ReceiveCtx(context.Background())
+	if err != nil || m.Seq != 1 {
+		t.Fatalf("got %+v %v", m, err)
 	}
 	if q.waiters != 0 {
 		t.Fatal("hot receive must not register")
@@ -132,9 +136,9 @@ func TestPoolWorkerReceiveRegistersThenSleeps(t *testing.T) {
 		}
 		a.sems[id]++
 	}
-	m, ok := w.Receive()
-	if !ok || m.Seq != 9 {
-		t.Fatalf("got %+v %v", m, ok)
+	m, err := w.ReceiveCtx(context.Background())
+	if err != nil || m.Seq != 9 {
+		t.Fatalf("got %+v %v", m, err)
 	}
 	if a.blockedAt != 1 {
 		t.Fatalf("blockedAt = %d", a.blockedAt)
@@ -159,9 +163,9 @@ func TestPoolWorkerLateSuccessClaimedSkip(t *testing.T) {
 		}
 	}}
 	w.Rcv = wrapped
-	m, ok := w.Receive()
-	if !ok || m.Seq != 4 {
-		t.Fatalf("got %+v %v", m, ok)
+	m, err := w.ReceiveCtx(context.Background())
+	if err != nil || m.Seq != 4 {
+		t.Fatalf("got %+v %v", m, err)
 	}
 	if a.blockedAt != 0 {
 		t.Fatal("claimed-skip path must not block")
@@ -189,8 +193,8 @@ func TestPoolWorkerStopsOnShutdown(t *testing.T) {
 	coord := &PoolCoordinator{Workers: 1}
 	coord.stop.Store(true)
 	w := &PoolWorker{Alg: BSW, Rcv: q, A: a, C: coord}
-	if _, ok := w.Receive(); ok {
-		t.Fatal("Receive must fail after shutdown")
+	if _, err := w.ReceiveCtx(context.Background()); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("ReceiveCtx after shutdown = %v, want ErrShutdown", err)
 	}
 }
 
@@ -203,7 +207,9 @@ func TestPoolServeShutdownBroadcast(t *testing.T) {
 	q.TryEnqueue(Msg{Op: OpConnect, MsgMeta: MsgMeta{Client: 0}})
 	q.TryEnqueue(Msg{Op: OpEcho, MsgMeta: MsgMeta{Client: 0}})
 	q.TryEnqueue(Msg{Op: OpDisconnect, MsgMeta: MsgMeta{Client: 0}})
-	w.Serve(nil)
+	if err := w.ServeCtx(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	if !coord.Stopped() {
 		t.Fatal("pool not stopped after last disconnect")
 	}
@@ -221,8 +227,11 @@ func TestPoolWorkerReplyValidation(t *testing.T) {
 	reply := newFakePort(1, 8)
 	a := newFakeActor(2)
 	w := &PoolWorker{Alg: BSW, Rcv: q, Replies: []Port{reply}, A: a, C: &PoolCoordinator{Workers: 1}}
-	w.Reply(-1, Msg{})
-	w.Reply(7, Msg{})
+	for _, c := range []int32{-1, 7} {
+		if err := w.ReplyCtx(context.Background(), c, Msg{}); !errors.Is(err, ErrDoubleReply) {
+			t.Errorf("ReplyCtx to channel %d = %v, want ErrDoubleReply", c, err)
+		}
+	}
 	if len(reply.msgs) != 0 {
 		t.Fatal("invalid reply channels must be dropped")
 	}

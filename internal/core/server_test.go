@@ -30,6 +30,13 @@ func newServerHarness(alg Algorithm, clients, maxSpin int) *serverHarness {
 
 func (h *serverHarness) push(m Msg) { h.rcvQ.msgs = append(h.rcvQ.msgs, m) }
 
+// reply answers a request from client c as if the server had received
+// it: the audit notes the request, then Reply runs.
+func (h *serverHarness) reply(c int32, m Msg) {
+	h.srv.audit.received(c, len(h.srv.Replies))
+	h.srv.Reply(c, m)
+}
+
 func TestServerReceiveReturnsQueued(t *testing.T) {
 	for _, alg := range Algorithms() {
 		h := newServerHarness(alg, 1, 4)
@@ -44,7 +51,7 @@ func TestServerReceiveReturnsQueued(t *testing.T) {
 func TestServerReplyWakesSleepingClient(t *testing.T) {
 	h := newServerHarness(BSW, 2, 0)
 	h.replies[1].awake = false
-	h.srv.Reply(1, Msg{Op: OpEcho})
+	h.reply(1, Msg{Op: OpEcho})
 	if h.a.sems[2] != 1 {
 		t.Fatalf("client1 sem = %d, want 1", h.a.sems[2])
 	}
@@ -53,7 +60,7 @@ func TestServerReplyWakesSleepingClient(t *testing.T) {
 	}
 	// Awake client: no V.
 	h.replies[0].awake = true
-	h.srv.Reply(0, Msg{Op: OpEcho})
+	h.reply(0, Msg{Op: OpEcho})
 	if h.a.sems[1] != 0 {
 		t.Fatalf("client0 sem = %d, want 0", h.a.sems[1])
 	}
@@ -70,7 +77,7 @@ func TestServerBSSReplySpinsOnFull(t *testing.T) {
 			drained = true
 		}
 	}
-	h.srv.Reply(0, Msg{Seq: 5})
+	h.reply(0, Msg{Seq: 5})
 	if !drained || h.replies[0].msgs[0].Seq != 5 {
 		t.Fatal("BSS reply must busy-wait through queue-full")
 	}
@@ -161,7 +168,7 @@ func TestServerThrottleParksBeyondCap(t *testing.T) {
 	// first two and park the rest.
 	for i := 0; i < clients; i++ {
 		h.replies[i].awake = false
-		h.srv.Reply(int32(i), Msg{Op: OpEcho})
+		h.reply(int32(i), Msg{Op: OpEcho})
 	}
 	vs := 0
 	for i := 0; i < clients; i++ {
@@ -170,8 +177,8 @@ func TestServerThrottleParksBeyondCap(t *testing.T) {
 	if vs != 2 {
 		t.Fatalf("issued %d wakes, want 2 (throttle)", vs)
 	}
-	if h.srv.PendingWakes() != 3 {
-		t.Fatalf("parked = %d, want 3", h.srv.PendingWakes())
+	if len(h.srv.deferred) != 3 {
+		t.Fatalf("parked = %d, want 3", len(h.srv.deferred))
 	}
 	// All replies must still be enqueued (parking defers only the V).
 	for i := 0; i < clients; i++ {
@@ -188,22 +195,22 @@ func TestServerThrottleAdmissionPacing(t *testing.T) {
 	h.srv.SetConnected(clients)
 	for i := 0; i < clients; i++ {
 		h.replies[i].awake = false
-		h.srv.Reply(int32(i), Msg{Op: OpEcho})
+		h.reply(int32(i), Msg{Op: OpEcho})
 	}
-	if h.srv.PendingWakes() != 3 {
-		t.Fatalf("parked = %d, want 3", h.srv.PendingWakes())
+	if len(h.srv.deferred) != 3 {
+		t.Fatalf("parked = %d, want 3", len(h.srv.deferred))
 	}
 	// Feed receives; parked clients must be admitted (FIFO) within the
 	// pacing interval, and all of them within the starvation bound.
 	interval := 2 * clients
 	bound := 10 * interval
 	h.a.onP = func(id SemID) { h.a.sems[id]++ }
-	for r := 0; r < bound && h.srv.PendingWakes() > 0; r++ {
+	for r := 0; r < bound && len(h.srv.deferred) > 0; r++ {
 		h.push(Msg{Op: OpEcho, MsgMeta: MsgMeta{Client: 0}})
 		h.srv.Receive()
 	}
-	if h.srv.PendingWakes() != 0 {
-		t.Fatalf("starvation: %d clients still parked after %d receives", h.srv.PendingWakes(), bound)
+	if len(h.srv.deferred) != 0 {
+		t.Fatalf("starvation: %d clients still parked after %d receives", len(h.srv.deferred), bound)
 	}
 	// Admissions are FIFO: sems 2,3,4 (clients 1..3) were woken in order
 	// — verify each got exactly one V.
@@ -224,18 +231,18 @@ func TestServerThrottleControlPathBypasses(t *testing.T) {
 	// An echo reply is throttled: with 3 connected clients and a cap of
 	// 1, the other two unparked clients already exceed the cap, so this
 	// wake is parked.
-	h.srv.Reply(0, Msg{Op: OpEcho})
-	if h.a.sems[1] != 0 || h.srv.PendingWakes() != 1 {
-		t.Fatalf("echo wake not parked: sems=%v parked=%d", h.a.sems, h.srv.PendingWakes())
+	h.reply(0, Msg{Op: OpEcho})
+	if h.a.sems[1] != 0 || len(h.srv.deferred) != 1 {
+		t.Fatalf("echo wake not parked: sems=%v parked=%d", h.a.sems, len(h.srv.deferred))
 	}
 	// Connect and disconnect replies must wake immediately regardless.
-	h.srv.Reply(1, Msg{Op: OpConnect})
-	h.srv.Reply(2, Msg{Op: OpDisconnect})
+	h.reply(1, Msg{Op: OpConnect})
+	h.reply(2, Msg{Op: OpDisconnect})
 	if h.a.sems[2] != 1 || h.a.sems[3] != 1 {
 		t.Fatalf("control-path replies throttled: sems=%v", h.a.sems)
 	}
-	if h.srv.PendingWakes() != 1 {
-		t.Fatalf("parked = %d, want 1 (control path must not admit)", h.srv.PendingWakes())
+	if len(h.srv.deferred) != 1 {
+		t.Fatalf("parked = %d, want 1 (control path must not admit)", len(h.srv.deferred))
 	}
 }
 
@@ -250,10 +257,10 @@ func TestServerThrottleAllParkedLiveness(t *testing.T) {
 	// with Throttle=1 and 2 connected, replying to both parks one.
 	h.replies[0].awake = false
 	h.replies[1].awake = false
-	h.srv.Reply(0, Msg{Op: OpEcho})
-	h.srv.Reply(1, Msg{Op: OpEcho})
-	if h.srv.PendingWakes() != 1 {
-		t.Fatalf("parked = %d, want 1", h.srv.PendingWakes())
+	h.reply(0, Msg{Op: OpEcho})
+	h.reply(1, Msg{Op: OpEcho})
+	if len(h.srv.deferred) != 1 {
+		t.Fatalf("parked = %d, want 1", len(h.srv.deferred))
 	}
 	// Park the remaining active client too by pretending it blocked
 	// again after its wake: simulate by marking a new reply... instead,
@@ -263,7 +270,7 @@ func TestServerThrottleAllParkedLiveness(t *testing.T) {
 	h.a.onP = func(id SemID) {
 		// Receive is about to block: the parked client must have been
 		// admitted by now.
-		if h.srv.PendingWakes() != 0 {
+		if len(h.srv.deferred) != 0 {
 			t.Error("receive blocked with every connected client parked")
 		}
 		h.push(Msg{Op: OpEcho, MsgMeta: MsgMeta{Client: 1}})
@@ -274,7 +281,7 @@ func TestServerThrottleAllParkedLiveness(t *testing.T) {
 		}
 	}
 	h.srv.Receive()
-	if h.srv.PendingWakes() != 0 {
+	if len(h.srv.deferred) != 0 {
 		t.Fatal("parked client never admitted")
 	}
 }
@@ -294,7 +301,7 @@ func TestServerReplyRoutesToCorrectClient(t *testing.T) {
 	h := newServerHarness(BSW, 3, 0)
 	for i := 0; i < 3; i++ {
 		h.replies[i].awake = true
-		h.srv.Reply(int32(i), Msg{Op: OpEcho, Seq: int32(i * 10)})
+		h.reply(int32(i), Msg{Op: OpEcho, Seq: int32(i * 10)})
 	}
 	for i := 0; i < 3; i++ {
 		if len(h.replies[i].msgs) != 1 || h.replies[i].msgs[0].Seq != int32(i*10) {

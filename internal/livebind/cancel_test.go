@@ -397,66 +397,62 @@ func TestShutdownConcurrent(t *testing.T) {
 // TestBatchLagDrainReleasesPayload: a payload SendCtx times out against
 // a slow server, which then answers with the request's block attached.
 // The reply is stale — owed as lag — and the next call on the handle is
-// a batch send, whose lag drain must return the block as Send/SendCtx's
-// own drain does. Otherwise the block stays leased to the server, which
-// is alive, so no sweeper ever walks it back.
+// a batch send, whose lag drain must return the block as SendCtx's own
+// drain does. Otherwise the block stays leased to the server, which is
+// alive, so no sweeper ever walks it back.
 func TestBatchLagDrainReleasesPayload(t *testing.T) {
-	for _, verb := range []string{"SendBatch", "SendBatchCtx"} {
-		t.Run(verb, func(t *testing.T) {
-			sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := sys.Server()
-			gate := make(chan struct{})
-			served := make(chan struct{})
-			go func() {
-				defer close(served)
-				srv.ServeCtx(context.Background(), func(m *core.Msg) {
-					<-gate // slow: the client's deadline passes first
-					p, err := srv.Payload(*m)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					m.AttachPayload(p) // the reply carries the lease back
-				})
-			}()
-			cl, err := sys.Client(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := cl.AllocPayload(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			_, _, err = cl.SendPayload(ctx, core.Msg{Op: core.OpWork}, p)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) || cl.Lag() != 1 {
-				t.Fatalf("slow payload send = %v with lag %d, want DeadlineExceeded with lag 1", err, cl.Lag())
-			}
-			close(gate)
+	t.Run("SendBatchCtx", func(t *testing.T) {
+		sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := sys.Server()
+		gate := make(chan struct{})
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.ServeCtx(context.Background(), func(m *core.Msg) {
+				<-gate // slow: the client's deadline passes first
+				p, err := srv.Payload(*m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m.AttachPayload(p) // the reply carries the lease back
+			})
+		}()
+		cl, err := sys.Client(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := cl.AllocPayload(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, err = cl.SendPayload(ctx, core.Msg{Op: core.OpWork}, p)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || cl.Lag() != 1 {
+			t.Fatalf("slow payload send = %v with lag %d, want DeadlineExceeded with lag 1", err, cl.Lag())
+		}
+		close(gate)
 
-			msgs := []core.Msg{{Op: core.OpEcho, Seq: 7}}
-			var out []core.Msg
-			if verb == "SendBatch" {
-				out = cl.SendBatch(msgs)
-			} else if out, err = cl.SendBatchCtx(context.Background(), msgs); err != nil {
-				t.Fatal(err)
-			}
-			if len(out) != 1 || out[0].Seq != 7 || cl.Lag() != 0 {
-				t.Fatalf("batch after the timeout: replies %+v, lag %d", out, cl.Lag())
-			}
-			if err := sys.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			<-served
-			if free := sys.Blocks().TotalFree(); free != int64(sys.Blocks().Capacity()) {
-				t.Fatalf("arena free %d / %d: the stale reply's payload lease leaked", free, sys.Blocks().Capacity())
-			}
-		})
-	}
+		msgs := []core.Msg{{Op: core.OpEcho, Seq: 7}}
+		out, err := cl.SendBatchCtx(context.Background(), msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0].Seq != 7 || cl.Lag() != 0 {
+			t.Fatalf("batch after the timeout: replies %+v, lag %d", out, cl.Lag())
+		}
+		if err := sys.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		<-served
+		if free := sys.Blocks().TotalFree(); free != int64(sys.Blocks().Capacity()) {
+			t.Fatalf("arena free %d / %d: the stale reply's payload lease leaked", free, sys.Blocks().Capacity())
+		}
+	})
 }
 
 // TestSendPayloadDrainFailureReleasesPayload: a payload send that fails

@@ -11,10 +11,10 @@ import (
 
 // Dynamic connection management. The shared segment pre-allocates
 // Options.Clients reply queues (exactly as the paper's server allocates
-// a reply queue per client); Connect claims a free slot at runtime,
-// performs the connect handshake, and Close releases the slot for reuse
-// — so a long-running server serves an arbitrary sequence of short-lived
-// clients with a bounded segment.
+// a reply queue per client); ConnectCtx claims a free slot at runtime,
+// performs the connect handshake, and CloseCtx releases the slot for
+// reuse — so a long-running server serves an arbitrary sequence of
+// short-lived clients with a bounded segment.
 
 // Conn is a live client connection with lifecycle management.
 type Conn struct {
@@ -63,20 +63,15 @@ func (s *System) releaseSlot(slot int) {
 	pool.mu.Unlock()
 }
 
-// Connect claims a free client slot, sends the connect handshake, and
-// returns the connection. It fails with ErrNoFreeSlots when every slot
-// is in use (the shared segment is a fixed-size resource, like the
-// paper's mapped regions). It is ConnectCtx under
-// context.Background(), so a failed handshake reports its own error
-// (ErrShutdown, ErrPeerDead).
-func (s *System) Connect() (*Conn, error) { return s.ConnectCtx(context.Background()) }
-
-// ConnectCtx is Connect with a deadline/cancellation on the connect
-// handshake. A slot whose handshake was cancelled mid-flight (the
-// request is enqueued but the reply is still owed) is NOT returned to
-// the free list: a fresh client handle on that slot would misattribute
-// the stale connect reply. The slot is reclaimed only when the system
-// shuts down.
+// ConnectCtx claims a free client slot, sends the connect handshake
+// under ctx, and returns the connection. It fails with ErrNoFreeSlots
+// when every slot is in use (the shared segment is a fixed-size
+// resource, like the paper's mapped regions); a failed handshake
+// reports its own error (ErrShutdown, ErrPeerDead). A slot whose
+// handshake was cancelled mid-flight (the request is enqueued but the
+// reply is still owed) is NOT returned to the free list: a fresh client
+// handle on that slot would misattribute the stale connect reply. The
+// slot is reclaimed only when the system shuts down.
 func (s *System) ConnectCtx(ctx context.Context) (*Conn, error) {
 	slot, err := s.claimSlot()
 	if err != nil {
@@ -103,16 +98,6 @@ func (s *System) ConnectCtx(ctx context.Context) (*Conn, error) {
 	return &Conn{cl: cl, sys: s, slot: slot}, nil
 }
 
-// Send issues a synchronous request on the connection.
-func (c *Conn) Send(m core.Msg) (core.Msg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return core.Msg{}, core.ErrDisconnected
-	}
-	return c.cl.Send(m), nil
-}
-
 // SendCtx issues a synchronous request honouring the context's
 // deadline/cancellation (see core.Client.SendCtx for the error
 // contract).
@@ -125,19 +110,8 @@ func (c *Conn) SendCtx(ctx context.Context, m core.Msg) (core.Msg, error) {
 	return c.cl.SendCtx(ctx, m)
 }
 
-// SendAsync issues an asynchronous request; collect replies with
-// RecvReply.
-func (c *Conn) SendAsync(m core.Msg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return core.ErrDisconnected
-	}
-	c.cl.SendAsync(m)
-	return nil
-}
-
-// SendAsyncCtx is SendAsync with deadline/cancellation support.
+// SendAsyncCtx issues an asynchronous request; collect replies with
+// RecvReplyCtx.
 func (c *Conn) SendAsyncCtx(ctx context.Context, m core.Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,16 +119,6 @@ func (c *Conn) SendAsyncCtx(ctx context.Context, m core.Msg) error {
 		return core.ErrDisconnected
 	}
 	return c.cl.SendAsyncCtx(ctx, m)
-}
-
-// RecvReply collects one reply for a previous SendAsync.
-func (c *Conn) RecvReply() (core.Msg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return core.Msg{}, core.ErrDisconnected
-	}
-	return c.cl.RecvReply(), nil
 }
 
 // RecvReplyCtx collects one reply for a previous SendAsyncCtx.
@@ -170,29 +134,11 @@ func (c *Conn) RecvReplyCtx(ctx context.Context) (core.Msg, error) {
 // Slot returns the reply-channel number this connection occupies.
 func (c *Conn) Slot() int { return c.slot }
 
-// Close sends the disconnect handshake and releases the slot for reuse.
-// Close is idempotent.
-func (c *Conn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.cl.Send(core.Msg{Op: core.OpDisconnect})
-	// Spill any refs the connection's producer port cached from the
-	// receive-queue pool: the slot outlives this connection, and parked
-	// refs would otherwise leak from the pool's flow control.
-	DrainPort(c.cl.Srv)
-	c.sys.releaseSlot(c.slot)
-	return nil
-}
-
-// CloseCtx is Close with a deadline/cancellation on the disconnect
-// handshake. On ErrShutdown the slot is released anyway (the whole
-// system is torn down, so no handshake is owed); on a context error the
-// connection stays open — the disconnect reply is still owed, so the
-// caller may retry CloseCtx (or fall back to Close).
+// CloseCtx sends the disconnect handshake under ctx and releases the
+// slot for reuse; it is idempotent. On ErrShutdown the slot is released
+// anyway (the whole system is torn down, so no handshake is owed); on
+// any other error the connection stays open — the disconnect reply is
+// still owed, so the caller may retry CloseCtx.
 func (c *Conn) CloseCtx(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,6 +149,9 @@ func (c *Conn) CloseCtx(ctx context.Context) error {
 		return err
 	}
 	c.closed = true
+	// Spill any refs the connection's producer port cached from the
+	// receive-queue pool: the slot outlives this connection, and parked
+	// refs would otherwise leak from the pool's flow control.
 	DrainPort(c.cl.Srv)
 	c.sys.releaseSlot(c.slot)
 	return nil

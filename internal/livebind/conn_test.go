@@ -18,11 +18,11 @@ func TestConnectLifecycle(t *testing.T) {
 	done := make(chan int64, 1)
 	go func() { done <- srv.Serve(nil) }()
 
-	c1, err := sys.Connect()
+	c1, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sys.Connect()
+	c2, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,26 +30,26 @@ func TestConnectLifecycle(t *testing.T) {
 		t.Fatal("two connections share a slot")
 	}
 	// All slots in use.
-	if _, err := sys.Connect(); err == nil {
+	if _, err := sys.ConnectCtx(context.Background()); err == nil {
 		t.Fatal("third connection accepted with 2 slots")
 	}
-	ans, err := c1.Send(core.Msg{Op: core.OpEcho, Val: 5})
+	ans, err := c1.SendCtx(context.Background(), core.Msg{Op: core.OpEcho, Val: 5})
 	if err != nil || ans.Val != 5 {
 		t.Fatalf("send: %v %v", ans, err)
 	}
-	if err := c1.Close(); err != nil {
+	if err := c1.CloseCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The slot is reusable.
-	c3, err := sys.Connect()
+	c3, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatalf("reconnect after close: %v", err)
 	}
 	if c3.Slot() != c1.Slot() {
 		t.Fatalf("slot not reused: %d vs %d", c3.Slot(), c1.Slot())
 	}
-	c3.Close()
-	c2.Close()
+	c3.CloseCtx(context.Background())
+	c2.CloseCtx(context.Background())
 	<-done
 }
 
@@ -57,7 +57,7 @@ func TestConnectLifecycle(t *testing.T) {
 // Connect still connects and Close still delivers its disconnect, so
 // the server's Serve returns once the last client is gone.
 func TestHandshakesBypassHighWater(t *testing.T) {
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2}, WithAdmission(Admission{HighWater: 1}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2, Admission: Admission{HighWater: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHandshakesBypassHighWater(t *testing.T) {
 	done := make(chan int64, 1)
 	go func() { done <- sys.Server().Serve(work) }()
 
-	filler, err := sys.Connect()
+	filler, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,14 @@ func TestHandshakesBypassHighWater(t *testing.T) {
 	// then runs, and both requests are served once it is queued too.
 	atHighWater := func(name string, handshake func() error) {
 		t.Helper()
-		filler.SendAsync(core.Msg{Op: core.OpWork})
+		ctx := context.Background()
+		if err := filler.SendAsyncCtx(ctx, core.Msg{Op: core.OpWork}); err != nil {
+			t.Fatal(err)
+		}
 		<-started
-		filler.SendAsync(core.Msg{Op: core.OpWork})
+		if err := filler.SendAsyncCtx(ctx, core.Msg{Op: core.OpWork}); err != nil {
+			t.Fatal(err)
+		}
 		errc := make(chan error, 1)
 		go func() { errc <- handshake() }()
 		for deadline := time.Now().Add(5 * time.Second); depth.Depth() < 2; time.Sleep(time.Millisecond) {
@@ -113,13 +118,15 @@ func TestHandshakesBypassHighWater(t *testing.T) {
 			t.Fatalf("%s at high water: %v", name, err)
 		}
 		for i := 0; i < 2; i++ {
-			filler.RecvReply()
+			if _, err := filler.RecvReplyCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var c *Conn
-	atHighWater("Connect", func() (err error) { c, err = sys.Connect(); return err })
-	atHighWater("Close", c.Close)
-	filler.Close()
+	atHighWater("ConnectCtx", func() (err error) { c, err = sys.ConnectCtx(context.Background()); return err })
+	atHighWater("CloseCtx", func() error { return c.CloseCtx(context.Background()) })
+	filler.CloseCtx(context.Background())
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -134,21 +141,21 @@ func TestConnClosedOps(t *testing.T) {
 	}
 	srv := sys.Server()
 	go srv.Serve(nil)
-	c, err := sys.Connect()
+	c, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	if err := c.Close(); err != nil {
+	c.CloseCtx(context.Background())
+	if err := c.CloseCtx(context.Background()); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
-	if _, err := c.Send(core.Msg{Op: core.OpEcho}); err == nil {
+	if _, err := c.SendCtx(context.Background(), core.Msg{Op: core.OpEcho}); err == nil {
 		t.Fatal("send on closed connection accepted")
 	}
-	if err := c.SendAsync(core.Msg{Op: core.OpEcho}); err == nil {
+	if err := c.SendAsyncCtx(context.Background(), core.Msg{Op: core.OpEcho}); err == nil {
 		t.Fatal("async send on closed connection accepted")
 	}
-	if _, err := c.RecvReply(); err == nil {
+	if _, err := c.RecvReplyCtx(context.Background()); err == nil {
 		t.Fatal("recv on closed connection accepted")
 	}
 }
@@ -166,7 +173,7 @@ func TestConnectChurn(t *testing.T) {
 	done := make(chan int64, 1)
 	go func() { done <- srv.Serve(nil) }()
 
-	anchor, err := sys.Connect()
+	anchor, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,21 +184,21 @@ func TestConnectChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				c, err := sys.Connect()
+				c, err := sys.ConnectCtx(context.Background())
 				if err != nil {
 					continue // transient slot exhaustion is expected
 				}
 				for j := 0; j < 5; j++ {
-					ans, err := c.Send(core.Msg{Op: core.OpEcho, Seq: int32(j)})
+					ans, err := c.SendCtx(context.Background(), core.Msg{Op: core.OpEcho, Seq: int32(j)})
 					if err != nil || ans.Seq != int32(j) {
 						t.Errorf("g%d: bad reply %+v %v", g, ans, err)
 					}
 				}
-				c.Close()
+				c.CloseCtx(context.Background())
 			}
 		}(g)
 	}
 	wg.Wait()
-	anchor.Close()
+	anchor.CloseCtx(context.Background())
 	<-done
 }

@@ -1,6 +1,7 @@
 package livebind
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestDuplexEchoAllAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			served := make(chan int64, 1)
-			go func() { served <- h.ServeConn(nil) }()
+			go func() { n, _ := h.ServeConnCtx(context.Background(), nil); served <- n }()
 			wg.Add(1)
 			go func(i int, cl *core.Client) {
 				defer wg.Done()
@@ -73,7 +74,7 @@ func TestDuplexWorkCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go h.ServeConn(func(m *core.Msg) { m.Val *= 3 })
+	go h.ServeConnCtx(context.Background(), func(m *core.Msg) { m.Val *= 3 })
 	ans := cl.Send(core.Msg{Op: core.OpWork, Val: 7})
 	if ans.Val != 21 {
 		t.Fatalf("work reply = %v, want 21", ans.Val)

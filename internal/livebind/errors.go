@@ -17,18 +17,17 @@ var (
 	// ErrSPSCTopology reports a configuration or handle acquisition that
 	// would break the single-producer/single-consumer guarantee of an
 	// SPSC ring — a second producer on a reply channel, KindSPSC for the
-	// shared receive queue, a worker pool over explicit SPSC replies.
+	// shared receive queue, MPMCReplies on a server group's rings.
 	ErrSPSCTopology = errors.New("livebind: SPSC topology violation")
 
-	// ErrNoFreeSlots reports that Connect found every pre-allocated
+	// ErrNoFreeSlots reports that ConnectCtx found every pre-allocated
 	// client slot in use.
 	ErrNoFreeSlots = errors.New("livebind: all client slots in use")
 
 	// ErrBadTuning reports a contradictory tuning configuration: the
-	// adaptive controller (WithAdaptive / Tuning.Adaptive / Alg BSA)
-	// combined with a hand-set spin budget, a wake throttle, or an
-	// explicit non-BSA protocol. The controller owns those knobs — a
-	// fixed MaxSpin under BSA would be silently ignored, so it is
-	// rejected instead.
+	// adaptive controller (Alg BSA) combined with a hand-set spin budget
+	// or a wake throttle. The controller owns those knobs — a fixed
+	// MaxSpin under BSA would be silently ignored, so it is rejected
+	// instead.
 	ErrBadTuning = errors.New("livebind: contradictory tuning")
 )

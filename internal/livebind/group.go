@@ -86,7 +86,7 @@ func (s *System) buildGroup() error {
 	// Every ring is SPSC with system-enforced topology, exactly like the
 	// scalar SPSC reply default — but here it is structural, not a
 	// default, so the WorkerPool rebuild escape hatch stays off.
-	s.replySPSC, s.replyAuto = true, false
+	s.replySPSC = true
 	s.grp = g
 	return nil
 }

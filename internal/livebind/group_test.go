@@ -44,10 +44,12 @@ func TestGroupRoutesToHomeShard(t *testing.T) {
 	}
 
 	for i, cl := range cls {
-		cl.SendAsync(core.Msg{Op: core.OpEcho})
+		if err := cl.SendAsyncCtx(context.Background(), core.Msg{Op: core.OpEcho}); err != nil {
+			t.Fatal(err)
+		}
 		want[i]++
 	}
-	check("SendAsync")
+	check("SendAsyncCtx")
 
 	// The connect handshake: enqueued, then its wait for the
 	// acknowledgement times out (nobody serves).
@@ -71,7 +73,7 @@ func TestGroupRoutesToHomeShard(t *testing.T) {
 		}
 		want[i] += k
 	}
-	check("SendBatch")
+	check("SendBatchCtx")
 
 	// Nothing serves the queued requests: Shutdown's drain wait ends on
 	// its deadline, then the system closes anyway.
@@ -182,7 +184,9 @@ func TestGroupForeignReplyRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv0.ReplyPayload(1, core.Msg{Op: core.OpEcho}, p)
+	m := core.Msg{Op: core.OpEcho}
+	m.AttachPayload(p)
+	srv0.Reply(1, m)
 	quiet("Reply")
 
 	if err := cl0.SendAsyncCtx(context.Background(), core.Msg{Op: core.OpWork}); err != nil {
@@ -214,7 +218,7 @@ func TestGroupForeignReplyRefused(t *testing.T) {
 	}
 }
 
-// runGroupEcho is the shared harness: shards ServeBatch on their own
+// runGroupEcho is the shared harness: shards ServeBatchCtx on their own
 // goroutines, every client sends `rounds` batches of k echo requests
 // and checks it got back exactly its own sequences, in the order sent
 // (one home shard answers each client through one FIFO ring).
@@ -230,7 +234,8 @@ func runGroupEcho(t *testing.T, sys *System, clients, rounds, k int) (served int
 		wg.Add(1)
 		go func(sv *core.Server) {
 			defer wg.Done()
-			total.Add(sv.ServeBatch(nil, k))
+			served, _ := sv.ServeBatchCtx(context.Background(), nil, k)
+			total.Add(served)
 		}(srv)
 	}
 	var cwg sync.WaitGroup
@@ -248,7 +253,7 @@ func runGroupEcho(t *testing.T, sys *System, clients, rounds, k int) (served int
 				for j := range msgs {
 					msgs[j] = core.Msg{Op: core.OpEcho, Seq: int32(r*k + j)}
 				}
-				out := cl.SendBatch(msgs)
+				out, _ := cl.SendBatchCtx(context.Background(), msgs)
 				if len(out) != k {
 					t.Errorf("client %d round %d: %d replies, want %d", id, r, len(out), k)
 					return
@@ -306,7 +311,7 @@ func TestGroupBatchTokenConservation(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, srv := range srvs {
 		wg.Add(1)
-		go func(sv *core.Server) { defer wg.Done(); sv.ServeBatch(nil, k) }(srv)
+		go func(sv *core.Server) { defer wg.Done(); sv.ServeBatchCtx(context.Background(), nil, k) }(srv)
 	}
 	var cwg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -323,7 +328,7 @@ func TestGroupBatchTokenConservation(t *testing.T) {
 				for j := range msgs {
 					msgs[j] = core.Msg{Op: core.OpEcho, Seq: int32(r*k + j)}
 				}
-				if out := cl.SendBatch(msgs); len(out) != k {
+				if out, _ := cl.SendBatchCtx(context.Background(), msgs); len(out) != k {
 					t.Errorf("client %d: %d replies, want %d", id, len(out), k)
 					return
 				}
@@ -363,7 +368,7 @@ func TestGroupSendBatchCtxCancelStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, srv := range srvs {
 		wg.Add(1)
-		go func(sv *core.Server) { defer wg.Done(); sv.ServeBatch(nil, k) }(srv)
+		go func(sv *core.Server) { defer wg.Done(); sv.ServeBatchCtx(context.Background(), nil, k) }(srv)
 	}
 	var cwg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -421,8 +426,7 @@ func TestGroupSendBatchCtxCancelStress(t *testing.T) {
 // via the sweeper's orphan pass so Shutdown's drain-wait terminates.
 func TestGroupShardKill(t *testing.T) {
 	const clients, shards, k = 2, 2, 4
-	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients},
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystemGroup(shards, Options{Alg: core.BSW, Clients: clients, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +439,7 @@ func TestGroupShardKill(t *testing.T) {
 	// Shard 1 serves normally; shard 0 never runs (its clients park).
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); srvs[1].ServeBatch(nil, k) }()
+	go func() { defer wg.Done(); srvs[1].ServeBatchCtx(context.Background(), nil, k) }()
 
 	cl0, err := sys.Client(0) // home shard 0
 	if err != nil {
@@ -519,9 +523,8 @@ func TestGroupModeGuards(t *testing.T) {
 	if _, err := NewSystemGroup(3, Options{Alg: core.BSW, Clients: 2}); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("3 shards for 2 clients = %v, want ErrBadOption", err)
 	}
-	if _, err := NewSystem(Options{Alg: core.BSW, Clients: 2, Shards: 2},
-		WithReplyKind(queue.KindRing)); !errors.Is(err, ErrSPSCTopology) {
-		t.Fatalf("Shards+ReplyKind = %v, want ErrSPSCTopology", err)
+	if _, err := NewSystem(Options{Alg: core.BSW, Clients: 2, Shards: 2, MPMCReplies: true}); !errors.Is(err, ErrSPSCTopology) {
+		t.Fatalf("Shards+MPMCReplies = %v, want ErrSPSCTopology", err)
 	}
 	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: 2})
 	if err != nil {
@@ -556,7 +559,7 @@ func TestGroupModeGuards(t *testing.T) {
 }
 
 // TestBatchSingleServer: the vectored API is not shard-only — on the
-// scalar topology SendBatch/ServeBatch move k messages per wake over
+// scalar topology SendBatchCtx/ServeBatchCtx move k messages per wake over
 // the shared receive queue, and replies come back in order.
 func TestBatchSingleServer(t *testing.T) {
 	const rounds, k = 6, 16
@@ -566,7 +569,7 @@ func TestBatchSingleServer(t *testing.T) {
 	}
 	srv := sys.Server()
 	done := make(chan int64, 1)
-	go func() { done <- srv.ServeBatch(nil, k) }()
+	go func() { n, _ := srv.ServeBatchCtx(context.Background(), nil, k); done <- n }()
 	cl, err := sys.Client(0)
 	if err != nil {
 		t.Fatal(err)
@@ -576,7 +579,7 @@ func TestBatchSingleServer(t *testing.T) {
 		for j := range msgs {
 			msgs[j] = core.Msg{Op: core.OpEcho, Seq: int32(r*k + j)}
 		}
-		out := cl.SendBatch(msgs)
+		out, _ := cl.SendBatchCtx(context.Background(), msgs)
 		if len(out) != k {
 			t.Fatalf("round %d: %d replies, want %d", r, len(out), k)
 		}
@@ -599,8 +602,8 @@ func TestBatchSingleServer(t *testing.T) {
 // TestBatchOversizedDeadlockFree sends one batch far larger than the
 // request and reply queues combined: progress then requires the client
 // to interleave reply draining with request feeding, which is exactly
-// what SendBatch's full-queue path does. The plain SendBatch naps the
-// flat sleep(1) on a full queue, so the system compresses it to a
+// what SendBatchCtx's full-queue path does. Under context.Background()
+// it naps the flat sleep(1) on a full queue, so the system compresses it to a
 // millisecond: unscaled, a handful of naps took the run past the
 // deadlock bound without any deadlock.
 func TestBatchOversizedDeadlockFree(t *testing.T) {
@@ -610,7 +613,7 @@ func TestBatchOversizedDeadlockFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := sys.Server()
-	go srv.ServeBatch(nil, 8)
+	go srv.ServeBatchCtx(context.Background(), nil, 8)
 	cl, err := sys.Client(0)
 	if err != nil {
 		t.Fatal(err)
@@ -620,7 +623,7 @@ func TestBatchOversizedDeadlockFree(t *testing.T) {
 		msgs[j] = core.Msg{Op: core.OpEcho, Seq: int32(j)}
 	}
 	outc := make(chan []core.Msg, 1)
-	go func() { outc <- cl.SendBatch(msgs) }()
+	go func() { out, _ := cl.SendBatchCtx(context.Background(), msgs); outc <- out }()
 	select {
 	case out := <-outc:
 		if len(out) != k {

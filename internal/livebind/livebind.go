@@ -70,7 +70,7 @@ type Channel struct {
 // exist only inside System, which controls endpoint creation.
 func NewChannel(kind queue.Kind, capacity int) (*Channel, error) {
 	if kind == queue.KindSPSC {
-		return nil, fmt.Errorf("livebind: KindSPSC needs a provably single-producer/single-consumer topology; use Options.ReplyKind (System enforces the topology) or queue.NewSPSC directly")
+		return nil, fmt.Errorf("livebind: KindSPSC needs a provably single-producer/single-consumer topology; System builds SPSC reply channels unless Options.MPMCReplies is set (and enforces their topology), or use queue.NewSPSC directly")
 	}
 	q, err := queue.New(kind, capacity)
 	if err != nil {

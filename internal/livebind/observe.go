@@ -15,8 +15,8 @@ import (
 // Observability surface of a live System: the v2 metrics accessor
 // (counters + per-protocol phase histograms), Prometheus text
 // exposition, expvar publication, and flight-recorder dumps. All of it
-// is nil-safe: a System built without WithObserver/WithHistograms
-// reports counters only and dumps nothing.
+// is nil-safe: a System built without Options.Observer reports counters
+// only and dumps nothing.
 
 // Observer returns the attached observer, or nil.
 func (s *System) Observer() *obs.Observer { return s.obs }

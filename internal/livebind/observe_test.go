@@ -131,6 +131,54 @@ func TestObservedSystemFillsHistograms(t *testing.T) {
 	}
 }
 
+// TestReplyPayloadCtxRecordsPayload: a payload reply sent through
+// Server.ReplyPayloadCtx lands in the observed server's Payload
+// histogram, once.
+func TestReplyPayloadCtxRecordsPayload(t *testing.T) {
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, BlockSlots: 4}, WithHistograms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	srv := sys.Server()
+	cl, err := sys.Client(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SendAsyncCtx(ctx, core.Msg{Op: core.OpEcho}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := srv.ReceiveCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := srv.AllocPayload(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ReplyPayloadCtx(ctx, m.Client, m, p); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.RecvReplyCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := cl.Payload(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.Release(); err != nil {
+		t.Fatal(err)
+	}
+	var payloads uint64
+	for _, s := range sys.Observer().Snapshot() {
+		payloads += s.Payload.Count
+	}
+	if payloads != 1 {
+		t.Fatalf("Payload histogram count = %d, want 1 (the server's ReplyPayloadCtx)", payloads)
+	}
+}
+
 // TestWithHistogramsOption exercises the WithHistograms functional
 // option (histograms only, no recorder) on the spin-only protocol: BSS
 // must never record a sleep phase.

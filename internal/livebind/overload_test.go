@@ -79,8 +79,7 @@ func TestAdmissionValidation(t *testing.T) {
 // high-water mark and a private retry budget; one without hands out
 // neither (the zero-cost default).
 func TestAdmissionPlumbedToClients(t *testing.T) {
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2},
-		WithAdmission(Admission{HighWater: 32, RetryCap: 16}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2, Admission: Admission{HighWater: 32, RetryCap: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

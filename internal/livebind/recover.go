@@ -23,7 +23,7 @@ import (
 // FUTEX_OWNER_DIED analogue), with lease expiry as an opt-in secondary
 // detector for actors that vanish without a report.
 
-// RecoveryOptions configures the sweeper (see WithRecovery).
+// RecoveryOptions configures the sweeper (see Options.Recovery).
 type RecoveryOptions struct {
 	// SweepInterval is the sweeper's polling period (default 200µs).
 	SweepInterval time.Duration
@@ -79,7 +79,7 @@ type chanMeta struct {
 	stuck     int // consecutive sweeps non-empty with a parked consumer
 }
 
-// recovery is the sweeper state hung off a System built WithRecovery.
+// recovery is the sweeper state hung off a System built with Options.Recovery.
 type recovery struct {
 	s    *System
 	opts RecoveryOptions

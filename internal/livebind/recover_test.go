@@ -20,8 +20,7 @@ import (
 // drain back to the pool.
 func TestKillActorDeliversErrPeerDead(t *testing.T) {
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +73,7 @@ func TestKillActorDeliversErrPeerDead(t *testing.T) {
 // the server, the survivor's lease untouched — instead of handing the
 // server a block someone else holds, to be freed a second time.
 func TestStaleRequestCannotClaimRecycledBlock(t *testing.T) {
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2, BlockSlots: 4},
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 2, BlockSlots: 4, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +144,7 @@ func TestStaleRequestCannotClaimRecycledBlock(t *testing.T) {
 // sends on the dead topology must surface ErrPeerDead.
 func TestLeaseExpiryDetectsSilentDeath(t *testing.T) {
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour, Lease: 30 * time.Millisecond}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms, Recovery: &RecoveryOptions{SweepInterval: time.Hour, Lease: 30 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +180,7 @@ func TestLeaseExpiryDetectsSilentDeath(t *testing.T) {
 func TestDroppedWakeupsRescued(t *testing.T) {
 	inj := fault.NewInjector(fault.Plan{Seed: 3, DropWake: 1.0})
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
-		WithFaults(inj),
-		WithRecovery(RecoveryOptions{SweepInterval: 100 * time.Microsecond}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms, Faults: inj, Recovery: &RecoveryOptions{SweepInterval: 100 * time.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +231,7 @@ func TestDroppedWakeupsRescued(t *testing.T) {
 func TestDroppedDrainWakeupRescued(t *testing.T) {
 	inj := fault.NewInjector(fault.Plan{Seed: 3, DropWake: 1.0})
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
-		WithFaults(inj),
-		WithRecovery(RecoveryOptions{SweepInterval: 100 * time.Microsecond}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms, Faults: inj, Recovery: &RecoveryOptions{SweepInterval: 100 * time.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +286,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	plan.Crash[fault.PtDequeueLocked] = 1.0
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms},
-		WithFaults(inj),
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms, Faults: inj, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +370,7 @@ func TestServerCrashReclaimsPendingRef(t *testing.T) {
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
 	// The pending ref is a node of the two-lock queue's pool.
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms},
-		WithFaults(inj),
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, Metrics: ms, Faults: inj, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +437,7 @@ func TestServerCrashReclaimsHeldPayload(t *testing.T) {
 	inj := fault.NewInjector(plan)
 	ms := metrics.NewSet()
 	// The post-unlock crashpoint lies in the two-lock queue's dequeue.
-	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, BlockSlots: 4, Metrics: ms},
-		WithFaults(inj),
-		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, QueueKind: queue.KindTwoLock, BlockSlots: 4, Metrics: ms, Faults: inj, Recovery: &RecoveryOptions{SweepInterval: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,9 @@ import (
 
 // Options configures a live IPC system (one server, n client slots).
 type Options struct {
+	// Alg is the sleep/wake-up protocol. BSA hands the spin budget and
+	// the wake throttle to an online controller per handle (core.Tuner),
+	// so it rejects a hand-set MaxSpin or Throttle with ErrBadTuning.
 	Alg       core.Algorithm
 	MaxSpin   int        // BSLS MAX_SPIN (core.DefaultMaxSpin if zero)
 	Clients   int        // number of client slots (reply queues)
@@ -25,36 +28,19 @@ type Options struct {
 	SpinIters int        // >0: multiprocessor busy_wait flavour
 	Throttle  int        // server wake throttle (0 = unlimited)
 
-	// replyKind selects the queue implementation for the per-client
-	// channels (reply queues, and the client->server queues in Duplex
-	// mode), set via WithReplyKind. nil picks the SPSC fast path: those
-	// channels have exactly one producer (the server, or the
-	// per-connection duplex peer) and one consumer, so the padded
-	// Lamport ring with cached indices applies and the hot path does no
-	// CAS and no cross-core loads. System enforces the topology: handle
-	// constructors fail (or panic, for the error-less Server) on any
-	// acquisition that would attach a second producer to an SPSC
-	// channel, and WorkerPool — whose workers all produce into every
-	// reply queue — transparently falls back to QueueKind (the ring,
-	// unless set) when the SPSC default is in effect (or errors if SPSC
-	// was requested explicitly).
-	// Select an MPMC kind to restore the old shared-queue behaviour.
-	// QueueKind may NOT be KindSPSC: the receive queue is shared by all
-	// clients.
-	//
-	// This was an exported pointer field (Options.ReplyKind) in v1; the
-	// pointer idiom is gone — WithReplyKind is the only way to set it.
-	// See DESIGN.md ("Migration: Options pointers to functional
-	// options").
-	replyKind *queue.Kind
-
-	// Adaptive switches the system to the BSA protocol: every handle
-	// gets an online controller (core.Tuner) that tunes its spin budget
-	// and nap scale from observed feedback, replacing the hand-set
-	// MaxSpin/Throttle knobs. Those knobs conflict with the controller
-	// and are rejected with ErrBadTuning when combined. Prefer
-	// WithAdaptive or WithTuning.
-	Adaptive bool
+	// MPMCReplies builds the per-client channels (reply queues, and the
+	// client->server queues in Duplex mode) as QueueKind queues. false,
+	// the default, builds them as SPSC rings: each has exactly one
+	// producer (the server, or the per-connection duplex peer) and one
+	// consumer, so the padded Lamport ring with cached indices applies
+	// and the hot path does no CAS and no cross-core loads. System
+	// enforces that topology: handle constructors fail (or panic, for
+	// the error-less Server) on any acquisition that would attach a
+	// second producer to an SPSC channel, and WorkerPool — whose workers
+	// all produce into every reply queue — rebuilds the SPSC channels as
+	// QueueKind queues before any handle exists. A server group's reply
+	// rings are SPSC by construction, so Shards rejects MPMCReplies.
+	MPMCReplies bool
 
 	// AllocBatch, when > 1, gives each producer port a private cache of
 	// that many free-pool refs, refilled/spilled in batched operations —
@@ -89,19 +75,18 @@ type Options struct {
 	// histograms (and, if configured with a RecorderCap, a flight
 	// recorder) to every handle the system builds. nil keeps the legacy
 	// fast path: handles carry a zero obs.Hook, whose every method is a
-	// single nil-check. Prefer WithObserver/WithHistograms.
+	// single nil-check.
 	Observer *obs.Observer
 
 	// Faults, when non-nil, threads the injector's per-actor hooks
 	// through every handle the system builds: queue critical sections
 	// gain crashpoints, semaphore Vs may be dropped/duplicated/delayed.
-	// nil keeps the zero hook (one nil-check) on every path. Prefer
-	// WithFaults.
+	// nil keeps the zero hook (one nil-check) on every path. Pair it
+	// with Recovery so the injected faults are survivable.
 	Faults *fault.Injector
 
 	// Recovery, when non-nil, starts the peer-death sweeper (lifetable,
-	// robust-lock reclaim, orphan drain, ErrPeerDead delivery). Prefer
-	// WithRecovery.
+	// robust-lock reclaim, orphan drain, ErrPeerDead delivery).
 	Recovery *RecoveryOptions
 
 	// Shards, when > 0, builds a server group instead of a single
@@ -110,16 +95,15 @@ type Options struct {
 	// reply ring (see group.go). Shards may not exceed Clients, since a
 	// shard without clients would serve nothing. The group topology
 	// replaces the shared receive queue outright, so it composes with
-	// neither Duplex, WorkerPool, Throttle, nor an explicit ReplyKind.
-	// Prefer WithShards/NewSystemGroup.
+	// neither Duplex, WorkerPool, Throttle, nor MPMCReplies.
+	// NewSystemGroup sets it.
 	Shards int
 
 	// Admission configures overload admission control: a request-queue
 	// high-water mark past which client sends fast-reject with
 	// core.ErrOverload and a client retry budget bounding queue-full
 	// retry rounds. The zero value keeps the system fully open — no
-	// depth checks, no budget — at zero cost on the send path. Prefer
-	// WithAdmission.
+	// depth checks, no budget — at zero cost on the send path.
 	Admission Admission
 }
 
@@ -147,124 +131,20 @@ type Admission struct {
 }
 
 // Option is a functional setting applied by NewSystem on top of the
-// Options struct — the v2 idiom for the fields whose zero value is
-// meaningful (so "unset" and "zero" need distinguishing, which the
-// struct forces through pointers).
+// Options struct. Every knob is an Options field; WithHistograms is the
+// one Option left.
 type Option func(*Options)
-
-// WithReplyKind selects the per-client channel queue implementation
-// (the sole way to override the SPSC default since the v1
-// Options.ReplyKind pointer field was removed).
-func WithReplyKind(k queue.Kind) Option {
-	return func(o *Options) { o.replyKind = &k }
-}
-
-// Tuning consolidates the protocol tuning knobs that were previously
-// spread across three scalar options. The zero value means "all
-// defaults"; set Adaptive to hand every knob to the BSA controller
-// instead of choosing numbers:
-//
-//	sys, err := NewSystem(Options{Clients: 4},
-//		WithTuning(Tuning{MaxSpin: 64, SleepScale: time.Millisecond}))
-//	sys, err := NewSystem(Options{Clients: 4}, WithAdaptive())
-//
-// Adaptive conflicts with a hand-set MaxSpin or Throttle (the
-// controller owns both decisions) and with an explicit non-BSA
-// protocol; NewSystem rejects such combinations with ErrBadTuning.
-type Tuning struct {
-	// MaxSpin is the BSLS fixed spin budget (core.DefaultMaxSpin if
-	// zero). Mutually exclusive with Adaptive.
-	MaxSpin int
-
-	// SleepScale compresses the queue-full sleep(1); 0 keeps the
-	// paper's full-second UNIX semantics.
-	SleepScale time.Duration
-
-	// Throttle bounds consecutive server wake-ups (0 = unlimited).
-	// Mutually exclusive with Adaptive — the controller's
-	// oversubscription backoff replaces it.
-	Throttle int
-
-	// Adaptive selects the BSA protocol: per-handle controllers tune
-	// the spin budget and nap scale online.
-	Adaptive bool
-}
-
-// WithTuning applies a consolidated tuning configuration. It overwrites
-// MaxSpin, SleepScale and Throttle (so the struct is the single source
-// of truth for the three knobs) and turns Adaptive on if the struct
-// asks for it.
-func WithTuning(t Tuning) Option {
-	return func(o *Options) {
-		o.MaxSpin = t.MaxSpin
-		o.SleepScale = t.SleepScale
-		o.Throttle = t.Throttle
-		if t.Adaptive {
-			o.Adaptive = true
-		}
-	}
-}
-
-// WithAdaptive selects the BSA protocol: instead of hand-tuning
-// MaxSpin/Throttle, every handle gets an online controller that learns
-// its spin budget from observed arrival lag and backs off under
-// oversubscription. Equivalent to WithTuning(Tuning{Adaptive: true})
-// or setting Options.Alg to core.BSA.
-func WithAdaptive() Option {
-	return func(o *Options) { o.Adaptive = true }
-}
-
-// WithAllocBatch sets the producer-side allocation batch (see
-// Options.AllocBatch).
-func WithAllocBatch(n int) Option {
-	return func(o *Options) { o.AllocBatch = n }
-}
-
-// WithDuplex wires the client->server queues for the thread-per-client
-// architecture (see Options.Duplex).
-func WithDuplex() Option {
-	return func(o *Options) { o.Duplex = true }
-}
-
-// WithObserver attaches an existing observer (see Options.Observer) —
-// use this to share one observer, or one configured with a flight
-// recorder, across systems.
-func WithObserver(ob *obs.Observer) Option {
-	return func(o *Options) { o.Observer = ob }
-}
 
 // WithHistograms attaches a fresh observer with per-protocol phase
 // histograms and no flight recorder — the cheapest always-on
-// configuration.
+// configuration (see Options.Observer).
 func WithHistograms() Option {
 	return func(o *Options) { o.Observer = obs.New(obs.Config{}) }
 }
 
-// WithFaults attaches a fault injector (see Options.Faults). Usually
-// paired with WithRecovery so the injected faults are survivable.
-func WithFaults(inj *fault.Injector) Option {
-	return func(o *Options) { o.Faults = inj }
-}
-
-// WithRecovery starts the peer-death sweeper (see Options.Recovery and
-// RecoveryOptions).
-func WithRecovery(opts RecoveryOptions) Option {
-	return func(o *Options) { o.Recovery = &opts }
-}
-
-// WithShards builds a server group of n shards (see Options.Shards).
-func WithShards(n int) Option {
-	return func(o *Options) { o.Shards = n }
-}
-
-// WithAdmission configures overload admission control (see Admission).
-func WithAdmission(a Admission) Option {
-	return func(o *Options) { o.Admission = a }
-}
-
 // NewSystemGroup builds a sharded system: shards server shards
 // partitioning the clients, client i served by shard i mod shards
-// alone. Equivalent to NewSystem with WithShards(shards) appended.
+// alone. Equivalent to NewSystem with Options.Shards set to shards.
 // shards must be at least 1 — a zero count is rejected rather than
 // silently degrading to an unsharded system (callers wanting that
 // should use NewSystem directly) — and at most opts.Clients.
@@ -272,7 +152,7 @@ func NewSystemGroup(shards int, opts Options, extra ...Option) (*System, error) 
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: NewSystemGroup needs at least 1 shard, got %d", ErrBadOption, shards)
 	}
-	extra = append(append([]Option(nil), extra...), WithShards(shards))
+	opts.Shards = shards
 	return NewSystem(opts, extra...)
 }
 
@@ -303,27 +183,18 @@ func (o *Options) validate() error {
 	if !core.ValidAlgorithm(o.Alg) {
 		return fmt.Errorf("%w: unknown algorithm %d", ErrBadOption, o.Alg)
 	}
-	// Adaptive tuning and BSA imply each other. The zero Alg (BSS) is
-	// treated as "unset" when Adaptive is requested — an explicit
-	// different protocol plus Adaptive is contradictory, as are the
-	// hand-tuned knobs the controller replaces.
+	// BSA's controller owns the spin budget and replaces the wake
+	// throttle, so the hand-set knobs contradict it.
 	if o.Alg == core.BSA {
-		o.Adaptive = true
-	}
-	if o.Adaptive {
-		if o.Alg != core.BSA && o.Alg != core.BSS {
-			return fmt.Errorf("%w: Adaptive selects BSA, but Alg is %v", ErrBadTuning, o.Alg)
-		}
-		o.Alg = core.BSA
 		if o.MaxSpin > 0 {
-			return fmt.Errorf("%w: Adaptive and a fixed MaxSpin (%d) are mutually exclusive — the controller owns the spin budget", ErrBadTuning, o.MaxSpin)
+			return fmt.Errorf("%w: BSA and a fixed MaxSpin (%d) are mutually exclusive — the controller owns the spin budget", ErrBadTuning, o.MaxSpin)
 		}
 		if o.Throttle > 0 {
-			return fmt.Errorf("%w: Adaptive and a wake Throttle (%d) are mutually exclusive — the controller's oversubscription backoff replaces it", ErrBadTuning, o.Throttle)
+			return fmt.Errorf("%w: BSA and a wake Throttle (%d) are mutually exclusive — the controller's oversubscription backoff replaces it", ErrBadTuning, o.Throttle)
 		}
 	}
 	if o.QueueKind == queue.KindSPSC {
-		return fmt.Errorf("%w: QueueKind cannot be KindSPSC: the shared receive queue has one producer per client; use WithReplyKind for the per-client channels", ErrSPSCTopology)
+		return fmt.Errorf("%w: QueueKind cannot be KindSPSC: the shared receive queue has one producer per client; the per-client channels are SPSC rings unless MPMCReplies is set", ErrSPSCTopology)
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("%w: negative Shards %d", ErrBadOption, o.Shards)
@@ -335,8 +206,8 @@ func (o *Options) validate() error {
 		if o.Throttle > 0 {
 			return fmt.Errorf("%w: Throttle applies to the single-server wake path, not a server group", ErrBadOption)
 		}
-		if o.replyKind != nil && *o.replyKind != queue.KindSPSC {
-			return fmt.Errorf("%w: a server group's reply rings are structurally SPSC; ReplyKind cannot override them", ErrSPSCTopology)
+		if o.MPMCReplies {
+			return fmt.Errorf("%w: a server group's reply rings are structurally SPSC; MPMCReplies cannot override them", ErrSPSCTopology)
 		}
 		if o.Shards > o.Clients {
 			return fmt.Errorf("%w: %d shards for %d clients would leave a shard with no clients to serve", ErrBadOption, o.Shards, o.Clients)
@@ -404,17 +275,15 @@ type System struct {
 	// issued. Only consulted while the per-client channels are SPSC.
 	topoMu       sync.Mutex
 	replySPSC    bool   // per-client channels are SPSC rings
-	replyAuto    bool   // SPSC was the default, not an explicit request
 	serverTaken  bool   // Server() issued (produces into every reply queue)
 	duplexTaken  []bool // DuplexPair(i) issued
 	replyHandles bool   // any handle on the per-client channels issued
 }
 
 // NewSystem builds the shared state for one server and opts.Clients
-// clients. Functional options (WithReplyKind, WithAllocBatch, ...) are
-// applied on top of the struct before validation; configuration errors
-// wrap the typed sentinels (ErrBadClients, ErrBadOption,
-// ErrSPSCTopology).
+// clients. Options (WithHistograms) are applied on top of the struct
+// before validation; configuration errors wrap the typed sentinels
+// (ErrBadClients, ErrBadOption, ErrSPSCTopology, ErrBadTuning).
 func NewSystem(opts Options, extra ...Option) (*System, error) {
 	for _, apply := range extra {
 		apply(&opts)
@@ -434,18 +303,12 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 			return nil, err
 		}
 	} else {
-		replyKind := queue.KindSPSC
-		s.replySPSC, s.replyAuto = true, true
-		if opts.replyKind != nil {
-			replyKind = *opts.replyKind
-			s.replySPSC = replyKind == queue.KindSPSC
-			s.replyAuto = false
-		}
+		s.replySPSC = !opts.MPMCReplies
 		newReply := func() (*Channel, error) {
-			if replyKind == queue.KindSPSC {
+			if s.replySPSC {
 				return newSPSCChannel(opts.QueueCap)
 			}
-			return NewChannel(replyKind, opts.QueueCap)
+			return NewChannel(opts.QueueKind, opts.QueueCap)
 		}
 
 		var err error
@@ -716,11 +579,11 @@ func (s *System) DuplexPair(i int) (*core.Client, *core.DuplexHandler, error) {
 	if s.replySPSC {
 		if s.serverTaken {
 			s.topoMu.Unlock()
-			return nil, nil, fmt.Errorf("%w: reply channel %d already has a producer (Server); set WithReplyKind to an MPMC kind to mix modes", ErrSPSCTopology, i)
+			return nil, nil, fmt.Errorf("%w: reply channel %d already has a producer (Server); set Options.MPMCReplies to mix modes", ErrSPSCTopology, i)
 		}
 		if s.duplexTaken[i] {
 			s.topoMu.Unlock()
-			return nil, nil, fmt.Errorf("%w: duplex pair %d already taken; set WithReplyKind to an MPMC kind to share it", ErrSPSCTopology, i)
+			return nil, nil, fmt.Errorf("%w: duplex pair %d already taken; set Options.MPMCReplies to share it", ErrSPSCTopology, i)
 		}
 	}
 	s.duplexTaken[i] = true
@@ -834,7 +697,7 @@ func (s *System) TunerSnapshots() map[string]core.TunerSnapshot {
 }
 
 // registerActor files an actor's channel topology with the recovery
-// sweeper; a no-op when the system was built without WithRecovery.
+// sweeper; a no-op when the system was built without Options.Recovery.
 func (s *System) registerActor(a *Actor, consumes, produces []*Channel, ports ...*Port) {
 	if s.rec != nil {
 		s.rec.register(a, consumes, produces, ports...)
@@ -854,15 +717,10 @@ func (s *System) WorkerPool(n int) ([]*core.PoolWorker, error) {
 		return nil, fmt.Errorf("livebind: worker pool needs >= 1 worker, got %d", n)
 	}
 	// Every worker produces into every reply queue, so SPSC reply rings
-	// are off the table. When SPSC was merely the default, rebuild the
-	// reply queues with the system's MPMC kind before any endpoint
-	// exists; when the caller explicitly asked for SPSC, refuse.
+	// are off the table: rebuild them with the system's QueueKind before
+	// any endpoint exists.
 	s.topoMu.Lock()
 	if s.replySPSC {
-		if !s.replyAuto {
-			s.topoMu.Unlock()
-			return nil, fmt.Errorf("%w: worker pool needs multi-producer reply queues, but ReplyKind is KindSPSC", ErrSPSCTopology)
-		}
 		if s.replyHandles {
 			s.topoMu.Unlock()
 			return nil, fmt.Errorf("%w: worker pool must be built before any client/server/duplex handle (the SPSC reply queues are rebuilt as %s)", ErrSPSCTopology, s.opts.QueueKind)
@@ -949,8 +807,7 @@ func (s *System) PoolClient(i int) (*core.Client, error) {
 // single producer of every reply ring, so it may be built only once and
 // not combined with DuplexPair; violations panic with an error wrapping
 // ErrSPSCTopology (this constructor predates the SPSC default and
-// returns no error). Set WithReplyKind to an MPMC kind to lift the
-// restriction.
+// returns no error). Set Options.MPMCReplies to lift the restriction.
 func (s *System) Server() *core.Server {
 	if s.grp != nil {
 		panic(fmt.Errorf("%w: Server() unavailable on a sharded system; use ShardServer", ErrBadOption))
@@ -959,12 +816,12 @@ func (s *System) Server() *core.Server {
 	if s.replySPSC {
 		if s.serverTaken {
 			s.topoMu.Unlock()
-			panic(fmt.Errorf("%w: Server() taken twice with SPSC reply channels; set WithReplyKind to an MPMC kind", ErrSPSCTopology))
+			panic(fmt.Errorf("%w: Server() taken twice with SPSC reply channels; set Options.MPMCReplies", ErrSPSCTopology))
 		}
 		for i, taken := range s.duplexTaken {
 			if taken {
 				s.topoMu.Unlock()
-				panic(fmt.Errorf("%w: reply channel %d already has a producer (DuplexPair); set WithReplyKind to an MPMC kind", ErrSPSCTopology, i))
+				panic(fmt.Errorf("%w: reply channel %d already has a producer (DuplexPair); set Options.MPMCReplies", ErrSPSCTopology, i))
 			}
 		}
 	}

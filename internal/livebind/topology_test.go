@@ -1,6 +1,7 @@
 package livebind
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,13 +41,15 @@ func TestDefaultReplyKindIsSPSC(t *testing.T) {
 	if k := sys.ReceiveChannel().Kind(); k == queue.KindSPSC {
 		t.Fatal("receive channel must never be SPSC")
 	}
-	// An explicit MPMC reply kind restores the old behaviour.
-	sys2, err := NewSystem(Options{Clients: 1}, WithReplyKind(queue.KindRing))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := sys2.ReplyChannel(0).Kind(); k != queue.KindRing {
-		t.Fatalf("explicit ReplyKind ignored: got %v", k)
+	// MPMCReplies builds the reply channels as QueueKind queues.
+	for _, kind := range []queue.Kind{queue.KindRing, queue.KindTwoLock} {
+		sys2, err := NewSystem(Options{Clients: 1, QueueKind: kind, MPMCReplies: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := sys2.ReplyChannel(0).Kind(); k != kind {
+			t.Fatalf("MPMCReplies over %v: reply channel kind %v", kind, k)
+		}
 	}
 }
 
@@ -65,7 +68,7 @@ func TestServerDoubleTakePanicsUnderSPSC(t *testing.T) {
 }
 
 func TestServerDoubleTakeAllowedWithMPMCReplies(t *testing.T) {
-	sys, err := NewSystem(Options{Clients: 1}, WithReplyKind(queue.KindRing))
+	sys, err := NewSystem(Options{Clients: 1, MPMCReplies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +173,6 @@ func TestDefaultReceiveQueueIsRing(t *testing.T) {
 	}
 }
 
-func TestWorkerPoolExplicitSPSCErrors(t *testing.T) {
-	sys, err := NewSystem(Options{Clients: 1}, WithReplyKind(queue.KindSPSC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.WorkerPool(2); err == nil {
-		t.Fatal("WorkerPool must refuse explicitly-requested SPSC replies")
-	}
-}
-
 func TestWorkerPoolAfterHandleErrors(t *testing.T) {
 	sys, err := NewSystem(Options{Clients: 1})
 	if err != nil {
@@ -277,7 +270,7 @@ func TestConnCloseDrainsCache(t *testing.T) {
 		close(done)
 	}()
 
-	keeper, err := sys.Connect()
+	keeper, err := sys.ConnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,24 +279,24 @@ func TestConnCloseDrainsCache(t *testing.T) {
 	baseline := tl.Pool().FreeCount()
 
 	for round := 0; round < 3; round++ {
-		conn, err := sys.Connect()
+		conn, err := sys.ConnectCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			ans, err := conn.Send(core.Msg{Op: core.OpEcho, Seq: int32(i)})
+			ans, err := conn.SendCtx(context.Background(), core.Msg{Op: core.OpEcho, Seq: int32(i)})
 			if err != nil || ans.Seq != int32(i) {
 				t.Fatalf("round %d send %d: %+v, %v", round, i, ans, err)
 			}
 		}
-		if err := conn.Close(); err != nil {
+		if err := conn.CloseCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if got := tl.Pool().FreeCount(); got != baseline {
 			t.Fatalf("round %d: FreeCount after Close = %d, want %d", round, got, baseline)
 		}
 	}
-	if err := keeper.Close(); err != nil {
+	if err := keeper.CloseCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -40,7 +40,7 @@ func (p Phase) String() string {
 
 // ProtoHists is the per-protocol histogram block: one Histogram per
 // phase, plus the batch-size distribution of the vectored
-// SendBatch/ReceiveBatch paths. All fields are lock-free; the zero
+// SendBatchCtx/ReceiveBatchCtx paths. All fields are lock-free; the zero
 // value is ready for use.
 type ProtoHists struct {
 	RTT       Histogram

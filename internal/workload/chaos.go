@@ -210,12 +210,10 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 	// reply default (no locks, nothing to crash in) is deliberately
 	// overridden.
 	opts := cfg.options(ms)
-	opts.QueueKind = queue.KindTwoLock
-	sys, err := livebind.NewSystem(opts,
-		livebind.WithReplyKind(queue.KindTwoLock),
-		livebind.WithFaults(inj),
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
-	)
+	opts.QueueKind, opts.MPMCReplies = queue.KindTwoLock, true
+	opts.Faults = inj
+	opts.Recovery = &livebind.RecoveryOptions{SweepInterval: chaosSweep}
+	sys, err := livebind.NewSystem(opts)
 	if err != nil {
 		return ChaosResult{}, err
 	}
@@ -384,9 +382,8 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	const batch = 8
 	ms := metrics.NewSet()
 	opts := cfg.options(ms)
-	sys, err := livebind.NewSystemGroup(shards, opts,
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
-	)
+	opts.Recovery = &livebind.RecoveryOptions{SweepInterval: chaosSweep}
+	sys, err := livebind.NewSystemGroup(shards, opts)
 	if err != nil {
 		return ChaosResult{}, err
 	}

@@ -24,12 +24,13 @@ type LiveConfig struct {
 	SpinIters int // >0: multiprocessor busy_wait flavour
 	Throttle  int
 
-	// ReplyKind selects the reply-queue implementation. Unlike the
-	// library default (SPSC), a nil ReplyKind here follows QueueKind, so
-	// experiment sweeps over queue kinds (ablation A2) keep comparing
-	// the same implementation on both legs of the round trip. Point it
-	// at queue.KindSPSC to measure the reply fast path.
-	ReplyKind *queue.Kind
+	// SPSCReplies builds the reply queues as SPSC rings, the library
+	// default, to measure the reply fast path. Unlike the library, the
+	// default here (false) builds them as QueueKind queues
+	// (livebind.Options.MPMCReplies), so experiment sweeps over queue
+	// kinds (ablation A2) keep comparing the same implementation on both
+	// legs of the round trip.
+	SPSCReplies bool
 
 	// AllocBatch enables producer-side allocation batching (see
 	// livebind.Options.AllocBatch).
@@ -49,13 +50,13 @@ type LiveConfig struct {
 	// Shards, when > 0, runs the cell against a server group of that
 	// many shards (livebind.Options.Shards): each client served by its
 	// home shard over its own SPSC request lane and reply ring, through
-	// the vectored SendBatch/ServeBatch paths. QueueKind, ReplyKind and
-	// Throttle do not apply in group mode (the group's rings are
+	// the vectored SendBatchCtx/ServeBatchCtx paths. QueueKind,
+	// SPSCReplies and Throttle do not apply in group mode (the group's rings are
 	// structurally SPSC).
 	Shards int
 
 	// Batch is the vectored transfer size in group mode (messages per
-	// SendBatch / per ServeBatch receive buffer); default 16.
+	// SendBatchCtx / per ServeBatchCtx receive buffer); default 16.
 	Batch int
 }
 
@@ -111,12 +112,9 @@ func RunLive(cfg LiveConfig) (Result, error) {
 		}
 		return runLiveGroup(cfg, sys, ms)
 	}
-	replyKind := cfg.QueueKind
-	if cfg.ReplyKind != nil {
-		replyKind = *cfg.ReplyKind
-	}
 	opts.QueueKind, opts.Throttle = cfg.QueueKind, throttle
-	sys, err := livebind.NewSystem(opts, livebind.WithReplyKind(replyKind))
+	opts.MPMCReplies = !cfg.SPSCReplies
+	sys, err := livebind.NewSystem(opts)
 	if err != nil {
 		return Result{}, err
 	}

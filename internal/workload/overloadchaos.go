@@ -60,12 +60,10 @@ func RunChaosOverloadKill(cfg ChaosConfig) (ChaosResult, error) {
 	// Two-lock queues on both legs (as in RunChaosCell) so every pool is
 	// auditable after teardown.
 	opts := cfg.options(ms)
-	opts.QueueKind = queue.KindTwoLock
-	sys, err := livebind.NewSystem(opts,
-		livebind.WithReplyKind(queue.KindTwoLock),
-		livebind.WithAdmission(livebind.Admission{HighWater: okHighWater, RetryCap: okRetryCap}),
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: chaosSweep}),
-	)
+	opts.QueueKind, opts.MPMCReplies = queue.KindTwoLock, true
+	opts.Admission = livebind.Admission{HighWater: okHighWater, RetryCap: okRetryCap}
+	opts.Recovery = &livebind.RecoveryOptions{SweepInterval: chaosSweep}
+	sys, err := livebind.NewSystem(opts)
 	if err != nil {
 		return ChaosResult{}, err
 	}

@@ -246,7 +246,9 @@ func procEchoPayload(srv *livebind.ProcServer, payCopy bool, m core.Msg) {
 			p = q
 		}
 	}
-	srv.ReplyPayload(m.Client, m, p)
+	if srv.ReplyPayloadCtx(context.Background(), m.Client, m, p) != nil {
+		_ = p.Release()
+	}
 }
 
 func runProcClientRole(ctx context.Context, res *procWorkerResult, seg *shm.Seg, opts livebind.ProcOptions, wire procWireCfg) {
