@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench lint examples cover chaos xproc overload loc
+.PHONY: build test race vet bench lint examples cover chaos xproc overload loc loc-gate
 
 build:
 	$(GO) build ./...
@@ -83,3 +83,15 @@ loc:
 	done; \
 	lq=$$(find internal/livebind internal/queue -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  livebind+queue\n%7d  total\n' $$lq $$total
+
+# Line budget: fails when a count make loc prints exceeds its budget in
+# .github/loc-budget ("<name> <lines>" per line, names as make loc
+# prints them), as the CI lint job does. A change that shrinks the code
+# lowers its budget; no change raises one.
+loc-gate:
+	@$(MAKE) -s --no-print-directory loc | awk ' \
+		NR == FNR { budget[$$1] = $$2; next } \
+		$$2 in budget { seen[$$2] = 1; printf "%7d  %s (budget %d)\n", $$1, $$2, budget[$$2]; \
+			if ($$1 > budget[$$2]) { print "  over budget"; bad = 1 } } \
+		END { for (k in budget) if (!(k in seen)) { print "no count for " k; bad = 1 }; exit bad }' \
+		.github/loc-budget -
