@@ -101,14 +101,20 @@ func (wa *waitArray) recycle(w *waSlot) {
 }
 
 // popLocked removes and returns the oldest live waiter, absorbing holes
-// on the way; nil if no live waiter is parked.
+// on the way; nil if no live waiter is parked. Once the consumed prefix
+// is at least half the ring, the live region slides to the front, so a
+// waiter that never leaves the ring (an idle pool worker) does not make
+// it grow by a slot per grant. A slide copies no more slots than were
+// consumed since the last one: amortised O(1) per pop.
 func (wa *waitArray) popLocked() *waSlot {
 	for wa.head < len(wa.ring) {
 		w := wa.ring[wa.head]
 		wa.ring[wa.head] = nil
 		wa.head++
-		if wa.head == len(wa.ring) {
-			wa.ring = wa.ring[:0]
+		if wa.head*2 >= len(wa.ring) {
+			n := copy(wa.ring, wa.ring[wa.head:])
+			clear(wa.ring[wa.head:]) // [n:head] was nilled as it was consumed
+			wa.ring = wa.ring[:n]
 			wa.head = 0
 		}
 		w.inRing = false

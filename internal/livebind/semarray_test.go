@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ulipc/internal/core"
@@ -204,6 +205,43 @@ func TestWaitArrayCancelStorm(t *testing.T) {
 	}
 	s.V()
 	<-done
+}
+
+// A waiter that stays parked across grants (an idle pool worker beside
+// a busy one) keeps the ring non-empty forever, so the ring must reuse
+// its consumed prefix rather than grow by a slot per grant.
+func TestWaitArrayRingBounded(t *testing.T) {
+	s := NewWaitArraySemaphore(0)
+	const waiters, grants = 2, 2000
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				s.P()
+			}
+		}()
+	}
+	for i := 0; i < grants; i++ {
+		for s.Sleeping() != waiters {
+			runtime.Gosched()
+		}
+		s.V()
+	}
+	for s.Sleeping() != waiters {
+		runtime.Gosched()
+	}
+	s.mu.Lock()
+	n, c := len(s.ring), cap(s.ring)
+	s.mu.Unlock()
+	stop.Store(true)
+	s.Close()
+	wg.Wait()
+	if n > waiters || c > 4*waiters {
+		t.Fatalf("ring len %d, cap %d after %d grants to %d waiters; want len <= %d", n, c, grants, waiters, waiters)
+	}
 }
 
 func TestWaitArrayCloseUnblocks(t *testing.T) {
