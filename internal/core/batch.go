@@ -24,11 +24,12 @@ import (
 
 // SendBatchCtx sends every message in msgs and returns the replies (in
 // arrival order, which under a sharded server is not necessarily send
-// order). One wake-up is issued per enqueue burst, not per message. On
-// an error the replies already collected are returned alongside it;
-// replies still owed for enqueued requests are tracked as lag and
-// drained by the next send on this handle, exactly like a cancelled
-// scalar SendCtx.
+// order), written over msgs: the result is msgs[:n], so the call
+// allocates nothing and the caller refills msgs before the next one.
+// One wake-up is issued per enqueue burst, not per message. On an error
+// the replies already collected are returned alongside it; replies
+// still owed for enqueued requests are tracked as lag and drained by the
+// next send on this handle, exactly like a cancelled scalar SendCtx.
 func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 	if c.disconnected {
 		return nil, ErrDisconnected
@@ -56,7 +57,7 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		c.Obs.Batch(len(msgs))
 	}
 	t0 := c.Obs.Stamp()
-	out := make([]Msg, 0, len(msgs))
+	out := msgs[:0] // replies land only on requests already enqueued
 	sent := 0
 	var bo backoff
 	fail := func(err error) ([]Msg, error) {
@@ -116,10 +117,10 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 	return out, nil
 }
 
-// collect appends to *out, within its capacity and up to sent replies
-// in all, every reply already queued — one vectored dequeue — and
-// reports whether there was any. The blocking receive is left for when
-// nothing is queued.
+// collect appends to *out, up to sent replies in all (over requests
+// already enqueued), every reply already queued — one vectored dequeue
+// — and reports whether there was any. The blocking receive is left
+// for when nothing is queued.
 func (c *Client) collect(out *[]Msg, sent int) bool {
 	o := *out
 	k := c.Rcv.TryDequeueBatch(o[len(o):sent])
@@ -190,12 +191,13 @@ type Reply struct {
 
 // replyRun sends run, consecutive data replies to valid client c, with
 // one vectored enqueue; whatever does not fit goes through the
-// per-message path. It stops at the first reply the queue refuses
-// (shutdown, a dead client) or ctx ends on, and returns how many it
-// delivered with that error. The delivered replies settle c's
-// outstanding-request audit in one step and owe c one wake, which the
-// caller flushes.
+// per-message path. It sends no more replies than c has requests
+// outstanding (the double-reply audit), stops at the first reply the
+// queue refuses (shutdown, a dead client) or ctx ends on, and returns
+// how many it delivered with that error. The delivered replies settle
+// c's audit in one step and owe c one wake, which the caller flushes.
 func (s *Server) replyRun(ctx context.Context, c int32, run []Msg) (n int, err error) {
+	run = run[:min(len(run), int(s.audit.outstanding(c)))]
 	q := s.Replies[c]
 	if !q.Refusing() && ctxErr(ctx) == nil {
 		n = q.TryEnqueueBatch(run)
@@ -250,15 +252,13 @@ func (s *Server) ReplyBatchCtx(ctx context.Context, batch []Reply) error {
 			i++
 			continue
 		}
-		// The run takes as many replies as the client has requests
-		// outstanding; any beyond that fail the audit.
+		// replyRun caps the run at owed; replies beyond fail the audit.
 		run := s.run[:0]
 		for ; i < len(batch) && batch[i].Client == c && !isControl(batch[i].Msg.Op); i++ {
-			if int32(len(run)) < owed {
-				run = append(run, batch[i].Msg)
-			} else if firstErr == nil {
-				firstErr = ErrDoubleReply
-			}
+			run = append(run, batch[i].Msg)
+		}
+		if int32(len(run)) > owed && firstErr == nil {
+			firstErr = ErrDoubleReply
 		}
 		if _, err := s.replyRun(ctx, c, run); err != nil {
 			s.flushWakes()
@@ -377,11 +377,11 @@ func (s *Server) serveBurst(buf []Msg, work func(*Msg), st *serveState) (stop bo
 			for k < len(ms) && ms[k].Client == c && !isControl(ms[k].Op) {
 				k++
 			}
-			// As scalar Reply: a refused reply drops its payload lease.
-			if n, err := s.replyRun(context.Background(), c, ms[:k]); err != nil {
-				for _, m := range ms[n:k] {
-					dropPayload(s.Blocks, s.Owner, m)
-				}
+			// What the run did not deliver (refused, or owed no request:
+			// work re-addressed it) fails Reply too, which drops its lease.
+			n, _ := s.replyRun(context.Background(), c, ms[:k])
+			for _, m := range ms[n:k] {
+				s.Reply(c, m)
 			}
 		}
 		ms = ms[k:]

@@ -102,6 +102,34 @@ func TestServeBatchDropsUnrepliablePayload(t *testing.T) {
 	}
 }
 
+// A work callback that re-addresses a request to another valid client
+// does not get that client a reply it never asked for: the double-reply
+// audit caps each run at what the client is owed, as ReplyBatchCtx does,
+// and the excess is dropped with its payload lease, as scalar ServeCtx
+// drops it through Reply.
+func TestServeBatchReaddressedReplyAudited(t *testing.T) {
+	h := newServerHarness(BSW, 2, 0)
+	store := newFakeStore()
+	h.srv.Blocks, h.srv.Owner = store, 1
+	req, _ := payloadMsg(t, store, 0)
+	req.Op = OpWork
+	for _, m := range []Msg{connectMsg(0), connectMsg(1), req, disconnectMsg(0), disconnectMsg(1)} {
+		h.push(m)
+	}
+	served, err := h.srv.ServeBatchCtx(context.Background(), func(m *Msg) { m.Client = 1 }, 8)
+	if err != nil || served != 1 {
+		t.Fatalf("served %d, %v; want the one work request", served, err)
+	}
+	for _, m := range h.replies[1].msgs {
+		if !isControl(m.Op) {
+			t.Errorf("client 1 got a reply to client 0's request: %+v", m)
+		}
+	}
+	if n := store.outstanding(); n != 0 {
+		t.Errorf("%d payload blocks stranded by the unauditable reply", n)
+	}
+}
+
 // The batch serve loops reply straight out of their receive buffer: one
 // burst interleaving two clients' work requests (0, 0, 1, 0, 1) around a
 // connect is answered with one vectored enqueue per same-client run,

@@ -220,7 +220,7 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 //		go srv.ServeBatchCtx(ctx, nil, 16) // vectored echo loop, batch 16
 //	}
 //	cl, _ := sys.Client(0)
-//	replies, err := cl.SendBatchCtx(ctx, msgs) // k messages per wake
+//	replies, err := cl.SendBatchCtx(ctx, msgs) // k messages per wake; replies overwrite msgs
 func NewSystemGroup(shards int, opts Options, extra ...Option) (*System, error) {
 	return livebind.NewSystemGroup(shards, opts, extra...)
 }
