@@ -1,11 +1,8 @@
 package livebind
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
-	"net/http"
 
 	"ulipc/internal/core"
 	"ulipc/internal/metrics"
@@ -14,8 +11,10 @@ import (
 
 // Observability surface of a live System: the v2 metrics accessor
 // (counters + per-protocol phase histograms), Prometheus text
-// exposition, expvar publication, and flight-recorder dumps. All of it
-// is nil-safe: a System built without Options.Observer reports counters
+// exposition, and flight-recorder dumps. All of it writes to a plain
+// io.Writer or returns plain data, so the library links no network
+// stack; a caller mounts it on HTTP or expvar itself (README,
+// "Observability"). All of it is nil-safe: a System built without Options.Observer reports counters
 // only and dumps nothing.
 
 // Observer returns the attached observer, or nil.
@@ -136,43 +135,6 @@ func (s *System) writeTunerMetrics(w io.Writer) {
 	obs.WritePrometheusCounter(w, "ulipc_tuner_grows", "BSA budget increases", sum.Grows)
 	obs.WritePrometheusCounter(w, "ulipc_tuner_shrinks", "BSA budget decreases tracking shorter arrivals", sum.Shrinks)
 	obs.WritePrometheusCounter(w, "ulipc_tuner_backoffs", "BSA budget halvings by the oversubscription guard", sum.Backoffs)
-}
-
-// MetricsHandler serves the system's Prometheus exposition over HTTP.
-func (s *System) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.WritePrometheus(w)
-	})
-}
-
-// PublishExpvar publishes the system's v2 metrics snapshot under the
-// given expvar name (shown on /debug/vars when net/http/pprof or the
-// expvar handler is mounted). expvar panics on duplicate names, so a
-// name already taken — e.g. by an earlier System in the same process —
-// is reported as an error instead.
-func (s *System) PublishExpvar(name string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("livebind: expvar name %q already published", name)
-		}
-	}()
-	expvar.Publish(name, expvar.Func(func() any {
-		snap := s.MetricsV2()
-		// Round-trip through JSON so expvar renders plain data, not
-		// atomic wrappers (SystemSnapshot is plain already; this guards
-		// future fields).
-		b, err := json.Marshal(snap)
-		if err != nil {
-			return map[string]string{"error": err.Error()}
-		}
-		var v any
-		if err := json.Unmarshal(b, &v); err != nil {
-			return map[string]string{"error": err.Error()}
-		}
-		return v
-	}))
-	return nil
 }
 
 // DumpFlightRecorder writes the observer's flight-recorder contents

@@ -2,10 +2,8 @@ package livebind
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,25 +237,6 @@ func TestUnobservedSystemStaysBare(t *testing.T) {
 	}
 	if strings.Contains(b.String(), "ulipc_rtt_ns") {
 		t.Fatal("bare system prometheus output has histogram series")
-	}
-}
-
-// expvarRun numbers the runs of TestPublishExpvarDuplicate.
-var expvarRun atomic.Int64
-
-func TestPublishExpvarDuplicate(t *testing.T) {
-	sys, err := NewSystem(Options{Alg: core.BSS, Clients: 1}, WithHistograms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The expvar registry is process-global and -count/-cpu rerun the
-	// test in one process, so each run publishes under a fresh name.
-	name := fmt.Sprintf("ulipc_test_dup_%d", expvarRun.Add(1))
-	if err := sys.PublishExpvar(name); err != nil {
-		t.Fatalf("first publish: %v", err)
-	}
-	if err := sys.PublishExpvar(name); err == nil {
-		t.Fatal("duplicate publish did not error")
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 )
 
@@ -119,12 +118,4 @@ func WritePrometheusGauge(w io.Writer, name, help string, value int64, labels ..
 		return
 	}
 	fmt.Fprintf(w, "%s %d\n", name, value)
-}
-
-// Handler serves the observer's Prometheus exposition over HTTP.
-func (o *Observer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.WritePrometheus(w)
-	})
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"fmt"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -183,17 +182,15 @@ func TestCumulativeMonotonic(t *testing.T) {
 	}
 }
 
-func TestHandlerServesExposition(t *testing.T) {
+// The exposition a caller serves (README mounts WritePrometheus on an
+// http.HandlerFunc): one RTT sample shows up as its protocol's count.
+func TestWritePrometheusExposition(t *testing.T) {
 	o := New(Config{})
 	o.Hook(3, -1).RTT(time.Millisecond)
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rec := httptest.NewRecorder()
-	o.Handler().ServeHTTP(rec, req)
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), `ulipc_rtt_ns_count{proto="BSLS"} 1`) {
-		t.Fatalf("body missing BSLS rtt count:\n%s", rec.Body.String())
+	var b strings.Builder
+	o.WritePrometheus(&b)
+	if !strings.Contains(b.String(), `ulipc_rtt_ns_count{proto="BSLS"} 1`) {
+		t.Fatalf("body missing BSLS rtt count:\n%s", b.String())
 	}
 }
 

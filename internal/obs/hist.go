@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the live runtime: lock-free
 // log-bucketed latency histograms that attribute round-trip time to the
 // phase where it is spent (spin vs. sleep vs. queue-wait), a bounded
-// concurrent flight recorder of recent IPC events, and export surfaces
-// (Prometheus text format, expvar-friendly snapshots).
+// concurrent flight recorder of recent IPC events, and a Prometheus
+// text-format writer. Export goes to an io.Writer or out as plain
+// snapshot data; serving it over HTTP or expvar is the caller's.
 //
 // The package is deliberately a leaf: it imports only the standard
 // library, so internal/core and internal/livebind can both hook into it
