@@ -502,20 +502,6 @@ func BenchmarkLiveReplyKind(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveAllocBatch measures producer-side allocation batching on
-// the two-lock receive queue: one Treiber-stack CAS per k messages
-// instead of one per message.
-func BenchmarkLiveAllocBatch(b *testing.B) {
-	for _, batch := range []int{0, 8, 32} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			benchLive(b, workload.LiveConfig{
-				Alg: ulipc.BSW, Clients: 4,
-				QueueKind: ulipc.QueueTwoLock, AllocBatch: batch,
-			})
-		})
-	}
-}
-
 // BenchmarkLivePool measures worker-pool round trips on the live runtime
 // across pool sizes.
 func BenchmarkLivePool(b *testing.B) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ulipc/internal/core"
-	"ulipc/internal/metrics"
 	"ulipc/internal/queue"
 )
 
@@ -103,28 +102,24 @@ func TestCancelRacingWakeup(t *testing.T) {
 }
 
 // TestShutdownUnblocksParkedClients parks BSLS clients waiting for
-// replies that will never come (no server is consuming), with
-// non-empty producer caches from an earlier served phase, then shuts
-// down: every parked waiter must return ErrShutdown well before its
-// own deadline, and the batched caches must spill back to the pool.
+// replies that will never come (no server is consuming), after an
+// earlier served phase, then shuts down: every parked waiter must
+// return ErrShutdown well before its own deadline, and every node of
+// the two-lock receive queue's pool must be accounted for.
 func TestShutdownUnblocksParkedClients(t *testing.T) {
 	const clients = 3
-	ms := metrics.NewSet()
-	// The allocation cache exists only on a two-lock queue's node pool.
+	// A two-lock receive queue, so the node pool is there to audit.
 	sys, err := NewSystem(Options{
 		Alg:        core.BSLS,
 		Clients:    clients,
 		QueueKind:  queue.KindTwoLock,
 		SleepScale: time.Millisecond,
-		AllocBatch: 8,
-		Metrics:    ms,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 1: a served burst, so the batched producer ports hold
-	// cached refs and the system has real traffic behind it.
+	// Phase 1: a served burst, so the system has real traffic behind it.
 	srv := sys.Server()
 	serverDone := make(chan error, 1)
 	go func() {
@@ -198,8 +193,10 @@ func TestShutdownUnblocksParkedClients(t *testing.T) {
 			t.Fatalf("parked SendCtx = %v, want ErrShutdown", err)
 		}
 	}
-	if total := ms.Total(); total.PoolSpills == 0 {
-		t.Fatalf("no cache spills recorded: %+v", total)
+	// Node conservation: every node is free, queued, or the dummy.
+	tl := sys.ReceiveChannel().q.(*queue.TwoLock)
+	if free, queued, size := tl.Pool().FreeCount(), tl.Len(), tl.Pool().Arena().Len(); int(free)+queued+1 != size {
+		t.Fatalf("pool nodes: %d free + %d queued + 1 dummy != %d", free, queued, size)
 	}
 	// Idempotent: a second Shutdown does not re-run teardown; it returns
 	// the first call's result, so the drain-deadline failure stays

@@ -84,14 +84,12 @@ func (s *System) ConnectCtx(ctx context.Context) (*Conn, error) {
 	}
 	ans, err := cl.SendCtx(ctx, core.Msg{Op: core.OpConnect})
 	if err != nil {
-		DrainPort(cl.Srv)
 		if cl.Lag() == 0 || errors.Is(err, core.ErrShutdown) {
 			s.releaseSlot(slot)
 		}
 		return nil, err
 	}
 	if ans.Op != core.OpConnect {
-		DrainPort(cl.Srv)
 		s.releaseSlot(slot)
 		return nil, fmt.Errorf("livebind: bad connect reply %+v", ans)
 	}
@@ -149,10 +147,6 @@ func (c *Conn) CloseCtx(ctx context.Context) error {
 		return err
 	}
 	c.closed = true
-	// Spill any refs the connection's producer port cached from the
-	// receive-queue pool: the slot outlives this connection, and parked
-	// refs would otherwise leak from the pool's flow control.
-	DrainPort(c.cl.Srv)
 	c.sys.releaseSlot(c.slot)
 	return nil
 }

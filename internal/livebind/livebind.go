@@ -24,7 +24,6 @@ import (
 	"ulipc/internal/metrics"
 	"ulipc/internal/obs"
 	"ulipc/internal/queue"
-	"ulipc/internal/shm"
 )
 
 // Channel is one unidirectional shared queue plus its consumer's wake
@@ -136,20 +135,13 @@ func (c *Channel) MarkPeerDead() {
 func (c *Channel) PeerDead() bool { return c.dead.Load() }
 
 // Port is a process's endpoint on a channel; it implements core.Port.
-//
-// A port built by System with Options.AllocBatch > 1 over a queue set
-// to queue.KindTwoLock carries a private shm.PoolCache (the default ring
-// has no node pool, so its ports never cache): TryEnqueue then draws
-// nodes from the cache (refilled from the shared pool in batches)
-// instead of CASing the pool head per message. Such a port must be Closed (or
-// passed to DrainPort) when its owner retires, or the cached refs stay
-// invisible to the pool's flow control.
+// It caches nothing: a two-lock producer allocates each node straight
+// from the channel's shared free pool, so a retiring owner leaves
+// nothing behind to spill.
 type Port struct {
-	c     *Channel
-	ring  *queue.SPSC    // non-nil iff the channel's queue is an SPSC ring
-	tl    *queue.TwoLock // non-nil iff cache is non-nil or fh is enabled
-	cache *shm.PoolCache
-	m     *metrics.Proc // optional: batching statistics
+	c    *Channel
+	ring *queue.SPSC    // non-nil iff the channel's queue is an SPSC ring
+	tl   *queue.TwoLock // non-nil iff fh is enabled on a two-lock queue
 
 	// Fault/recovery identity: owner tags the robust queue locks this
 	// port takes (so the sweeper can reclaim them if the owner dies) and
@@ -164,20 +156,6 @@ type Port struct {
 func NewPort(c *Channel) *Port {
 	p := &Port{c: c, owner: queue.AnonOwner}
 	p.ring, _ = c.q.(*queue.SPSC)
-	return p
-}
-
-// newBatchedPort returns a producer endpoint with a private allocation
-// cache of the given batch size when the channel's queue supports it
-// (two-lock only — the ring and the other kinds have no shared node
-// pool to batch).
-func newBatchedPort(c *Channel, batch int, m *metrics.Proc) *Port {
-	p := NewPort(c)
-	p.m = m
-	if tl, ok := c.q.(*queue.TwoLock); ok && batch > 1 {
-		p.tl = tl
-		p.cache = tl.Pool().NewCache(batch)
-	}
 	return p
 }
 
@@ -199,42 +177,10 @@ func (p *Port) bindActor(a *Actor) *Port {
 
 // TryEnqueue implements core.Port.
 func (p *Port) TryEnqueue(m core.Msg) bool {
-	if p.cache != nil {
-		ref, ok, refilled := p.cache.Alloc()
-		if refilled && p.m != nil {
-			p.m.PoolRefills.Add(1)
-		}
-		if !ok {
-			return false // cache and pool both exhausted: queue full
-		}
-		p.tl.EnqueueRefAs(p.owner, ref, m, p.fh)
-		return true
-	}
 	if p.fh.Enabled() && p.tl != nil {
 		return p.tl.EnqueueAs(p.owner, m, p.fh)
 	}
 	return p.c.q.Enqueue(m)
-}
-
-// Close drains the port's private allocation cache, if any, back to the
-// shared pool. Idempotent; safe on uncached ports.
-func (p *Port) Close() {
-	if p.cache == nil {
-		return
-	}
-	if p.cache.Drain() > 0 && p.m != nil {
-		p.m.PoolSpills.Add(1)
-	}
-}
-
-// DrainPort releases a port's private producer cache (no-op for ports
-// of other bindings or uncached ports). Callers that build clients or
-// servers from a batched System should drain the producer ports when
-// the owning goroutine retires.
-func DrainPort(p core.SendPort) {
-	if lp, ok := p.(*Port); ok {
-		lp.Close()
-	}
 }
 
 // TryEnqueueBatch implements core.Port: vectored over an SPSC ring

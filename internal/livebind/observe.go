@@ -70,8 +70,6 @@ func (s *System) WritePrometheus(w io.Writer) {
 		{"ulipc_orphan_refs", "leaked in-flight refs returned to the pool", t.OrphanRefs},
 		{"ulipc_orphan_blocks", "leaked payload blocks reclaimed from dead owners", t.OrphanBlocks},
 		{"ulipc_wake_rescues", "rescue Vs issued for lost wake-ups", t.WakeRescues},
-		{"ulipc_block_refills", "payload cache batched refills from the arena", t.BlockRefills},
-		{"ulipc_block_spills", "payload cache batched spills back to the arena", t.BlockSpills},
 		{"ulipc_block_fails", "payload allocations denied by class exhaustion", t.BlockFails},
 	} {
 		obs.WritePrometheusCounter(w, c.name, c.help, c.value)

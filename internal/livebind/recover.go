@@ -10,7 +10,6 @@ import (
 	"ulipc/internal/metrics"
 	"ulipc/internal/obs"
 	"ulipc/internal/queue"
-	"ulipc/internal/shm"
 )
 
 // This file is the peer-death detection and self-healing layer: a
@@ -36,11 +35,6 @@ type RecoveryOptions struct {
 	// activity, or as a last-resort hung-actor detector. 0 disables
 	// (deaths are then detected only via ReportCrash/KillActor).
 	Lease time.Duration
-
-	// NoRescue disables the lost-wake rescue heuristic (a channel whose
-	// queue stays non-empty across consecutive sweeps while its consumer
-	// is parked gets a compensating V).
-	NoRescue bool
 }
 
 // lifeSlot is one actor's record in the recovery lifetable.
@@ -60,8 +54,6 @@ type lifeSlot struct {
 	// handle-construction time under recovery.mu.
 	produces []*Channel
 	consumes []*Channel
-	ports    []*Port
-	bcache   *shm.BlockCache // private payload cache (spilled on death)
 
 	// Sweeper-local lease bookkeeping.
 	lastBeat int64
@@ -143,13 +135,12 @@ func newRecovery(s *System, opts RecoveryOptions) *recovery {
 
 // register adds an actor and its channel topology to the lifetable.
 // Called from the handle constructors.
-func (r *recovery) register(a *Actor, consumes, produces []*Channel, ports ...*Port) {
+func (r *recovery) register(a *Actor, consumes, produces []*Channel) {
 	slot := &lifeSlot{
 		id:       a.ID,
 		name:     nameOf(a),
 		consumes: consumes,
 		produces: produces,
-		ports:    ports,
 		lastMove: time.Now(),
 	}
 	a.life = slot
@@ -160,16 +151,6 @@ func (r *recovery) register(a *Actor, consumes, produces []*Channel, ports ...*P
 	}
 	for _, ch := range consumes {
 		r.meta(ch).consumers++
-	}
-	r.mu.Unlock()
-}
-
-// registerBlockCache attaches a handle's private payload cache to its
-// actor's lifetable slot so the sweeper can spill it post-mortem.
-func (r *recovery) registerBlockCache(id int32, c *shm.BlockCache) {
-	r.mu.Lock()
-	if slot := r.slots[id]; slot != nil {
-		slot.bcache = c
 	}
 	r.mu.Unlock()
 }
@@ -304,27 +285,25 @@ func (r *recovery) sweep() {
 	// leave the flag alone.) A spurious rescue is harmless — the
 	// protocols' token accounting absorbs redundant wake-ups — so the
 	// heuristic errs toward liveness.
-	if !r.opts.NoRescue {
-		for _, cm := range r.chans {
-			ch := cm.ch
-			owed := !ch.q.Empty() || ch.awake.Load() && ch.waiters.Load() == 0
-			if ch.closed.Load() || !owed {
-				cm.stuck = 0
-				continue
-			}
-			if ch.sem.Sleeping() == 0 && ch.sem.Waiters() == 0 {
-				cm.stuck = 0
-				continue
-			}
-			cm.stuck++
-			if cm.stuck >= 2 {
-				cm.stuck = 0
-				// Recorded before the V, so a consumer the rescue wakes
-				// already finds it counted.
-				r.m.WakeRescues.Add(1)
-				r.s.obs.Recorder().Note(obs.EvRescue, -1, int64(ch.id))
-				ch.sem.V()
-			}
+	for _, cm := range r.chans {
+		ch := cm.ch
+		owed := !ch.q.Empty() || ch.awake.Load() && ch.waiters.Load() == 0
+		if ch.closed.Load() || !owed {
+			cm.stuck = 0
+			continue
+		}
+		if ch.sem.Sleeping() == 0 && ch.sem.Waiters() == 0 {
+			cm.stuck = 0
+			continue
+		}
+		cm.stuck++
+		if cm.stuck >= 2 {
+			cm.stuck = 0
+			// Recorded before the V, so a consumer the rescue wakes
+			// already finds it counted.
+			r.m.WakeRescues.Add(1)
+			r.s.obs.Recorder().Note(obs.EvRescue, -1, int64(ch.id))
+			ch.sem.V()
 		}
 	}
 }
@@ -394,20 +373,10 @@ func (r *recovery) recoverLocked(slot *lifeSlot) {
 		}
 	}
 
-	// Spill the dead actor's private allocation caches so parked refs
-	// rejoin the pool's flow control.
-	for _, p := range slot.ports {
-		p.Close()
-	}
-
-	// Payload leases: spill the dead actor's private block cache (parked
-	// blocks are free, just invisible), then return every block still
-	// leased under its tag. Claim races with a live receiver adopting an
+	// Payload leases: return every block still leased under the dead
+	// actor's tag. Claim races with a live receiver adopting an
 	// in-flight payload resolve to one winner, so nothing double-frees.
 	if r.s.blocks != nil {
-		if slot.bcache != nil {
-			slot.bcache.Drain()
-		}
 		if n := r.s.blocks.ReclaimOwner(uint32(slot.id)); n > 0 {
 			r.m.OrphanBlocks.Add(int64(n))
 			r.s.obs.Recorder().Note(obs.EvReclaim, slot.id, int64(n))

@@ -24,7 +24,7 @@ type Options struct {
 	MaxSpin   int        // BSLS MAX_SPIN (core.DefaultMaxSpin if zero)
 	Clients   int        // number of client slots (reply queues)
 	QueueCap  int        // per-queue capacity; default 64
-	QueueKind queue.Kind // shared receive queue; zero = MPMC ring, KindTwoLock for crashpoints/AllocBatch
+	QueueKind queue.Kind // shared receive queue; zero = MPMC ring, KindTwoLock for crashpoints/lock reclaim
 	SpinIters int        // >0: multiprocessor busy_wait flavour
 	Throttle  int        // server wake throttle (0 = unlimited)
 
@@ -41,20 +41,6 @@ type Options struct {
 	// QueueKind queues before any handle exists. A server group's reply
 	// rings are SPSC by construction, so Shards rejects MPMCReplies.
 	MPMCReplies bool
-
-	// AllocBatch, when > 1, gives each producer port a private cache of
-	// that many free-pool refs, refilled/spilled in batched operations —
-	// one Treiber-stack CAS per AllocBatch messages instead of one per
-	// message. The node cache applies only to queues set explicitly to
-	// queue.KindTwoLock: the default ring and the other kinds have no
-	// shared node pool, so their ports stay uncached. (The payload
-	// arena's per-handle block cache uses AllocBatch on every kind.)
-	// Trade-off: cached refs are invisible to other producers, so flow
-	// control turns conservative — a queue can report full while up to
-	// (producers-1)*AllocBatch refs sit in caches. 0 disables.
-	// Worker-pool reply ports never batch (w workers x k refs would
-	// strand most of a reply pool).
-	AllocBatch int
 
 	// SleepScale compresses the queue-full sleep(1); 0 keeps the paper's
 	// full-second UNIX semantics.
@@ -168,9 +154,6 @@ func (o *Options) validate() error {
 	if o.MaxSpin < 0 {
 		return fmt.Errorf("%w: negative MaxSpin %d", ErrBadOption, o.MaxSpin)
 	}
-	if o.AllocBatch < 0 {
-		return fmt.Errorf("%w: negative AllocBatch %d", ErrBadOption, o.AllocBatch)
-	}
 	if o.Throttle < 0 {
 		return fmt.Errorf("%w: negative Throttle %d", ErrBadOption, o.Throttle)
 	}
@@ -258,15 +241,12 @@ type System struct {
 	tunMu  sync.Mutex
 	tuners []TunerSample
 
-	// Shutdown bookkeeping: batched producer ports (whose caches must
-	// spill before teardown) and worker-pool coordinators (whose stop
-	// flag must rise before the pool semaphore closes). The once/err
-	// pair is the shutdown latch: the first Shutdown call runs the five
-	// phases inside the Once, so concurrent and later calls block until
-	// that run finishes and then return its stored result.
+	// Shutdown bookkeeping: worker-pool coordinators, whose stop flag
+	// must rise before the pool semaphore closes. The once/err pair is
+	// the shutdown latch: the first Shutdown call runs the five phases
+	// inside the Once, so concurrent and later calls block until that
+	// run finishes and then return its stored result.
 	downMu   sync.Mutex
-	ports    []*Port
-	bcaches  []*shm.BlockCache // per-handle payload caches (spill on teardown)
 	pools    []*core.PoolCoordinator
 	downOnce sync.Once
 	downErr  error
@@ -355,47 +335,22 @@ func NewSystem(opts Options, extra ...Option) (*System, error) {
 func (s *System) Blocks() *shm.BlockPool { return s.blocks }
 
 // blockSource adapts the shared slab arena to one handle's
-// core.BlockStore, folding allocation-batching and backpressure counts
-// into the handle's metrics. With AllocBatch > 1 allocations go through
-// a private per-handle BlockCache (one shared-head CAS per batch); the
-// cache's parked blocks are spilled by Shutdown and by the recovery
-// sweeper when the handle's actor dies. Get, Lease, Gen, ClaimGen and
-// MaxBlock are the pool's own.
+// core.BlockStore, counting an exhausted arena into the handle's
+// metrics. Every allocation goes straight to the pool; Free, Get,
+// Lease, Gen, ClaimGen and MaxBlock are the pool's own.
 type blockSource struct {
 	*shm.BlockPool
-	cache *shm.BlockCache // nil: uncached, straight to the pool
-	m     *metrics.Proc
+	m *metrics.Proc
 }
 
 // Alloc reports an exhausted arena (BlockFails) to the caller's flow
 // control as a failed allocation.
 func (b *blockSource) Alloc(n int) (ref uint32, buf []byte, ok bool) {
-	refilled := false
-	if b.cache == nil {
-		ref, buf, ok = b.BlockPool.Alloc(n)
-	} else {
-		ref, buf, ok, refilled = b.cache.Alloc(n)
-	}
-	if b.m != nil {
-		if refilled {
-			b.m.BlockRefills.Add(1)
-		}
-		if !ok {
-			b.m.BlockFails.Add(1)
-		}
+	ref, buf, ok = b.BlockPool.Alloc(n)
+	if !ok && b.m != nil {
+		b.m.BlockFails.Add(1)
 	}
 	return ref, buf, ok
-}
-
-func (b *blockSource) Free(ref uint32) error {
-	if b.cache == nil {
-		return b.BlockPool.Free(ref)
-	}
-	spilled, err := b.cache.Free(ref)
-	if spilled && b.m != nil {
-		b.m.BlockSpills.Add(1)
-	}
-	return err
 }
 
 // blockStore builds the payload source for a handle owned by actor a,
@@ -405,36 +360,7 @@ func (s *System) blockStore(a *Actor) core.BlockStore {
 	if s.blocks == nil {
 		return nil
 	}
-	bs := &blockSource{BlockPool: s.blocks, m: a.M}
-	if s.opts.AllocBatch > 1 {
-		bs.cache = s.blocks.NewBlockCache(s.opts.AllocBatch)
-		s.downMu.Lock()
-		s.bcaches = append(s.bcaches, bs.cache)
-		s.downMu.Unlock()
-		if s.rec != nil {
-			s.rec.registerBlockCache(a.ID, bs.cache)
-		}
-	}
-	return bs
-}
-
-// producerPort builds an enqueue endpoint for a channel owned by the
-// given actor, attaching a private allocation cache when
-// Options.AllocBatch asks for one and the channel's queue supports it.
-// Batched ports are tracked so Shutdown can spill their caches back to
-// the shared pool. The actor's fault identity (lock ownership,
-// crashpoints) is bound to the port when injection is on.
-func (s *System) producerPort(c *Channel, a *Actor) *Port {
-	if s.opts.AllocBatch > 1 {
-		p := newBatchedPort(c, s.opts.AllocBatch, a.M)
-		if p.cache != nil {
-			s.downMu.Lock()
-			s.ports = append(s.ports, p)
-			s.downMu.Unlock()
-		}
-		return p.bindActor(a)
-	}
-	return NewPort(c).bindActor(a)
+	return &blockSource{BlockPool: s.blocks, m: a.M}
 }
 
 // Shutdown gracefully tears the system down:
@@ -449,10 +375,8 @@ func (s *System) producerPort(c *Channel, a *Actor) *Port {
 //     unblocked — parked waiters are released by the semaphore close —
 //     and the *Ctx paths surface core.ErrShutdown (legacy paths return
 //     the OpShutdown marker message);
-//  5. batched producer caches are spilled back to the shared free pool
-//     so no refs leak from the pool's flow control — and, when a
-//     recovery sweeper is attached, the sweeper is halted after one
-//     final synchronous sweep.
+//  5. when a recovery sweeper is attached, the sweeper is halted after
+//     one final synchronous sweep.
 //
 // Shutdown is idempotent and concurrency-safe: the first call runs the
 // phases; concurrent and later calls wait for that run to finish and
@@ -491,8 +415,6 @@ func (s *System) shutdownPhases(ctx context.Context) error {
 	s.notePhase(3)
 	s.downMu.Lock()
 	pools := append([]*core.PoolCoordinator(nil), s.pools...)
-	ports := append([]*Port(nil), s.ports...)
-	bcaches := append([]*shm.BlockCache(nil), s.bcaches...)
 	s.downMu.Unlock()
 	for _, pc := range pools {
 		pc.Stop()
@@ -516,16 +438,10 @@ func (s *System) shutdownPhases(ctx context.Context) error {
 		ch.CloseDown()
 	}
 
-	// Phase 5: spill batched producer caches, then retire the recovery
-	// sweeper: one final synchronous sweep reclaims anything a crashed
-	// actor still held before the background goroutine exits.
+	// Phase 5: retire the recovery sweeper: one final synchronous sweep
+	// reclaims anything a crashed actor still held before the
+	// background goroutine exits.
 	s.notePhase(5)
-	for _, p := range ports {
-		p.Close()
-	}
-	for _, c := range bcaches {
-		c.Drain()
-	}
 	if s.rec != nil {
 		s.rec.halt()
 		s.rec.sweep()
@@ -591,32 +507,30 @@ func (s *System) DuplexPair(i int) (*core.Client, *core.DuplexHandler, error) {
 	s.topoMu.Unlock()
 
 	ca := s.newActor(fmt.Sprintf("client%d", i))
-	csnd := s.producerPort(s.c2s[i], ca)
 	cl := &core.Client{
 		ID:      int32(i),
 		Alg:     s.opts.Alg,
 		MaxSpin: s.opts.MaxSpin,
 		Tuner:   s.newTuner(fmt.Sprintf("client%d", i), ca),
-		Srv:     csnd,
+		Srv:     NewPort(s.c2s[i]).bindActor(ca),
 		Rcv:     NewPort(s.replies[i]).bindActor(ca),
 		A:       ca,
 		M:       ca.M,
 		Obs:     ca.Obs,
 	}
-	s.registerActor(ca, []*Channel{s.replies[i]}, []*Channel{s.c2s[i]}, csnd)
+	s.registerActor(ca, []*Channel{s.replies[i]}, []*Channel{s.c2s[i]})
 	ha := s.newActor(fmt.Sprintf("server%d", i))
-	hsnd := s.producerPort(s.replies[i], ha)
 	h := &core.DuplexHandler{
 		Alg:     s.opts.Alg,
 		MaxSpin: s.opts.MaxSpin,
 		Tuner:   s.newTuner(fmt.Sprintf("server%d", i), ha),
 		Rcv:     NewPort(s.c2s[i]).bindActor(ha),
-		Snd:     hsnd,
+		Snd:     NewPort(s.replies[i]).bindActor(ha),
 		A:       ha,
 		M:       ha.M,
 		Obs:     ha.Obs,
 	}
-	s.registerActor(ha, []*Channel{s.c2s[i]}, []*Channel{s.replies[i]}, hsnd)
+	s.registerActor(ha, []*Channel{s.c2s[i]}, []*Channel{s.replies[i]})
 	return cl, h, nil
 }
 
@@ -698,9 +612,9 @@ func (s *System) TunerSnapshots() map[string]core.TunerSnapshot {
 
 // registerActor files an actor's channel topology with the recovery
 // sweeper; a no-op when the system was built without Options.Recovery.
-func (s *System) registerActor(a *Actor, consumes, produces []*Channel, ports ...*Port) {
+func (s *System) registerActor(a *Actor, consumes, produces []*Channel) {
 	if s.rec != nil {
-		s.rec.register(a, consumes, produces, ports...)
+		s.rec.register(a, consumes, produces)
 	}
 }
 
@@ -746,12 +660,10 @@ func (s *System) WorkerPool(n int) ([]*core.PoolWorker, error) {
 	for w := 0; w < n; w++ {
 		a := s.newActor(fmt.Sprintf("server%d", w))
 		replies := make([]core.Port, len(s.replies))
-		replyPorts := make([]*Port, len(s.replies))
 		for i, ch := range s.replies {
-			replyPorts[i] = NewPort(ch).bindActor(a)
-			replies[i] = replyPorts[i]
+			replies[i] = NewPort(ch).bindActor(a)
 		}
-		s.registerActor(a, []*Channel{s.recv}, s.replies, replyPorts...)
+		s.registerActor(a, []*Channel{s.recv}, s.replies)
 		workers[w] = &core.PoolWorker{
 			Alg:     s.opts.Alg,
 			MaxSpin: s.opts.MaxSpin,
@@ -831,12 +743,10 @@ func (s *System) Server() *core.Server {
 
 	a := s.newActor("server")
 	replies := make([]core.Port, len(s.replies))
-	replyPorts := make([]*Port, len(s.replies))
 	for i, ch := range s.replies {
-		replyPorts[i] = s.producerPort(ch, a)
-		replies[i] = replyPorts[i]
+		replies[i] = NewPort(ch).bindActor(a)
 	}
-	s.registerActor(a, []*Channel{s.recv}, s.replies, replyPorts...)
+	s.registerActor(a, []*Channel{s.recv}, s.replies)
 	return &core.Server{
 		Alg:      s.opts.Alg,
 		MaxSpin:  s.opts.MaxSpin,
@@ -867,14 +777,13 @@ func (s *System) Client(i int) (*core.Client, error) {
 	s.replyHandles = true
 	s.topoMu.Unlock()
 	a := s.newActor(fmt.Sprintf("client%d", i))
-	srv := s.producerPort(s.recv, a)
-	s.registerActor(a, []*Channel{s.replies[i]}, []*Channel{s.recv}, srv)
+	s.registerActor(a, []*Channel{s.replies[i]}, []*Channel{s.recv})
 	return &core.Client{
 		ID:        int32(i),
 		Alg:       s.opts.Alg,
 		MaxSpin:   s.opts.MaxSpin,
 		Tuner:     s.newTuner(fmt.Sprintf("client%d", i), a),
-		Srv:       srv,
+		Srv:       NewPort(s.recv).bindActor(a),
 		Rcv:       NewPort(s.replies[i]).bindActor(a),
 		A:         a,
 		M:         a.M,

@@ -1,12 +1,10 @@
 package livebind
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"ulipc/internal/core"
 	"ulipc/internal/queue"
 )
 
@@ -194,113 +192,5 @@ func TestPoolClientBeforeWorkerPoolErrors(t *testing.T) {
 	_, err = sys.PoolClient(0)
 	if err == nil || !strings.Contains(err.Error(), "WorkerPool") {
 		t.Fatalf("PoolClient before WorkerPool: got %v, want an error pointing at WorkerPool", err)
-	}
-}
-
-// TestBatchedPortDrainRestoresPool drives a batched producer port at
-// the port level (no protocol loops) and checks the full alloc
-// lifecycle: a refill takes a batch from the receive-queue pool,
-// consumption returns nodes one by one, and DrainPort returns the
-// parked remainder — FreeCount, the protocols' queue-full signal, ends
-// exactly where it started.
-func TestBatchedPortDrainRestoresPool(t *testing.T) {
-	const batch = 8
-	sys, err := NewSystem(Options{Clients: 1, QueueKind: queue.KindTwoLock, AllocBatch: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl, ok := sys.ReceiveChannel().Queue().(*queue.TwoLock)
-	if !ok {
-		t.Fatal("receive queue is not two-lock")
-	}
-	full := tl.Pool().FreeCount()
-
-	cl, err := sys.Client(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if !cl.Srv.TryEnqueue(core.Msg{Seq: int32(i)}) {
-			t.Fatalf("enqueue %d failed", i)
-		}
-	}
-	if got := tl.Pool().FreeCount(); got != full-batch {
-		t.Fatalf("FreeCount after 5 batched enqueues = %d, want %d (one refill of %d)", got, full-batch, batch)
-	}
-	rcv := NewPort(sys.ReceiveChannel())
-	for i := 0; i < 5; i++ {
-		m, ok := rcv.TryDequeue()
-		if !ok || m.Seq != int32(i) {
-			t.Fatalf("dequeue %d: %+v, %v", i, m, ok)
-		}
-	}
-	DrainPort(cl.Srv)
-	if got := tl.Pool().FreeCount(); got != full {
-		t.Fatalf("FreeCount after drain = %d, want %d (cached refs leaked)", got, full)
-	}
-	if s, ok := sys.Metrics().Find("client0"); !ok || s.PoolRefills < 1 {
-		t.Fatalf("client0 PoolRefills = %+v, want >= 1", s.PoolRefills)
-	}
-}
-
-// TestConnCloseDrainsCache is the dynamic-connection flavour: Connect /
-// Conn.Close must not leak cached refs even though the slot (and its
-// queues) outlive the connection. A keeper connection pins the server's
-// Serve loop (it returns when the connected count hits zero) while
-// short-lived connections cycle on the other slot.
-func TestConnCloseDrainsCache(t *testing.T) {
-	const batch = 4
-	sys, err := NewSystem(Options{
-		Alg:        core.BSW,
-		Clients:    2,
-		QueueKind:  queue.KindTwoLock,
-		AllocBatch: batch,
-		SleepScale: 1, // nanosecond-scale queue-full naps
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := sys.ReceiveChannel().Queue().(*queue.TwoLock)
-	full := tl.Pool().FreeCount()
-
-	srv := sys.Server()
-	done := make(chan struct{})
-	go func() {
-		srv.Serve(nil)
-		close(done)
-	}()
-
-	keeper, err := sys.ConnectCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The keeper's port cache holds refs of its own; everything after
-	// must restore the pool to this baseline.
-	baseline := tl.Pool().FreeCount()
-
-	for round := 0; round < 3; round++ {
-		conn, err := sys.ConnectCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			ans, err := conn.SendCtx(context.Background(), core.Msg{Op: core.OpEcho, Seq: int32(i)})
-			if err != nil || ans.Seq != int32(i) {
-				t.Fatalf("round %d send %d: %+v, %v", round, i, ans, err)
-			}
-		}
-		if err := conn.CloseCtx(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if got := tl.Pool().FreeCount(); got != baseline {
-			t.Fatalf("round %d: FreeCount after Close = %d, want %d", round, got, baseline)
-		}
-	}
-	if err := keeper.CloseCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if got := tl.Pool().FreeCount(); got != full {
-		t.Fatalf("FreeCount after all connections closed = %d, want %d", got, full)
 	}
 }

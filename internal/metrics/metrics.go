@@ -32,19 +32,15 @@ type Proc struct {
 	MsgsSent     atomic.Int64
 	MsgsReceived atomic.Int64
 
-	// Allocation-batching statistics: batched transfers between a
-	// producer port's private ref cache and the shared free pool
-	// (livebind Options.AllocBatch). Refills/MsgsSent approximates 1/k
-	// when batching is effective.
-	PoolRefills atomic.Int64 // batched refill fetches from the pool
-	PoolSpills  atomic.Int64 // batched returns of cached refs
+	// PoolRefills is written by no live path (every producer allocates
+	// straight from the shared node pool). It stays because the
+	// benchmark driver reads it for its per-layer
+	// shm.pool_refills_per_msg row.
+	PoolRefills atomic.Int64
 
-	// Payload-arena statistics: batched block-cache transfers (the slab
-	// analogue of PoolRefills/PoolSpills) and allocation backpressure
-	// (class-exhaustion fall-throughs surfaced to callers).
-	BlockRefills atomic.Int64 // batched block refills from the slab arena
-	BlockSpills  atomic.Int64 // batched block returns to the slab arena
-	BlockFails   atomic.Int64 // payload allocations refused (all classes empty)
+	// BlockFails is allocation backpressure on the payload arena:
+	// payload allocations refused because every size class was empty.
+	BlockFails atomic.Int64
 
 	// BSLS spin-loop statistics (Section 4.2): how often the poll loop
 	// fell through to the blocking path, and total iterations executed.
@@ -120,9 +116,6 @@ type Snapshot struct {
 	MsgsSent      int64
 	MsgsReceived  int64
 	PoolRefills   int64
-	PoolSpills    int64
-	BlockRefills  int64
-	BlockSpills   int64
 	BlockFails    int64
 	SpinLoops     int64
 	SpinIters     int64
@@ -161,9 +154,6 @@ func (p *Proc) Snapshot() Snapshot {
 		MsgsSent:      p.MsgsSent.Load(),
 		MsgsReceived:  p.MsgsReceived.Load(),
 		PoolRefills:   p.PoolRefills.Load(),
-		PoolSpills:    p.PoolSpills.Load(),
-		BlockRefills:  p.BlockRefills.Load(),
-		BlockSpills:   p.BlockSpills.Load(),
 		BlockFails:    p.BlockFails.Load(),
 		SpinLoops:     p.SpinLoops.Load(),
 		SpinIters:     p.SpinIters.Load(),
@@ -201,9 +191,6 @@ func (s *Snapshot) Add(other Snapshot) {
 	s.MsgsSent += other.MsgsSent
 	s.MsgsReceived += other.MsgsReceived
 	s.PoolRefills += other.PoolRefills
-	s.PoolSpills += other.PoolSpills
-	s.BlockRefills += other.BlockRefills
-	s.BlockSpills += other.BlockSpills
 	s.BlockFails += other.BlockFails
 	s.SpinLoops += other.SpinLoops
 	s.SpinIters += other.SpinIters

@@ -32,10 +32,6 @@ type LiveConfig struct {
 	// legs of the round trip.
 	SPSCReplies bool
 
-	// AllocBatch enables producer-side allocation batching (see
-	// livebind.Options.AllocBatch).
-	AllocBatch int
-
 	// SleepScale compresses the queue-full sleep(1) so tests and benches
 	// don't stall for wall-clock seconds; defaults to 1ms per "second".
 	SleepScale time.Duration
@@ -100,7 +96,6 @@ func RunLive(cfg LiveConfig) (Result, error) {
 		MaxSpin:    maxSpin,
 		Clients:    cfg.Clients,
 		QueueCap:   cfg.QueueCap,
-		AllocBatch: cfg.AllocBatch,
 		SpinIters:  cfg.SpinIters,
 		SleepScale: cfg.SleepScale,
 		Metrics:    ms,
@@ -160,7 +155,6 @@ func (c *cell) echoClients(cfg LiveConfig, client func(int) (*core.Client, error
 		wg.Add(1)
 		go func(i int, cl *core.Client) {
 			defer wg.Done()
-			defer livebind.DrainPort(cl.Srv)
 			// Each client derives its own child context: cancellation
 			// still fans out from the root, but the per-message Err()
 			// polls hit a per-client mutex instead of contending on one

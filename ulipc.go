@@ -238,8 +238,8 @@ type QueueKind = queue.Kind
 // Queue implementations: a bounded MPMC ring (the default), the paper's
 // two-lock Michael & Scott queue, the lock-free M&S queue, and a
 // Lamport SPSC ring. QueueTwoLock is the queue of the paper's figures
-// and the one fault injection's queue crashpoints and
-// Options.AllocBatch's node cache act on. QueueSPSC is not a valid Options.QueueKind: the
+// and the one fault injection's queue crashpoints and robust-lock
+// reclaim act on. QueueSPSC is not a valid Options.QueueKind: the
 // system builds the per-client reply channels as SPSC rings by default
 // (Options.MPMCReplies switches them to QueueKind), because those are
 // the one place it can prove the single-producer/single-consumer

@@ -47,7 +47,7 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatalf("reply kind = %v, want %v", k, ulipc.QueueRing)
 	}
 	sys, err := ulipc.NewSystem(ulipc.Options{Alg: ulipc.BSLS, Clients: 2,
-		MaxSpin: 7, SleepScale: time.Millisecond, AllocBatch: 4}, ulipc.WithHistograms())
+		MaxSpin: 7, SleepScale: time.Millisecond}, ulipc.WithHistograms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatal("WithHistograms attached no observer")
 	}
 	// An option does not bypass validation of the struct it rides on.
-	if _, err := ulipc.NewSystem(ulipc.Options{Alg: ulipc.BSW, Clients: 1, AllocBatch: -1},
+	if _, err := ulipc.NewSystem(ulipc.Options{Alg: ulipc.BSW, Clients: 1, MaxSpin: -1},
 		ulipc.WithHistograms()); !errors.Is(err, ulipc.ErrBadOption) {
 		t.Fatalf("invalid field value = %v, want ErrBadOption", err)
 	}
