@@ -119,7 +119,6 @@ var apiTypes = map[string]reflect.Type{
 	"ProcClient":      reflect.TypeFor[ulipc.ProcClient](),
 	"ProcOptions":     reflect.TypeFor[ulipc.ProcOptions](),
 	"ProcServer":      reflect.TypeFor[ulipc.ProcServer](),
-	"ProcStats":       reflect.TypeFor[ulipc.ProcStats](),
 	"ProcSystem":      reflect.TypeFor[ulipc.ProcSystem](),
 	"QueueKind":       reflect.TypeFor[ulipc.QueueKind](),
 	"Reply":           reflect.TypeFor[ulipc.Reply](),

@@ -45,7 +45,7 @@ func (c *Client) SendBatchCtx(ctx context.Context, msgs []Msg) ([]Msg, error) {
 		if err != nil {
 			return nil, err
 		}
-		dropPayload(c.Blocks, c.Owner, stale) // as in SendCtx
+		DropPayload(c.Blocks, c.Owner, stale) // as in SendCtx
 		c.lag--
 	}
 	if err := c.admit(OpEcho); err != nil { // a batch is admitted as data
@@ -343,7 +343,7 @@ func (s *Server) serveBurst(buf []Msg, work func(*Msg), st *serveState) (stop bo
 	for i := range buf {
 		m := &buf[i]
 		if !s.ValidClient(m.Client) {
-			dropPayload(s.Blocks, s.Owner, *m)
+			DropPayload(s.Blocks, s.Owner, *m)
 			continue
 		}
 		switch m.Op {

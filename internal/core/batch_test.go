@@ -222,7 +222,7 @@ func TestReplyBatchRuns(t *testing.T) {
 	if n := store.outstanding(); n != 1 {
 		t.Errorf("%d blocks outstanding after the refused reply, want its 1", n)
 	}
-	dropPayload(store, h.srv.Owner, stray) // the server still holds the lease
+	DropPayload(store, h.srv.Owner, stray) // the server still holds the lease
 	if n := store.outstanding(); n != 0 {
 		t.Errorf("%d blocks outstanding after the server dropped the stray reply", n)
 	}

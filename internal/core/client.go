@@ -119,7 +119,7 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 		if err != nil {
 			return Msg{}, false, err
 		}
-		dropPayload(c.Blocks, c.Owner, stale)
+		DropPayload(c.Blocks, c.Owner, stale)
 		c.lag--
 	}
 	if err := c.admit(m.Op); err != nil {

@@ -216,7 +216,7 @@ func (s *Server) shed(m Msg) bool {
 	if !ok || p.now() < dl {
 		return false
 	}
-	dropPayload(s.Blocks, s.Owner, m)
+	DropPayload(s.Blocks, s.Owner, m)
 	if s.M != nil {
 		s.M.Sheds.Add(1)
 	}

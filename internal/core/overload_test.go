@@ -108,7 +108,7 @@ type closablePort struct {
 func (p *closablePort) Refusing() bool { return p.refusing }
 func (p *closablePort) Closed() bool   { return p.closed }
 
-// ---- dropPayload conservation on every Reply drop path ----
+// ---- DropPayload conservation on every Reply drop path ----
 
 // Reply to an out-of-range client number must claim-free the payload:
 // the message is dropped, so the lease would otherwise be stranded on a
@@ -202,28 +202,28 @@ func TestReplyDeliveredKeepsPayloadLease(t *testing.T) {
 	}
 }
 
-// dropPayload itself: claim-then-free exactly once, no-ops on messages
+// DropPayload itself: claim-then-free exactly once, no-ops on messages
 // without a block and on already-reclaimed (sweeper-won) blocks.
 func TestDropPayloadIdempotent(t *testing.T) {
 	store := newFakeStore()
 	m, _ := payloadMsg(t, store, 0)
-	dropPayload(store, 1, m)
+	DropPayload(store, 1, m)
 	if n := store.outstanding(); n != 0 {
 		t.Fatalf("outstanding = %d after drop, want 0", n)
 	}
 	// Second drop of the same message: Claim fails (no lease), no
 	// double free.
-	dropPayload(store, 1, m)
+	DropPayload(store, 1, m)
 	if store.frees != 1 {
 		t.Errorf("frees = %d, want 1 (double free)", store.frees)
 	}
 	// No block: untouched store.
-	dropPayload(store, 1, Msg{Op: OpEcho})
+	DropPayload(store, 1, Msg{Op: OpEcho})
 	if store.frees != 1 || store.allocs != 1 {
 		t.Errorf("no-block drop touched the store: %+v", store)
 	}
 	// Nil store: must not panic.
-	dropPayload(nil, 1, m)
+	DropPayload(nil, 1, m)
 }
 
 // ---- Server.shed ----

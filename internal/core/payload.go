@@ -164,18 +164,18 @@ func resolvePayload(store BlockStore, owner uint32, m Msg) (Payload, error) {
 	return Payload{store: store, ref: ref, gen: gen, buf: buf, n: n}, nil
 }
 
-// dropPayload claim-frees a payload whose message was discarded (a
-// stale reply drained after cancellation, a drained orphan). The claim
-// makes it race-free against the sweeper: tag already cleared → someone
-// else returned it.
-func dropPayload(store BlockStore, owner uint32, m Msg) {
+// DropPayload claim-frees a discarded message's payload (a stale or
+// refused reply, an orphan a recovery sweeper drained) and reports
+// whether it freed the block; the claim loses to any earlier reclaimer.
+func DropPayload(store BlockStore, owner uint32, m Msg) bool {
 	if store == nil || !m.HasBlock() {
-		return
+		return false
 	}
 	ref, _ := m.Block()
-	if store.ClaimGen(ref, m.BlockGen(), owner) {
-		_ = store.Free(ref)
+	if !store.ClaimGen(ref, m.BlockGen(), owner) {
+		return false
 	}
+	return store.Free(ref) == nil
 }
 
 // ---- Client surface ----

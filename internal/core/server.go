@@ -173,7 +173,7 @@ func (s *Server) ValidClient(client int32) bool {
 // sweeper walks.
 func (s *Server) Reply(client int32, m Msg) {
 	if s.ReplyCtx(context.Background(), client, m) != nil {
-		dropPayload(s.Blocks, s.Owner, m)
+		DropPayload(s.Blocks, s.Owner, m)
 	}
 }
 
@@ -283,7 +283,7 @@ func (s *Server) ServeCtx(ctx context.Context, work func(*Msg)) (served int64, e
 			// Hostile/corrupted request: no usable reply channel. Any
 			// payload lease it carries is returned (Claim rejects refs
 			// that don't decode, so a corrupted Ref is just dropped).
-			dropPayload(s.Blocks, s.Owner, m)
+			DropPayload(s.Blocks, s.Owner, m)
 			continue
 		}
 		switch m.Op {

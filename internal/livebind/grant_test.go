@@ -37,7 +37,7 @@ func TestGrantRunsWaiterBeforeReturning(t *testing.T) {
 		first := 0
 		for i := 0; i < trials; i++ {
 			s := NewSemaphore(0)
-			a := &Actor{sems: []*Semaphore{s}}
+			a := &Actor{sems: []actorSem{s}}
 			var ran atomic.Bool
 			done := parkOne(s, &ran)
 			if grant {
@@ -68,7 +68,7 @@ func TestGrantDropsWakeLikeV(t *testing.T) {
 		inj := fault.NewInjector(fault.Plan{Seed: 3, DropWake: 1.0})
 		s := NewSemaphore(0)
 		pm := &metrics.Proc{}
-		a := &Actor{sems: []*Semaphore{s}, FH: inj.Hook(1), M: pm}
+		a := &Actor{sems: []actorSem{s}, FH: inj.Hook(1), M: pm}
 		var ran atomic.Bool
 		done := parkOne(s, &ran)
 		if grant {

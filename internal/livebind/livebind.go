@@ -237,14 +237,33 @@ func (p *Port) Closed() bool { return p.c.closed.Load() }
 // PeerDead implements core.Port.
 func (p *Port) PeerDead() bool { return p.c.dead.Load() }
 
-// Actor implements core.Actor over the Go runtime. Each participant
+// actorSem is one entry of an Actor's semaphore table: *Semaphore in
+// process, *ProcSem across processes. Each reports whether its P
+// actually parked and whether its V woke a sleeper.
+type actorSem interface {
+	P() (slept bool)
+	PCtx(ctx context.Context) (slept bool, err error)
+	V() (woke bool)
+}
+
+// Actor implements core.Actor over either transport. Each participant
 // (client or server goroutine) owns one Actor; the sems table maps
-// core.SemID to the process-wide semaphores.
+// core.SemID to the system's semaphores — the in-process Semaphores
+// (System.newActor) or a segment's futex ProcSems
+// (ProcSystem.newActor).
 type Actor struct {
-	sems []*Semaphore
+	sems []actorSem
+
+	// proc marks an actor over a segment's futex table. Its yield is
+	// sched_yield, since the peer that should run lives in another
+	// process, and its Grant is a plain V, since a futex wake cannot
+	// run the woken process on this CPU. Its fault hook, lifetable
+	// beat and Tun stay zero: the segment's death doctrine is the
+	// lifetable sweeper's (DESIGN.md §12).
+	proc bool
 
 	// SpinIters, when positive, makes BusyWait/PollDelay a bounded spin
-	// (multiprocessor flavour); otherwise they are runtime.Gosched
+	// (multiprocessor flavour); otherwise they yield the CPU
 	// (uniprocessor flavour).
 	SpinIters int
 
@@ -266,7 +285,7 @@ type Actor struct {
 
 	// ID is the actor's recovery identity: robust queue locks taken
 	// through this actor's ports are tagged with it, and crash reports
-	// name it. Assigned by System.newActor; queue.AnonOwner otherwise.
+	// name it. Assigned by System.newActor; unused while FH is zero.
 	ID int32
 
 	// FH is the actor's fault-injection hook (zero when injection is
@@ -290,12 +309,22 @@ func (a *Actor) beat() {
 	}
 }
 
+// yieldCPU gives up the processor: runtime.Gosched in process,
+// sched_yield across processes.
+func (a *Actor) yieldCPU() {
+	if a.proc {
+		osYield()
+		return
+	}
+	runtime.Gosched()
+}
+
 // Yield implements core.Actor.
 func (a *Actor) Yield() {
 	if a.M != nil {
 		a.M.Yields.Add(1)
 	}
-	runtime.Gosched()
+	a.yieldCPU()
 }
 
 // BusyWait implements core.Actor.
@@ -304,7 +333,7 @@ func (a *Actor) BusyWait() {
 		a.spin(a.SpinIters)
 		return
 	}
-	runtime.Gosched()
+	a.yieldCPU()
 }
 
 // PollDelay implements core.Actor.
@@ -348,9 +377,10 @@ func (a *Actor) V(id core.SemID) { a.v(id) }
 // Section 6. On the synchronous send's request wake the server then
 // finds the client's awake flag still set, replies without a V and
 // parks, and the client's first dequeue finds the reply: one park and
-// one wake per round trip instead of two.
+// one wake per round trip instead of two. Across processes Grant is a
+// plain V: there is nothing on this CPU to hand off to.
 func (a *Actor) Grant(id core.SemID) {
-	if a.v(id) {
+	if a.v(id) && !a.proc {
 		runtime.Gosched()
 	}
 }

@@ -236,10 +236,10 @@ func TestUnobservedSystemStaysBare(t *testing.T) {
 	}
 }
 
-// TestObservedSleepAttribution pins the sleep phase on both actor
-// kinds and both verbs: a P that finds a token records no sleep and no
-// EvBlock; one that parks records exactly one of each, with a positive
-// duration.
+// TestObservedSleepAttribution pins the sleep phase on the one Actor
+// over both semaphore backends and both verbs: a P that finds a token
+// records no sleep and no EvBlock; one that parks records exactly one
+// of each, with a positive duration.
 func TestObservedSleepAttribution(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -247,12 +247,12 @@ func TestObservedSleepAttribution(t *testing.T) {
 	}{
 		{"Actor", func(t *testing.T, h obs.Hook) (core.Actor, func() bool) {
 			s := NewSemaphore(0)
-			return &Actor{sems: []*Semaphore{s}, Obs: h},
+			return &Actor{sems: []actorSem{s}, Obs: h},
 				func() bool { return int64(s.Waiters())+s.Sleeping() == 1 }
 		}},
-		{"ProcActor", func(t *testing.T, h obs.Hook) (core.Actor, func() bool) {
+		{"ProcSem", func(t *testing.T, h obs.Hook) (core.Actor, func() bool) {
 			s := newTestSem(t)
-			return &ProcActor{sems: []*ProcSem{s}, Obs: h},
+			return &Actor{sems: []actorSem{s}, proc: true, Obs: h},
 				func() bool { return s.Waiters() == 1 }
 		}},
 	}

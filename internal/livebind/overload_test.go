@@ -55,23 +55,12 @@ func TestAdmissionValidation(t *testing.T) {
 	}{
 		{"negative high water", func(o *Options) { o.Admission.HighWater = -1 }},
 		{"negative retry cap", func(o *Options) { o.Admission.RetryCap = -1 }},
-		{"negative retry refill", func(o *Options) { o.Admission.RetryRefill = -0.5 }},
 	} {
 		o := base()
 		tc.mut(&o)
 		if _, err := NewSystem(o); !errors.Is(err, ErrBadOption) {
 			t.Errorf("%s: err = %v, want ErrBadOption", tc.name, err)
 		}
-	}
-
-	// Defaults: a retry cap implies a refill.
-	o := base()
-	o.Admission = Admission{HighWater: 32, RetryCap: 16}
-	if err := o.validate(); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	if o.Admission.RetryRefill != 0.1 {
-		t.Errorf("RetryRefill defaulted to %g, want 0.1", o.Admission.RetryRefill)
 	}
 }
 

@@ -1,11 +1,9 @@
 package livebind
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ulipc/internal/core"
@@ -74,6 +72,9 @@ type ProcOptions struct {
 	// deaths by hand).
 	NoSweep bool
 
+	// M, when non-nil, receives the actor's counters and the sweeper's
+	// recovery counters (PeerDeaths, WakeRescues, OrphanMsgs,
+	// OrphanBlocks), the same block the in-process sweeper fills.
 	M   *metrics.Proc
 	Obs obs.Hook
 }
@@ -90,16 +91,6 @@ func (o *ProcOptions) defaults() {
 	}
 }
 
-// ProcStats is a snapshot of a participant's recovery counters.
-type ProcStats struct {
-	PeerDeaths   int64 // slots this participant's sweeper declared dead
-	WakeRescues  int64 // compensating Vs issued for dead producers
-	OrphanMsgs   int64 // refs drained from dead consumers' lanes
-	OrphanBlocks int64 // payload blocks reclaimed from dead peers' leases
-	Epoch        uint32
-	DeadSlot     int32 // first slot declared dead segment-wide (-1 none)
-}
-
 // ProcSystem is one process's attachment to a shared segment: its
 // lifetable slot, its heartbeat/sweeper runner, and the semaphore table
 // its actors index.
@@ -113,11 +104,6 @@ type ProcSystem struct {
 	stop      chan struct{}
 	done      sync.WaitGroup
 	closeOnce sync.Once
-
-	peerDeaths   atomic.Int64
-	wakeRescues  atomic.Int64
-	orphanMsgs   atomic.Int64
-	orphanBlocks atomic.Int64
 
 	// Sweeper-local lease tracking: last observed beat per slot and
 	// when it was observed. Only the runner goroutine touches these.
@@ -219,8 +205,14 @@ func (s *ProcSystem) sweep(now time.Time) {
 // onPeerDeath executes the recovery for a slot this sweeper won the
 // Live→Dead CAS on. Everything it writes is segment state, so exactly
 // one process performs the recovery and every process observes it.
+// The recovery counters go to ProcOptions.M; the segment-wide Epoch
+// and DeadSlot stay readable from View().Hdr.
 func (s *ProcSystem) onPeerDeath(slot int) {
-	s.peerDeaths.Add(1)
+	m := s.opts.M
+	if m == nil {
+		m = new(metrics.Proc) // nobody reads the counts; recover anyway
+	}
+	m.PeerDeaths.Add(1)
 	s.v.Hdr.Epoch.Add(1)
 	s.v.Hdr.DeadSlot.CompareAndSwap(-1, int32(slot))
 	if slot == ServerSlot {
@@ -246,47 +238,29 @@ func (s *ProcSystem) onPeerDeath(slot int) {
 		if !ok {
 			break
 		}
-		m := s.v.Arena().Node(r).Msg()
+		msg := s.v.Arena().Node(r).Msg()
 		s.v.Pool.Free(r)
-		s.orphanMsgs.Add(1)
+		m.OrphanMsgs.Add(1)
 		// A drained reply may carry a payload lease that now has no
-		// receiver: claim-free it (the claim keeps it race-free against
-		// any other reclaimer — tag already cleared means it was freed).
-		s.reclaimMsgBlock(m)
+		// receiver: claim-free it.
+		if s.v.Blocks != nil && core.DropPayload(s.v.Blocks, uint32(s.self), msg) {
+			m.OrphanBlocks.Add(1)
+		}
 	}
 	// Return whatever the dead client still held leased (blocks it had
 	// allocated but not yet sent, or reply payloads it had claimed).
 	if s.v.Blocks != nil {
-		if n := s.v.Blocks.ReclaimOwner(uint32(slot)); n > 0 {
-			s.orphanBlocks.Add(int64(n))
-			if s.opts.M != nil {
-				s.opts.M.OrphanBlocks.Add(int64(n))
-			}
-		}
+		m.OrphanBlocks.Add(int64(s.v.Blocks.ReclaimOwner(uint32(slot))))
 	}
 	// The client may have died between enqueueing a request and issuing
 	// its wake-up V — a permanently lost wake. One compensating V keeps
 	// the server's token accounting conservative: at worst it is a
-	// spurious wake-up, which the awake-flag protocol absorbs.
+	// spurious wake-up, which the awake-flag protocol absorbs. Counted
+	// before the V, so a server the rescue wakes already finds it
+	// counted.
+	m.WakeRescues.Add(1)
 	if s.sems[ServerSlot].V() {
 		s.opts.Obs.Note(obs.EvWake, int64(ServerSlot))
-	}
-	s.wakeRescues.Add(1)
-}
-
-// reclaimMsgBlock claim-frees the payload of a message drained during
-// recovery (its receiver is dead, so nobody else will resolve it).
-func (s *ProcSystem) reclaimMsgBlock(m core.Msg) {
-	if s.v.Blocks == nil || !m.HasBlock() {
-		return
-	}
-	ref, _ := m.Block()
-	if s.v.Blocks.ClaimGen(ref, m.BlockGen(), uint32(s.self)) {
-		_ = s.v.Blocks.Free(ref)
-		s.orphanBlocks.Add(1)
-		if s.opts.M != nil {
-			s.opts.M.OrphanBlocks.Add(1)
-		}
 	}
 }
 
@@ -308,18 +282,6 @@ func (s *ProcSystem) Close() {
 	})
 }
 
-// Stats snapshots the recovery counters.
-func (s *ProcSystem) Stats() ProcStats {
-	return ProcStats{
-		PeerDeaths:   s.peerDeaths.Load(),
-		WakeRescues:  s.wakeRescues.Load(),
-		OrphanMsgs:   s.orphanMsgs.Load(),
-		OrphanBlocks: s.orphanBlocks.Load(),
-		Epoch:        s.v.Hdr.Epoch.Load(),
-		DeadSlot:     s.v.Hdr.DeadSlot.Load(),
-	}
-}
-
 // View exposes the segment view (post-mortem audits, tests).
 func (s *ProcSystem) View() *shm.SegView { return s.v }
 
@@ -327,10 +289,16 @@ func (s *ProcSystem) View() *shm.SegView { return s.v }
 // death observed by any sweeper).
 func (s *ProcSystem) SegDead() bool { return s.v.Hdr.State.Load() == shm.SegDead }
 
-// newActor builds this participant's actor over the semaphore table.
-func (s *ProcSystem) newActor() *ProcActor {
-	return &ProcActor{
-		sems:       s.sems,
+// newActor builds this participant's actor over the futex semaphore
+// table.
+func (s *ProcSystem) newActor() *Actor {
+	sems := make([]actorSem, len(s.sems))
+	for i, sem := range s.sems {
+		sems[i] = sem
+	}
+	return &Actor{
+		sems:       sems,
+		proc:       true,
 		SpinIters:  s.opts.SpinIters,
 		SleepScale: s.opts.SleepScale,
 		M:          s.opts.M,
@@ -450,144 +418,7 @@ func (p *procPort) PeerDead() bool {
 	return p.v.Hdr.State.Load() == shm.SegDead || p.peerDead()
 }
 
-// ProcActor implements core.Actor over the futex
-// semaphore table. It is Actor with the process-local pieces swapped
-// out: ProcSem for Semaphore, sched_yield for runtime.Gosched.
-type ProcActor struct {
-	sems       []*ProcSem
-	SpinIters  int
-	SleepScale time.Duration
-	M          *metrics.Proc
-	Obs        obs.Hook
-	spinSink   int64
-}
-
-// Yield implements core.Actor with a real sched_yield: the peer that
-// should run lives in another process.
-func (a *ProcActor) Yield() {
-	if a.M != nil {
-		a.M.Yields.Add(1)
-	}
-	osYield()
-}
-
-// BusyWait implements core.Actor.
-func (a *ProcActor) BusyWait() {
-	if a.SpinIters > 0 {
-		a.spin(a.SpinIters)
-		return
-	}
-	osYield()
-}
-
-// PollDelay implements core.Actor.
-func (a *ProcActor) PollDelay() { a.BusyWait() }
-
-// P implements core.Actor; block accounting mirrors Actor.P.
-func (a *ProcActor) P(id core.SemID) {
-	if a.M != nil {
-		a.M.SemP.Add(1)
-	}
-	t0 := a.Obs.Stamp()
-	if a.sems[id].P() {
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.Obs.Slept(t0)
-	}
-}
-
-// V implements core.Actor.
-func (a *ProcActor) V(id core.SemID) {
-	if a.M != nil {
-		a.M.SemV.Add(1)
-	}
-	if a.sems[id].V() {
-		if a.M != nil {
-			a.M.Wakeups.Add(1)
-		}
-		a.Obs.Note(obs.EvWake, int64(id))
-	}
-}
-
-// Grant implements core.Actor as V: a futex wake cannot run the woken
-// process on this CPU, so there is nothing to hand off.
-func (a *ProcActor) Grant(id core.SemID) { a.V(id) }
-
-// Handoff implements core.Actor: no cross-process hand-off primitive
-// exists, so the hint degrades to sched_yield — which at least gives
-// the scheduler the chance to run the peer process.
-func (a *ProcActor) Handoff(target int) { a.Yield() }
-
-// PCtx implements core.Actor.
-func (a *ProcActor) PCtx(ctx context.Context, id core.SemID) error {
-	if a.M != nil {
-		a.M.SemP.Add(1)
-	}
-	t0 := a.Obs.Stamp()
-	slept, err := a.sems[id].PCtx(ctx)
-	if slept {
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.Obs.Slept(t0)
-	}
-	a.countCtxErr(err)
-	return err
-}
-
-// SleepCtx implements core.Actor.
-func (a *ProcActor) SleepCtx(ctx context.Context, s int) error {
-	if a.M != nil {
-		a.M.Sleeps.Add(1)
-	}
-	d := time.Duration(s) * time.Second
-	if a.SleepScale > 0 {
-		d = time.Duration(s) * a.SleepScale
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		a.countCtxErr(ctx.Err())
-		return ctx.Err()
-	}
-}
-
-// countCtxErr mirrors Actor.countCtxErr.
-func (a *ProcActor) countCtxErr(err error) {
-	if err == nil {
-		return
-	}
-	switch err {
-	case context.DeadlineExceeded:
-		if a.M != nil {
-			a.M.Timeouts.Add(1)
-		}
-		a.Obs.Note(obs.EvTimeout, 0)
-	case context.Canceled:
-		if a.M != nil {
-			a.M.Cancels.Add(1)
-		}
-		a.Obs.Note(obs.EvCancel, 0)
-	}
-}
-
-//go:noinline
-func (a *ProcActor) spin(n int) {
-	acc := a.spinSink
-	for i := 0; i < n; i++ {
-		acc += int64(i)
-	}
-	a.spinSink = acc
-}
-
-var (
-	_ core.Port  = (*procPort)(nil)
-	_ core.Actor = (*ProcActor)(nil)
-)
+var _ core.Port = (*procPort)(nil)
 
 // ProcServer is a core.Server attached to a segment, plus its
 // participant state. Close detaches (and shuts the segment down).

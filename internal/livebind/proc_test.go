@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ulipc/internal/core"
+	"ulipc/internal/metrics"
 	"ulipc/internal/shm"
 )
 
@@ -128,6 +129,7 @@ func TestProcServerDeathUnblocksClient(t *testing.T) {
 
 			opts := testProcOptions(alg)
 			opts.Lease = 30 * time.Millisecond
+			opts.M = &metrics.Proc{}
 			cl, err := AttachProcClient(seg, 0, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -148,9 +150,9 @@ func TestProcServerDeathUnblocksClient(t *testing.T) {
 			if !cl.Sys.SegDead() {
 				t.Fatal("segment not marked dead after server death")
 			}
-			st := cl.Sys.Stats()
-			if st.PeerDeaths != 1 || st.DeadSlot != ServerSlot {
-				t.Fatalf("stats %+v, want one death at slot %d", st, ServerSlot)
+			deaths, dead := opts.M.PeerDeaths.Load(), cl.Sys.View().Hdr.DeadSlot.Load()
+			if deaths != 1 || dead != ServerSlot {
+				t.Fatalf("%d peer deaths, dead slot %d; want one death at slot %d", deaths, dead, ServerSlot)
 			}
 		})
 	}
@@ -170,6 +172,8 @@ func TestProcClientDeathRescue(t *testing.T) {
 	opts := testProcOptions(core.BSW)
 	opts.Lease = 30 * time.Millisecond
 	opts.WaitSlice = 10 * time.Second // isolate the compensating-V path
+	opts.M = &metrics.Proc{}
+	m := opts.M
 	srv, err := AttachProcServer(seg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +200,7 @@ func TestProcClientDeathRescue(t *testing.T) {
 	v.ReplyLane(0).TryPush(r2)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sys.Stats().PeerDeaths == 0 {
+	for m.PeerDeaths.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("sweeper never declared the stalled client dead")
 		}
@@ -211,12 +215,11 @@ func TestProcClientDeathRescue(t *testing.T) {
 			t.Fatalf("ServeCtx exited early with %d", n)
 		default:
 		}
-		st := srv.Sys.Stats()
-		if st.WakeRescues == 1 && st.OrphanMsgs == 1 {
+		if m.WakeRescues.Load() == 1 && m.OrphanMsgs.Load() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stats %+v, want WakeRescues=1 OrphanMsgs=1", st)
+			t.Fatalf("WakeRescues=%d OrphanMsgs=%d, want 1 and 1", m.WakeRescues.Load(), m.OrphanMsgs.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

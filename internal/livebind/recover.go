@@ -316,12 +316,7 @@ const sweepOwner = ^uint32(0) - 1
 // receiver is dead, so nobody else will resolve it). A failed claim
 // means another reclaimer got there first — not an error.
 func (r *recovery) reclaimMsgBlock(m core.Msg) {
-	if !m.HasBlock() {
-		return
-	}
-	ref, _ := m.Block()
-	if r.s.blocks.ClaimGen(ref, m.BlockGen(), sweepOwner) {
-		_ = r.s.blocks.Free(ref)
+	if core.DropPayload(r.s.blocks, sweepOwner, m) {
 		r.m.OrphanBlocks.Add(1)
 	}
 }

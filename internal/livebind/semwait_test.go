@@ -346,7 +346,7 @@ func BenchmarkSemaphoreHandoff(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ping, pong := NewSemaphore(0), NewSemaphore(0)
-			a := &Actor{sems: []*Semaphore{ping}}
+			a := &Actor{sems: []actorSem{ping}}
 			done := make(chan struct{})
 			go func() {
 				for i := 0; i < b.N; i++ {

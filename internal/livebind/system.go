@@ -106,15 +106,15 @@ type Admission struct {
 
 	// RetryCap, when > 0, bounds queue-full retry rounds with a token
 	// bucket of that capacity per client handle: each backoff nap
-	// spends a token, each successful enqueue earns RetryRefill back,
-	// and a dry bucket turns the retry into core.ErrOverload. The
-	// handshakes spend no tokens. Zero keeps the unbounded retry.
+	// spends a token, each successful enqueue earns retryRefill back
+	// (ten successes buy one retry), and a dry bucket turns the retry
+	// into core.ErrOverload. The handshakes spend no tokens. Zero
+	// keeps the unbounded retry.
 	RetryCap float64
-
-	// RetryRefill is the budget earned back per successful send;
-	// defaults to 0.1 when RetryCap > 0 (ten successes buy one retry).
-	RetryRefill float64
 }
+
+// retryRefill is the retry budget a successful send earns back.
+const retryRefill = 0.1
 
 // Option is a functional setting applied by NewSystem on top of the
 // Options struct. Every knob is an Options field; WithHistograms is the
@@ -202,12 +202,6 @@ func (o *Options) validate() error {
 	if o.Admission.RetryCap < 0 {
 		return fmt.Errorf("%w: negative Admission.RetryCap %g", ErrBadOption, o.Admission.RetryCap)
 	}
-	if o.Admission.RetryRefill < 0 {
-		return fmt.Errorf("%w: negative Admission.RetryRefill %g", ErrBadOption, o.Admission.RetryRefill)
-	}
-	if o.Admission.RetryCap > 0 && o.Admission.RetryRefill == 0 {
-		o.Admission.RetryRefill = 0.1
-	}
 	if o.QueueCap == 0 {
 		o.QueueCap = 64
 	}
@@ -223,7 +217,7 @@ type System struct {
 	grp     *group   // sharded topology; nil unless Options.Shards > 0
 	replies []*Channel
 	c2s     []*Channel // per-client request channels (Duplex only)
-	sems    []*Semaphore
+	sems    []actorSem
 	blocks  *shm.BlockPool
 	ms      *metrics.Set
 	obs     *obs.Observer // nil unless Options.Observer was set
@@ -803,5 +797,5 @@ func (s *System) retryBudget() *core.RetryBudget {
 	if s.opts.Admission.RetryCap <= 0 {
 		return nil
 	}
-	return &core.RetryBudget{Cap: s.opts.Admission.RetryCap, Refill: s.opts.Admission.RetryRefill}
+	return &core.RetryBudget{Cap: s.opts.Admission.RetryCap, Refill: retryRefill}
 }

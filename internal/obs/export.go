@@ -98,24 +98,3 @@ func WritePrometheusCounter(w io.Writer, name, help string, value int64) {
 	fmt.Fprintf(w, "# TYPE %s counter\n", name)
 	fmt.Fprintf(w, "%s %d\n", name, value)
 }
-
-// WritePrometheusGauge emits one gauge family with optional label
-// pairs (name1, value1, name2, value2, ...). Helper for callers
-// exporting point-in-time values — the BSA spin-budget gauge, for
-// example — alongside the histogram/counter exposition.
-func WritePrometheusGauge(w io.Writer, name, help string, value int64, labels ...string) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-	if len(labels) >= 2 {
-		fmt.Fprintf(w, "%s{", name)
-		for i := 0; i+1 < len(labels); i += 2 {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintf(w, "%s=%q", labels[i], labels[i+1])
-		}
-		fmt.Fprintf(w, "} %d\n", value)
-		return
-	}
-	fmt.Fprintf(w, "%s %d\n", name, value)
-}

@@ -58,9 +58,8 @@ func NewTwoLock(capacity int) (*TwoLock, error) {
 // Cap implements Queue.
 func (q *TwoLock) Cap() int { return q.capacity }
 
-// Pool exposes the backing node pool. Producers that batch their
-// allocations (shm.PoolCache) draw from it and hand the node to
-// EnqueueRef.
+// Pool exposes the backing node pool (diagnostics and the node
+// conservation checks in tests).
 func (q *TwoLock) Pool() *shm.Pool { return q.pool }
 
 // Enqueue implements Queue.
@@ -72,28 +71,15 @@ func (q *TwoLock) Enqueue(m core.Msg) bool {
 // accounting and a fault hook whose crashpoints may kill the caller
 // mid-critical-section. The critical section deliberately has no
 // deferred unlock: an injected crash must leave the lock held so
-// RecoverDead has something real to reclaim.
+// RecoverDead has something real to reclaim. The pending-ref window
+// (allocated, not yet reachable from the queue) is registered with the
+// hook so a crash inside it leaves a reclaimable orphan rather than a
+// leaked node.
 func (q *TwoLock) EnqueueAs(owner int32, m core.Msg, fh fault.Hook) bool {
 	node, ok := q.pool.Alloc()
 	if !ok {
 		return false // pool exhausted: queue full
 	}
-	q.EnqueueRefAs(owner, node, m, fh)
-	return true
-}
-
-// EnqueueRef appends a node the caller already allocated from Pool()
-// (directly or through a shm.PoolCache). The caller transfers ownership
-// of the ref to the queue.
-func (q *TwoLock) EnqueueRef(node shm.Ref, m core.Msg) {
-	q.EnqueueRefAs(AnonOwner, node, m, fault.Hook{})
-}
-
-// EnqueueRefAs is EnqueueRef with owner identity and fault hook. The
-// pending-ref window (allocated, not yet reachable from the queue) is
-// registered with the hook so a crash inside it leaves a reclaimable
-// orphan rather than a leaked node.
-func (q *TwoLock) EnqueueRefAs(owner int32, node shm.Ref, m core.Msg, fh fault.Hook) {
 	fh.SetPending(q.pool, node)
 	fh.Crashpoint(fault.PtAfterAlloc) // dies owning an unlinked node
 
@@ -111,6 +97,7 @@ func (q *TwoLock) EnqueueRefAs(owner int32, node shm.Ref, m core.Msg, fh fault.H
 	fh.Crashpoint(fault.PtEnqueueLocked) // dies holding tailMu, tail stale
 	q.tail = node
 	q.tailMu.Unlock(h)
+	return true
 }
 
 // Dequeue implements Queue.

@@ -66,25 +66,33 @@ func TestTwoLockEmptyConcurrentWithDequeue(t *testing.T) {
 	}
 }
 
-// TestTwoLockEnqueueRef checks the split alloc/enqueue path the batched
-// producer ports use: refs drawn straight from Pool() and handed to
-// EnqueueRef must flow through the queue exactly like Enqueue'd ones.
-func TestTwoLockEnqueueRef(t *testing.T) {
+// TestTwoLockEnqueue checks the one enqueue path end to end: each
+// Enqueue draws its node from Pool(), messages leave in FIFO order, a
+// drained pool reads as queue-full, and every dequeue returns its old
+// dummy so the pool is whole again (capacity free plus the dummy).
+func TestTwoLockEnqueue(t *testing.T) {
 	q, err := NewTwoLock(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		ref, ok := q.Pool().Alloc()
-		if !ok {
-			t.Fatalf("pool exhausted at %d", i)
+	for i := 0; i < 8; i++ {
+		if !q.Enqueue(core.Msg{Seq: int32(i)}) {
+			t.Fatalf("enqueue %d refused below capacity", i)
 		}
-		q.EnqueueRef(ref, core.Msg{Seq: int32(i)})
 	}
-	for i := 0; i < 5; i++ {
+	if q.Enqueue(core.Msg{Seq: 8}) {
+		t.Fatal("enqueue past capacity accepted")
+	}
+	if free := q.Pool().FreeCount(); free != 0 {
+		t.Fatalf("pool free %d with the queue full, want 0", free)
+	}
+	for i := 0; i < 8; i++ {
 		m, ok := q.Dequeue()
 		if !ok || m.Seq != int32(i) {
 			t.Fatalf("dequeue %d: %+v, %v", i, m, ok)
 		}
+	}
+	if free := q.Pool().FreeCount(); free != 8 {
+		t.Fatalf("pool free %d after draining, want 8", free)
 	}
 }

@@ -113,6 +113,11 @@ func TestProcChaosKillServer(t *testing.T) {
 	if res.Detected != 2 || res.Hung != 0 {
 		t.Fatalf("detected %d hung %d, want 2/0", res.Detected, res.Hung)
 	}
+	// Both clients sweep the server's slot; exactly one wins the
+	// Live→Dead CAS and counts the death.
+	if res.PeerDeaths != 1 {
+		t.Fatalf("%d peer deaths counted, want 1", res.PeerDeaths)
+	}
 	if res.PoolLeaked != 0 {
 		t.Fatalf("pool leaked %d refs after reclaim", res.PoolLeaked)
 	}

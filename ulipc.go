@@ -170,8 +170,9 @@ type TunerSnapshot = core.TunerSnapshot
 // Admission is the overload-doctrine configuration, set as
 // Options.Admission. Every field is opt-in — the zero value keeps the
 // system fully open at zero send-path cost: HighWater (request-queue
-// depth past which sends fail fast with ErrOverload) and RetryCap /
-// RetryRefill (token bucket bounding queue-full retry rounds).
+// depth past which sends fail fast with ErrOverload) and RetryCap
+// (token bucket bounding queue-full retry rounds; each successful send
+// earns back a tenth of a retry).
 type Admission = livebind.Admission
 
 // ShedPolicy configures deadline-aware shedding at the server's
@@ -356,7 +357,6 @@ type (
 	ProcSystem  = livebind.ProcSystem
 	ProcServer  = livebind.ProcServer
 	ProcClient  = livebind.ProcClient
-	ProcStats   = livebind.ProcStats
 )
 
 // FutexBackend names the sleep/wake implementation this binary was
