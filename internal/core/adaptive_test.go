@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -106,7 +107,10 @@ func TestTunerSnapshotJSONStable(t *testing.T) {
 
 // BSA's fall-through predicate must be exact: an arrival on
 // the last budgeted poll is a successful spin, not a sleep.
-type scriptedQueue struct{ emptyFor int }
+type scriptedQueue struct {
+	*fakePort
+	emptyFor int
+}
 
 func (q *scriptedQueue) Empty() bool {
 	if q.emptyFor > 0 {
@@ -119,16 +123,23 @@ func (q *scriptedQueue) Empty() bool {
 func TestAdaptiveSpinExactFallThrough(t *testing.T) {
 	tn := NewTuner(TunerConfig{Initial: 8, Min: 2, Max: 512})
 	a := &fakeActor{}
+	// The scripted spin ends with the message the leg then takes.
+	spin := func(emptyFor int) {
+		t.Helper()
+		q := &scriptedQueue{fakePort: newFakePort(0, 1), emptyFor: emptyFor}
+		q.TryEnqueue(Msg{Val: 1})
+		if m, err := receiveLeg(context.Background(), BSA, 0, &tn, q, a, nil, obs.Hook{}, legHint{}); err != nil || m.Val != 1 {
+			t.Fatalf("got %+v, %v", m, err)
+		}
+	}
 	// Arrival exactly when the budget expires: Empty() true for the
 	// whole loop, false immediately after — a success, not a sleep.
-	q := &scriptedQueue{emptyFor: tn.Budget()}
-	spinPoll(q, a, tn.Budget(), tn, nil, obs.Hook{})
+	spin(tn.Budget())
 	if got := tn.FallThrus.Load(); got != 0 {
 		t.Fatalf("last-poll arrival counted as fall-through")
 	}
 	// Queue still empty after the loop: a genuine fall-through.
-	q = &scriptedQueue{emptyFor: 1 << 30}
-	spinPoll(q, a, tn.Budget(), tn, nil, obs.Hook{})
+	spin(1 << 30)
 	if got := tn.FallThrus.Load(); got != 1 {
 		t.Fatalf("fall-thrus %d after an expired wait, want 1", got)
 	}

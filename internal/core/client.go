@@ -75,9 +75,14 @@ type Client struct {
 // (diagnostics and tests).
 func (c *Client) Lag() int { return c.lag }
 
-// tryHandoff is the "try to handoff" hint: the handoff syscall when
-// enabled, otherwise the portable busy_wait (yield on a uniprocessor,
-// delay loop on a multiprocessor).
+// hint is the client's "try to handoff" (see legHint): the handoff
+// syscall when enabled, otherwise the portable busy_wait (yield on a
+// uniprocessor, delay loop on a multiprocessor).
+func (c *Client) hint() legHint {
+	return legHint{client: true, count: true, handoff: c.UseHandoff, target: c.HandoffTarget}
+}
+
+// tryHandoff gives the hint once, after a BSWY request wake.
 func (c *Client) tryHandoff() {
 	if c.M != nil {
 		c.M.BusyWaits.Add(1)
@@ -108,7 +113,12 @@ func (c *Client) SendCtx(ctx context.Context, m Msg) (Msg, error) {
 
 // sendCtx is SendCtx that also reports whether this call enqueued m:
 // on error, a request that never reached the queue is still the
-// caller's, while one that did is owed a reply (c.lag).
+// caller's, while one that did is owed a reply (c.lag). The wake is a
+// Grant, not a V: the client blocks on the reply next, so the binding
+// may run the server at once. BSWY follows a wake with a hand-off hint,
+// Figure 7's busy_wait "and let it run"; a send that woke nobody has
+// nobody to hand off to. The reply wait is receiveLeg, called from here
+// so that its yields and parks sit three frames below the verb.
 func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 	if c.disconnected {
 		return Msg{}, false, ErrDisconnected
@@ -130,12 +140,24 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 		c.Obs.Note(obs.EvSend, int64(m.Seq))
 	}
 	t0 := c.Obs.Stamp()
-	ans, err := c.exchangeCtx(ctx, m)
-	if err != nil {
-		// The drain above left nothing owed, so a reply owed now is
-		// this request's.
-		return Msg{}, c.lag > 0, err
+	if !ValidAlgorithm(c.Alg) {
+		return Msg{}, false, ErrUnknownAlgorithm
 	}
+	if err := enqueueCtx(ctx, c.Alg, c.Srv, c.A, m, c.M, c.Budget, c.Obs); err != nil {
+		return Msg{}, false, err
+	}
+	c.lag++
+	if c.Alg != BSS && c.Srv.ClaimWake() {
+		c.A.Grant(c.Srv.Sem())
+		if c.Alg == BSWY {
+			c.tryHandoff()
+		}
+	}
+	ans, err := receiveLeg(ctx, c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs, c.hint())
+	if err != nil {
+		return Msg{}, true, err // the reply stays owed (c.lag)
+	}
+	c.lag--
 	if obsOn {
 		c.Obs.RTT(obs.Since(t0))
 		c.Obs.Note(obs.EvRecv, int64(ans.Seq))
@@ -147,34 +169,6 @@ func (c *Client) sendCtx(ctx context.Context, m Msg) (Msg, bool, error) {
 		c.M.MsgsSent.Add(1)
 	}
 	return ans, true, nil
-}
-
-// exchangeCtx enqueues the request, wakes the server and awaits the
-// reply, all under ctx. Once the request is enqueued, a failed wait
-// leaves one reply owed (c.lag). The wake is a Grant, not a V: the
-// client blocks on the reply next, so the binding may run the server
-// at once. BSWY follows a wake with a hand-off hint, Figure 7's
-// busy_wait "and let it run"; a send that woke nobody has nobody to
-// hand off to.
-func (c *Client) exchangeCtx(ctx context.Context, m Msg) (Msg, error) {
-	if !ValidAlgorithm(c.Alg) {
-		return Msg{}, ErrUnknownAlgorithm
-	}
-	if err := enqueueCtx(ctx, c.Alg, c.Srv, c.A, m, c.M, c.Budget, c.Obs); err != nil {
-		return Msg{}, err
-	}
-	c.lag++
-	if c.Alg != BSS && c.Srv.ClaimWake() {
-		c.A.Grant(c.Srv.Sem())
-		if c.Alg == BSWY {
-			c.tryHandoff()
-		}
-	}
-	ans, err := c.RecvReplyCtx(ctx)
-	if err == nil {
-		c.lag--
-	}
-	return ans, err
 }
 
 // SendAsyncCtx enqueues a request and wakes the server without waiting
@@ -204,18 +198,7 @@ func (c *Client) SendAsyncCtx(ctx context.Context, m Msg) error {
 }
 
 // RecvReplyCtx collects one reply for a previous SendAsyncCtx, blocking
-// according to the configured protocol: the per-protocol reply dequeue.
+// according to the configured protocol: the client's receive leg.
 func (c *Client) RecvReplyCtx(ctx context.Context) (Msg, error) {
-	switch c.Alg {
-	case BSS:
-		return spinDequeueCtx(ctx, c.A, c.Rcv)
-	case BSW:
-		return consumerWaitCtx(ctx, c.Rcv, c.A, nil)
-	case BSLS, BSA:
-		spinRcv(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
-		fallthrough
-	case BSWY:
-		return consumerWaitCtx(ctx, c.Rcv, c.A, c.tryHandoff)
-	}
-	return Msg{}, ErrUnknownAlgorithm
+	return receiveLeg(ctx, c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs, c.hint())
 }

@@ -200,7 +200,7 @@ type Actor interface {
 	// token was consumed; ctx.Err() when the wait was cancelled WITHOUT
 	// consuming a token (when a grant and the cancellation race, one of
 	// them is decided first and the other loses — see the wake-token
-	// accounting note on consumerWaitCtx); and ErrShutdown when the
+	// accounting note on receiveLeg); and ErrShutdown when the
 	// semaphore was shut down.
 	PCtx(ctx context.Context, id SemID) error
 

@@ -188,7 +188,7 @@ func TestConsumerWaitCtxCancelDrainsRacingWake(t *testing.T) {
 		}
 		return context.Canceled
 	}
-	m, err := consumerWaitCtx(context.Background(), q, a, nil)
+	m, err := receiveLeg(context.Background(), BSW, 0, nil, q, a, nil, obs.Hook{}, legHint{})
 	if err != nil {
 		t.Fatalf("racing wake must win over cancellation: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestConsumerWaitCtxCancelSuppressesFutureWake(t *testing.T) {
 	base := newFakeActor(1)
 	a := &ctxFakeActor{fakeActor: base}
 	a.onPCtx = func(SemID) error { return context.DeadlineExceeded }
-	_, err := consumerWaitCtx(context.Background(), q, a, nil)
+	_, err := receiveLeg(context.Background(), BSW, 0, nil, q, a, nil, obs.Hook{}, legHint{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}

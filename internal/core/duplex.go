@@ -35,9 +35,9 @@ type DuplexHandler struct {
 
 // ReceiveCtx returns the connection's next request; ErrShutdown once
 // the system is shut down and the queue drained. Its protocol leg is the
-// Server's, with a plain yield as BSWY's "let the client run".
+// Server's, with a plain uncounted yield as BSWY's "let the client run".
 func (h *DuplexHandler) ReceiveCtx(ctx context.Context) (Msg, error) {
-	m, err := receiveLeg(ctx, h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs, h.A.Yield)
+	m, err := receiveLeg(ctx, h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs, legHint{})
 	if err != nil {
 		return Msg{}, err
 	}

@@ -120,8 +120,17 @@ func (w *PoolWorker) ReceiveCtx(ctx context.Context) (Msg, error) {
 			continue
 		case BSWY:
 			w.A.Yield()
-		case BSLS, BSA:
-			spinRcv(w.Alg, w.MaxSpin, &w.Tuner, w.Rcv, w.A, w.M, w.Obs)
+		case BSLS, BSA: // receiveLeg's spin, one frame below the verb
+			budget, t, t0 := spinStart(w.Alg, w.MaxSpin, &w.Tuner, w.M, w.Obs)
+			n := 0
+			for w.Rcv.Empty() && n < budget {
+				w.A.PollDelay()
+				n++
+				if w.M != nil {
+					w.M.SpinIters.Add(1)
+				}
+			}
+			spinEnd(w.Rcv, n, budget, t, t0, w.M, w.Obs)
 		}
 		w.Rcv.RegisterWaiter()
 		if m, ok := w.Rcv.TryDequeue(); ok {

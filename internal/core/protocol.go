@@ -86,12 +86,47 @@ func wake(q SendPort, a Actor) bool {
 	return false
 }
 
-// consumerWaitCtx implements the consumer side of the blocking protocol
-// (steps C.1–C.5 of Figure 4 with both race fixes), shared by BSW, BSWY
-// and BSLS:
+// legHint is the scheduling hint a receive leg gives before it sleeps:
+// Figure 7's busy_wait "let it run", or Section 6's handoff(target)
+// where the endpoint enables it. A client's (client set) is a BusyWait
+// before every sleep of BSLS, BSA and BSWY; a server endpoint's is one
+// Yield after BSWY's first dequeue missed.
+type legHint struct {
+	client, count, handoff bool // count: in metrics.Proc.BusyWaits
+	target                 int
+}
+
+// note counts the hint when the endpoint counts them.
+func (k legHint) note(pm *metrics.Proc) {
+	if k.count && pm != nil {
+		pm.BusyWaits.Add(1)
+	}
+}
+
+// receiveLeg is the per-protocol receive of every single-consumer
+// endpoint: Server, DuplexHandler and the client's reply wait. It makes
+// each yield and park itself, one call below it, so that a switch
+// returns through at most three frames below the public verb (DESIGN.md
+// "Switch depth"); the hint runs inline for the same reason.
+//
+// BSS busy-waits the dequeue (Figure 1). BSWY (Figure 7) at a server
+// takes a request that is already queued; otherwise it lets the clients
+// run (and possibly enqueue) once before entering the blocking path.
+// The extra dequeue attempt is what makes the algorithm scale with
+// multiple clients: with several outstanding entries it is more
+// productive to keep processing than to give up the processor after
+// every reply. BSLS and BSA first run the limited spin (Figure 9),
+// its Section 4.2 statistics kept by spinStart and spinEnd:
+//
+//	spincnt = 0;
+//	while( empty(Q) && spincnt++ < MAX_SPIN )
+//	    poll_queue( Q );
+//
+// Then every protocol but BSS takes the consumer side of the blocking
+// protocol (steps C.1–C.5 of Figure 4 with both race fixes):
 //
 //	while( !dequeue( Q, msg ) ) {
-//	    <preWait hook — BSWY's busy_wait "try to handoff">
+//	    <client hint — BSWY's busy_wait "try to handoff">
 //	    Q->awake = 0;
 //	    if( !dequeue( Q, msg ) ) {
 //	        P( sem );          /* wait for producer */
@@ -130,7 +165,35 @@ func wake(q SendPort, a Actor) bool {
 //     cancellation when the two race, and the semaphore count stays
 //     bounded either way: no wake destined for a live waiter is ever
 //     swallowed, and no cancelled waiter leaves a token behind.
-func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg, error) {
+func receiveLeg(ctx context.Context, alg Algorithm, maxSpin int, tuner **Tuner, q Port, a Actor, pm *metrics.Proc, h obs.Hook, hint legHint) (Msg, error) {
+	switch alg {
+	case BSWY:
+		if !hint.client {
+			if m, ok := q.TryDequeue(); ok {
+				return m, nil
+			}
+			hint.note(pm)
+			if hint.handoff {
+				a.Handoff(hint.target)
+			} else {
+				a.Yield()
+			}
+		}
+	case BSLS, BSA:
+		budget, t, t0 := spinStart(alg, maxSpin, tuner, pm, h)
+		n := 0
+		for q.Empty() && n < budget {
+			a.PollDelay()
+			n++
+			if pm != nil {
+				pm.SpinIters.Add(1)
+			}
+		}
+		spinEnd(q, n, budget, t, t0, pm, h)
+	case BSS, BSW:
+	default:
+		return Msg{}, ErrUnknownAlgorithm
+	}
 	for {
 		if m, ok := q.TryDequeue(); ok {
 			return m, nil
@@ -141,8 +204,17 @@ func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg,
 		if err := ctxErr(ctx); err != nil {
 			return Msg{}, err
 		}
-		if preWait != nil {
-			preWait()
+		if alg == BSS {
+			a.BusyWait()
+			continue
+		}
+		if hint.client && alg != BSW {
+			hint.note(pm)
+			if hint.handoff {
+				a.Handoff(hint.target)
+			} else {
+				a.BusyWait()
+			}
 		}
 		q.SetAwake(false)
 		if m, ok := q.TryDequeue(); ok {
@@ -167,102 +239,42 @@ func consumerWaitCtx(ctx context.Context, q Port, a Actor, preWait func()) (Msg,
 	}
 }
 
-// receiveLeg is the per-protocol receive of a single-consumer server
-// endpoint, shared by Server and DuplexHandler. BSWY (Figure 7) takes a
-// request that is already queued; otherwise it runs letRun once to let
-// clients run (and possibly enqueue) before entering the blocking path
-// — the server's letClientsRun, a duplex handler's plain Yield. The
-// extra dequeue attempt is what makes the algorithm scale with multiple
-// clients: with several outstanding entries it is more productive to
-// keep processing than to give up the processor after every reply.
-func receiveLeg(ctx context.Context, alg Algorithm, maxSpin int, tuner **Tuner, q Port, a Actor, m *metrics.Proc, h obs.Hook, letRun func()) (Msg, error) {
-	switch alg {
-	case BSS:
-		return spinDequeueCtx(ctx, a, q)
-	case BSWY:
-		if got, ok := q.TryDequeue(); ok {
-			return got, nil
-		}
-		letRun()
-	case BSLS, BSA:
-		spinRcv(alg, maxSpin, tuner, q, a, m, h)
-	case BSW:
-	default:
-		return Msg{}, ErrUnknownAlgorithm
-	}
-	return consumerWaitCtx(ctx, q, a, nil)
-}
-
-// spinDequeueCtx busy-waits a dequeue (the BSS receive leg, Figure 1).
-func spinDequeueCtx(ctx context.Context, a Actor, q Port) (Msg, error) {
-	for {
-		if m, ok := q.TryDequeue(); ok {
-			return m, nil
-		}
-		if q.Closed() {
-			return Msg{}, shutdownErr(q)
-		}
-		if err := ctxErr(ctx); err != nil {
-			return Msg{}, err
-		}
-		a.BusyWait()
-	}
-}
-
-// spinRcv runs a consumer's pre-block spin prefix on q: BSLS's fixed
-// MAX_SPIN (DefaultMaxSpin when maxSpin is not positive), or BSA's
-// controller-tuned budget, building the controller on first use.
-func spinRcv(alg Algorithm, maxSpin int, tuner **Tuner, q interface{ Empty() bool }, a Actor, m *metrics.Proc, h obs.Hook) {
+// spinStart opens a pre-block spin: its budget (BSLS's MAX_SPIN, or
+// DefaultMaxSpin if that is not positive; BSA's controller budget, the
+// controller built on first use), the controller to feed back (nil
+// under BSLS) and the phase's start stamp. It counts the loop in pm.
+func spinStart(alg Algorithm, maxSpin int, tuner **Tuner, pm *metrics.Proc, h obs.Hook) (budget int, t *Tuner, t0 int64) {
+	budget = maxSpin
 	if alg == BSA {
 		if *tuner == nil {
 			*tuner = NewTuner(TunerConfig{})
 		}
-		spinPoll(q, a, (*tuner).Budget(), *tuner, m, h)
-		return
+		t = *tuner
+		budget = t.Budget()
+	} else if budget <= 0 {
+		budget = DefaultMaxSpin
 	}
-	if maxSpin <= 0 {
-		maxSpin = DefaultMaxSpin
-	}
-	spinPoll(q, a, maxSpin, nil, m, h)
-}
-
-// spinPoll implements the BSLS limited-spin prefix (Figure 9):
-//
-//	spincnt = 0;
-//	while( empty(Q) && spincnt++ < MAX_SPIN )
-//	    poll_queue( Q );
-//
-// It records the Section 4.2 statistics (how often the loop fell through
-// to the blocking path, and the iteration count) when m is non-nil, and
-// the spin-phase duration when a hook is attached. With a BSA
-// controller t, the outcome is fed back; its fall-through predicate is
-// exact (queue still empty after the loop), unlike the budget-exhausted
-// approximation BSLS counts — the controller must not count a
-// last-iteration arrival as a sleep. The poll needs only the
-// non-destructive empty check, so it accepts any endpoint flavour.
-func spinPoll(q interface{ Empty() bool }, a Actor, budget int, t *Tuner, m *metrics.Proc, h obs.Hook) {
-	var t0 int64
 	if h.H != nil {
 		t0 = obs.Now()
 	}
-	if m != nil {
-		m.SpinLoops.Add(1)
+	if pm != nil {
+		pm.SpinLoops.Add(1)
 	}
-	spincnt := 0
-	for q.Empty() && spincnt < budget {
-		a.PollDelay()
-		spincnt++
-		if m != nil {
-			m.SpinIters.Add(1)
-		}
-	}
-	fell := spincnt >= budget
+	return budget, t, t0
+}
+
+// spinEnd closes a spin of n polls: it counts a fall-through and
+// records the spin phase. BSLS counts the budget-exhausted
+// approximation; a BSA controller gets the exact predicate (queue still
+// empty), so a last-iteration arrival is not a sleep.
+func spinEnd(q interface{ Empty() bool }, n, budget int, t *Tuner, t0 int64, pm *metrics.Proc, h obs.Hook) {
+	fell := n >= budget
 	if t != nil {
 		fell = q.Empty()
-		t.Observe(spincnt, fell)
+		t.Observe(n, fell)
 	}
-	if fell && m != nil {
-		m.SpinFallThrus.Add(1)
+	if fell && pm != nil {
+		pm.SpinFallThrus.Add(1)
 	}
 	if h.H != nil {
 		h.Spin(obs.Since(t0))

@@ -138,10 +138,11 @@ var (
 	_ Actor = (*fakeActor)(nil)
 )
 
-// mustWait runs the consumer wait under a context that never ends.
+// mustWait runs the BSW receive leg (the bare consumer wait) under a
+// context that never ends.
 func mustWait(t *testing.T, q Port, a Actor) Msg {
 	t.Helper()
-	m, err := consumerWaitCtx(context.Background(), q, a, nil)
+	m, err := receiveLeg(context.Background(), BSW, 0, nil, q, a, nil, obs.Hook{}, legHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +332,26 @@ func TestSpinPollStats(t *testing.T) {
 	q := newFakePort(0, 4)
 	a := newFakeActor(1)
 	m := &metrics.Proc{}
+	// A spin that falls through parks: the "producer" runs then.
+	a.onP = func(id SemID) {
+		q.msgs = append(q.msgs, Msg{})
+		a.sems[id]++
+	}
+	spin := func() {
+		t.Helper()
+		if _, err := receiveLeg(context.Background(), BSLS, 5, nil, q, a, m, obs.Hook{}, legHint{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Exhaustion: queue stays empty.
-	spinPoll(q, a, 5, nil, m, obs.Hook{})
+	spin()
 	if m.SpinLoops.Load() != 1 || m.SpinFallThrus.Load() != 1 || m.SpinIters.Load() != 5 {
 		t.Fatalf("exhaustion stats: loops=%d falls=%d iters=%d",
 			m.SpinLoops.Load(), m.SpinFallThrus.Load(), m.SpinIters.Load())
 	}
-	if a.polls != 5 {
-		t.Fatalf("polls = %d", a.polls)
+	if a.polls != 5 || a.blockedAt != 1 {
+		t.Fatalf("polls = %d, blocks = %d", a.polls, a.blockedAt)
 	}
 
 	// Early success: message appears after 2 polls.
@@ -350,7 +362,7 @@ func TestSpinPollStats(t *testing.T) {
 			q.msgs = append(q.msgs, Msg{})
 		}
 	}
-	spinPoll(q, a, 5, nil, m, obs.Hook{})
+	spin()
 	if m.SpinLoops.Load() != 2 || m.SpinFallThrus.Load() != 1 {
 		t.Fatalf("early-success stats: loops=%d falls=%d", m.SpinLoops.Load(), m.SpinFallThrus.Load())
 	}
@@ -361,9 +373,12 @@ func TestSpinPollStats(t *testing.T) {
 	// Immediate success: no polls.
 	q.msgs = append(q.msgs, Msg{})
 	before := a.polls
-	spinPoll(q, a, 5, nil, m, obs.Hook{})
+	spin()
 	if a.polls != before {
 		t.Fatal("non-empty queue must not poll")
+	}
+	if a.blockedAt != 1 {
+		t.Fatalf("blocks = %d, want the exhaustion's one", a.blockedAt)
 	}
 }
 
@@ -377,7 +392,7 @@ func TestBusySpinUntil(t *testing.T) {
 			q.msgs = append(q.msgs, Msg{Val: 4})
 		}
 	}
-	m, err := spinDequeueCtx(context.Background(), a, q)
+	m, err := receiveLeg(context.Background(), BSS, 0, nil, q, a, nil, obs.Hook{}, legHint{})
 	if err != nil || m.Val != 4 {
 		t.Fatalf("got %+v, %v", m, err)
 	}

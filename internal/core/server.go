@@ -76,15 +76,10 @@ type deferredWake struct {
 	at     int64 // receive count when deferred (starvation guard)
 }
 
-func (s *Server) letClientsRun() {
-	if s.M != nil {
-		s.M.BusyWaits.Add(1)
-	}
-	if s.UseHandoff {
-		s.A.Handoff(HandoffAny)
-		return
-	}
-	s.A.Yield()
+// hint is the server's BSWY let-run (see legHint): handoff(PID_ANY)
+// when enabled, else a plain yield, counted as a busy-wait.
+func (s *Server) hint() legHint {
+	return legHint{count: true, handoff: s.UseHandoff, target: HandoffAny}
 }
 
 // replyAudit is the outstanding-request audit behind ErrDoubleReply,
@@ -141,7 +136,7 @@ func (s *Server) ReceiveCtx(ctx context.Context) (Msg, error) {
 			// system would deadlock.
 			s.admitOne()
 		}
-		m, err := receiveLeg(ctx, s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs, s.letClientsRun)
+		m, err := receiveLeg(ctx, s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs, s.hint())
 		if err != nil {
 			return Msg{}, err
 		}

@@ -238,10 +238,10 @@ func (p *Port) Closed() bool { return p.c.closed.Load() }
 func (p *Port) PeerDead() bool { return p.c.dead.Load() }
 
 // actorSem is one entry of an Actor's semaphore table: *Semaphore in
-// process, *ProcSem across processes. Each reports whether its P
-// actually parked and whether its V woke a sleeper.
+// process, *ProcSem across processes. PCtx with a nil context is P;
+// each reports whether its wait actually parked and whether its V woke
+// a sleeper.
 type actorSem interface {
-	P() (slept bool)
 	PCtx(ctx context.Context) (slept bool, err error)
 	V() (woke bool)
 }
@@ -309,9 +309,14 @@ func (a *Actor) beat() {
 	}
 }
 
-// yieldCPU gives up the processor: runtime.Gosched in process,
-// sched_yield across processes.
-func (a *Actor) yieldCPU() {
+// Yield implements core.Actor: runtime.Gosched in process, sched_yield
+// across processes. Yield, BusyWait and PollDelay each make the call
+// themselves, so a yield returns through no helper frame (DESIGN.md
+// "Switch depth").
+func (a *Actor) Yield() {
+	if a.M != nil {
+		a.M.Yields.Add(1)
+	}
 	if a.proc {
 		osYield()
 		return
@@ -319,25 +324,28 @@ func (a *Actor) yieldCPU() {
 	runtime.Gosched()
 }
 
-// Yield implements core.Actor.
-func (a *Actor) Yield() {
-	if a.M != nil {
-		a.M.Yields.Add(1)
-	}
-	a.yieldCPU()
-}
-
 // BusyWait implements core.Actor.
 func (a *Actor) BusyWait() {
 	if a.SpinIters > 0 {
 		a.spin(a.SpinIters)
-		return
+	} else if a.proc {
+		osYield()
+	} else {
+		runtime.Gosched()
 	}
-	a.yieldCPU()
 }
 
-// PollDelay implements core.Actor.
-func (a *Actor) PollDelay() { a.BusyWait() }
+// PollDelay implements core.Actor: BusyWait's body, written out again
+// so the spin loop's yield is one frame below the receive leg.
+func (a *Actor) PollDelay() {
+	if a.SpinIters > 0 {
+		a.spin(a.SpinIters)
+	} else if a.proc {
+		osYield()
+	} else {
+		runtime.Gosched()
+	}
+}
 
 // P implements core.Actor. When the call actually sleeps it is counted
 // as a block; with observability attached the parked duration lands in
@@ -352,7 +360,7 @@ func (a *Actor) P(id core.SemID) {
 	a.beat()
 	a.FH.Crashpoint(fault.PtBlock)
 	t0 := a.Obs.Stamp()
-	if a.sems[id].P() {
+	if slept, _ := a.sems[id].PCtx(nil); slept {
 		if a.M != nil {
 			a.M.Blocks.Add(1)
 		}

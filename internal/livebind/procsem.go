@@ -76,24 +76,15 @@ func (p *ProcSem) tryAcquire() bool {
 // reports whether the call actually slept (the protocols' block
 // accounting). On a poisoned semaphore P returns without a token.
 func (p *ProcSem) P() (slept bool) {
-	for {
-		if p.tryAcquire() {
-			return slept
-		}
-		if p.s.Dead.Load() != 0 {
-			return slept
-		}
-		p.s.Waiters.Add(1)
-		futexWait(&p.s.Count, 0, p.slice)
-		p.s.Waiters.Add(^uint32(0))
-		slept = true
-	}
+	slept, _ = p.PCtx(nil)
+	return slept
 }
 
-// PCtx is P with cancellation. It returns nil when a token was
-// consumed, ctx.Err() when cancelled without consuming one, and
-// core.ErrShutdown when the semaphore is poisoned (the caller's port
-// state distinguishes orderly shutdown from peer death).
+// PCtx is P with cancellation, and P itself when ctx is nil. It returns
+// nil when a token was consumed, ctx.Err() when cancelled without
+// consuming one, and core.ErrShutdown when the semaphore is poisoned
+// (the caller's port state distinguishes orderly shutdown from peer
+// death).
 func (p *ProcSem) PCtx(ctx context.Context) (slept bool, err error) {
 	for {
 		if p.tryAcquire() {
@@ -102,8 +93,10 @@ func (p *ProcSem) PCtx(ctx context.Context) (slept bool, err error) {
 		if p.s.Dead.Load() != 0 {
 			return slept, core.ErrShutdown
 		}
-		if err := ctx.Err(); err != nil {
-			return slept, err
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return slept, err
+			}
 		}
 		p.s.Waiters.Add(1)
 		futexWait(&p.s.Count, 0, p.slice)

@@ -224,7 +224,7 @@ func TestDroppedWakeupsRescued(t *testing.T) {
 // A consumer can lose a wake-up with its queue empty: it clears its
 // awake flag, a producer enqueues and wins the flag's test-and-set (so
 // the V is its duty), the consumer's re-check dequeues the message and,
-// finding the flag set, parks to take the V it is owed (consumerWaitCtx's
+// finding the flag set, parks to take the V it is owed (receiveLeg's
 // race-3 fix). If that V is dropped, nothing is queued for the sweeper
 // to notice; the flag set over a parked consumer is what names the
 // owed V.

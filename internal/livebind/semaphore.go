@@ -22,7 +22,7 @@ import (
 // A granted waiter returns success even if its context has ended by the
 // time it runs ("the reply wins"), so a cancelled wait never consumed a
 // token and there is nothing to hand back — the property the protocol
-// layer's wake-token accounting (core.consumerWaitCtx) builds on.
+// layer's wake-token accounting (core.receiveLeg) builds on.
 type Semaphore struct {
 	mu     sync.Mutex
 	count  int64
@@ -45,21 +45,19 @@ func NewWaitArraySemaphore(initial int64) *Semaphore { return NewSemaphore(initi
 // the binding can attribute sleep time without extra clock reads on the
 // non-blocking path.
 func (s *Semaphore) P() (slept bool) {
-	slept, _ = s.wait(nil)
+	slept, _ = s.PCtx(nil)
 	return slept
 }
 
-// PCtx is P with cancellation. It returns nil when a token was
-// consumed; ctx.Err() when the wait was cancelled without consuming a
-// token; and core.ErrShutdown when the semaphore was closed. Like P,
-// slept reports whether the call actually parked.
-func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
-	return s.wait(ctx)
-}
-
-// wait is P (ctx == nil) and PCtx. The park rule: a wait parks on a
-// single receive from its slot unless it must also watch a context it
-// has no registration for.
+// PCtx is P with cancellation, and P itself when ctx is nil (the
+// Actor's P calls it so, which parks one frame below the Actor). It
+// returns nil when a token was consumed; ctx.Err() when the wait was
+// cancelled without consuming a token; and core.ErrShutdown when the
+// semaphore was closed. Like P, slept reports whether the call actually
+// parked.
+//
+// The park rule: a wait parks on a single receive from its slot unless
+// it must also watch a context it has no registration for.
 //
 //   - P, and a context whose Done is nil, have nothing to watch.
 //   - A context the slot's previous wait also used is long-lived: the
@@ -73,7 +71,7 @@ func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
 // Arming and disarming run under the mutex, which orders them with
 // Close. Neither can re-enter it: AfterFunc runs expire on a goroutine
 // of its own, and a stop function never calls back.
-func (s *Semaphore) wait(ctx context.Context) (slept bool, err error) {
+func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

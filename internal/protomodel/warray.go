@@ -1,6 +1,6 @@
 // Waiting-array model: exhaustive interleaving checking for
 // livebind.Semaphore (semaphore.go, semarray.go) under the cancellable
-// consumer wait (core.consumerWaitCtx) — the parking path of every
+// consumer wait (core.receiveLeg) — the parking path of every
 // in-process protocol.
 //
 // The semaphore guards every operation with one mutex, so each locked
@@ -21,10 +21,10 @@
 //   - "C granted" / "C cancelled": Semaphore.wait returning after its
 //     receive, with the slot's decided state (releaseLocked).
 //   - "C cxl-P…": the plain Semaphore.P the cancel path of
-//     consumerWaitCtx runs to claim a V it owes.
+//     receiveLeg runs to claim a V it owes.
 //
 // The consumer runs the Figure 4 shape with the cancel-path token
-// accounting of consumerWaitCtx: after a cancelled wait it re-runs the
+// accounting of receiveLeg: after a cancelled wait it re-runs the
 // TAS drain before retrying, so a token destined for it is never lost
 // and never double-counted.
 //
@@ -63,7 +63,7 @@ type WArrayResult struct {
 	Cancelled    bool     // at least one explored path cancelled a park
 }
 
-// Consumer program counters: the consumerWaitCtx shape, plus the
+// Consumer program counters: the receiveLeg shape, plus the
 // cancel-path drain (wCxl*) it runs after a cancelled park.
 const (
 	wTop       = iota // dequeue attempt
@@ -274,7 +274,7 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "C awake=1", true
 
 	case wCxl:
-		// consumerWaitCtx cancel path: TAS the flag back; if a producer
+		// receiveLeg cancel path: TAS the flag back; if a producer
 		// had signalled, a token is owed — claim it before returning.
 		old := s.awake
 		s.awake = true

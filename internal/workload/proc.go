@@ -469,6 +469,28 @@ func startProcCell(cfg ProcConfig, name string) (*procCell, error) {
 	return p, nil
 }
 
+// awaitAttached waits, at most d, until the server's lifetable slot and
+// every client's have left LifeFree: each worker has attached (its slot
+// reads LifeLive while it runs).
+func (p *procCell) awaitAttached(d time.Duration) error {
+	v, err := p.seg.View()
+	if err != nil {
+		return err
+	}
+	end := time.Now().Add(d)
+	for slot := 0; slot <= len(p.clients); {
+		if v.Life[slot].State.Load() != shm.LifeFree {
+			slot++
+			continue
+		}
+		if time.Now().After(end) {
+			return fmt.Errorf("workload: lifetable slot %d not claimed within %v", slot, d)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
+}
+
 func (p *procCell) close() {
 	p.segFile.Close()
 	p.seg.Close()
@@ -676,12 +698,18 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 	}
 	defer p.close()
 
-	// Let traffic flow, then murder the server mid-exchange. kill()
-	// also reaps, so survivors' pid probes see ESRCH immediately.
+	// Start the kill timer only once every worker has claimed its
+	// lifetable slot: a server killed before it attaches leaves slot 0
+	// Free, which no sweeper declares dead (DESIGN.md §12). Then let
+	// traffic flow and murder the server mid-exchange. kill() also
+	// reaps, so survivors' pid probes see ESRCH immediately.
+	var failures []error
+	if err := p.awaitAttached(cfg.Watchdog); err != nil {
+		failures = append(failures, err)
+	}
 	time.Sleep(killAfter)
 	p.server.kill()
 
-	var failures []error
 	deadline := cfg.Watchdog + 10*time.Second
 	for i, c := range p.clients {
 		r, err := c.wait(deadline)

@@ -155,6 +155,26 @@ func TestProcChaosKillServerPayload(t *testing.T) {
 		res.Completed, res.OrphanBlocks, res.DetectMsMax)
 }
 
+// A kill that lands right after the spawn must still find a server
+// that has attached: the cell starts its kill timer only once every
+// lifetable slot is claimed, since a server slot still Free is one no
+// sweeper declares dead, and its clients would park until the watchdog.
+func TestProcChaosKillBeforeAttach(t *testing.T) {
+	res, err := RunProcChaosKill(ProcConfig{
+		Alg:             core.BSW,
+		Clients:         2,
+		KillServerAfter: time.Nanosecond,
+		Watchdog:        5 * time.Second,
+	})
+	skipIfNoMmap(t, err)
+	if err != nil {
+		t.Fatalf("chaos cell: %v\nresult: %+v", err, res)
+	}
+	if res.Detected != 2 || res.Hung != 0 {
+		t.Fatalf("detected %d hung %d, want 2/0", res.Detected, res.Hung)
+	}
+}
+
 // Worker-spawn plumbing failure paths stay typed and non-panicking.
 func TestProcCellBadConfig(t *testing.T) {
 	if _, err := RunProcCell(ProcConfig{Alg: core.BSW, Clients: 0}); err == nil {
